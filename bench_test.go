@@ -515,15 +515,20 @@ func BenchmarkCS87_KVServerSharding(b *testing.B) {
 }
 
 // BenchmarkKVProto is the E14 wire-protocol study: the same SET/GET
-// workload through a fixed 4-connection pool on the text protocol (one
-// request per connection turn, so 64 workers queue behind 4 conns) and
-// the binary protocol (every worker's request pipelined onto one shared
+// workload over four lab Clients on the text protocol (worker w uses
+// client w%4, whose mutex admits one request per connection turn, so
+// 64 workers queue behind 4 conns) and over one Pool on the binary
+// protocol (every worker's request pipelined onto one shared
 // connection, responses matched by correlation ID). The in-flight axis
 // is the point: at 1 the protocols differ only in framing cost; at 64
 // pipelining should dominate — the acceptance bar is >=2x text
 // throughput at 64 in-flight ops.
 func BenchmarkKVProto(b *testing.B) {
-	for _, proto := range []sockets.Proto{sockets.ProtoText, sockets.ProtoBinary} {
+	type kv interface {
+		Set(key, value string) error
+		Get(key string) (string, bool, error)
+	}
+	for _, proto := range []string{"text", "binary"} {
 		for _, inflight := range []int{1, 8, 64} {
 			b.Run(fmt.Sprintf("%s/inflight=%d", proto, inflight), func(b *testing.B) {
 				s, err := sockets.NewServerConfig("127.0.0.1:0", sockets.ServerConfig{Shards: 16})
@@ -531,11 +536,24 @@ func BenchmarkKVProto(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer s.Close()
-				p, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{Size: 4, Proto: proto})
-				if err != nil {
-					b.Fatal(err)
+				var conns []kv
+				if proto == "text" {
+					for i := 0; i < 4; i++ {
+						c, err := sockets.Dial(s.Addr())
+						if err != nil {
+							b.Fatal(err)
+						}
+						defer c.Close()
+						conns = append(conns, c)
+					}
+				} else {
+					p, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer p.Close()
+					conns = append(conns, p)
 				}
-				defer p.Close()
 				per := b.N/inflight + 1
 				b.ResetTimer()
 				var wg sync.WaitGroup
@@ -543,14 +561,15 @@ func BenchmarkKVProto(b *testing.B) {
 					wg.Add(1)
 					go func(w int) {
 						defer wg.Done()
+						c := conns[w%len(conns)]
 						for j := 0; j < per; j++ {
 							key := fmt.Sprintf("k%d-%d", w, j%64)
 							if j%2 == 0 {
-								if err := p.Set(key, "value-payload"); err != nil {
+								if err := c.Set(key, "value-payload"); err != nil {
 									b.Error(err)
 									return
 								}
-							} else if _, _, err := p.Get(key); err != nil {
+							} else if _, _, err := c.Get(key); err != nil {
 								b.Error(err)
 								return
 							}

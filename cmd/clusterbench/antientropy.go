@@ -39,7 +39,6 @@ func runAntiEntropy(keys, valueSize int, seed int64, jsonPath string) int {
 		Nodes: 3, Replicas: 3, WriteQuorum: 2, ReadQuorum: 2,
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  150 * time.Millisecond,
-		PoolSize:          4,
 		PoolTimeout:       500 * time.Millisecond,
 		DisableHints:      true,
 	})

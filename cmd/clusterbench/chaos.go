@@ -6,14 +6,13 @@ import (
 	"strings"
 
 	"repro/internal/chaos"
-	"repro/internal/sockets"
 )
 
 // runChaos executes the named scenario (or all of them) under the given
 // seed and returns the process exit code: 0 when every run finished
 // with zero anomalies and zero unexcused errors, 1 otherwise. Each
 // failing report carries its seed and the exact replay commands.
-func runChaos(scenario string, seed int64, proto sockets.Proto) int {
+func runChaos(scenario string, seed int64) int {
 	var specs []chaos.Spec
 	if scenario == "" {
 		specs = chaos.Scenarios()
@@ -27,10 +26,9 @@ func runChaos(scenario string, seed int64, proto sockets.Proto) int {
 		specs = []chaos.Spec{spec}
 	}
 
-	fmt.Printf("chaos: %d scenario(s) under seed %d, %s protocol\n\n", len(specs), seed, proto)
+	fmt.Printf("chaos: %d scenario(s) under seed %d\n\n", len(specs), seed)
 	failures := 0
 	for _, spec := range specs {
-		spec.Proto = proto
 		rep, err := chaos.Run(spec, seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "clusterbench: scenario %s (seed %d): %v\n", spec.Name, seed, err)

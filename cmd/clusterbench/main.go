@@ -41,7 +41,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
-	"repro/internal/sockets"
 	"repro/internal/workload"
 )
 
@@ -55,14 +54,12 @@ func main() {
 	chaosMode := flag.Bool("chaos", false, "run the seeded chaos scenarios instead of the benches")
 	scenario := flag.String("scenario", "", "with -chaos: run only this scenario (default: all)")
 	seed := flag.Int64("seed", 1, "with -chaos: schedule seed; a failing run prints the seed to replay")
-	protoFlag := flag.String("proto", "text", "inter-node wire protocol: text or binary (pipelined PDUs, batched migration)")
 	workloadFlag := flag.String("workload", "", "run the seeded workload generator instead of the benches: uniform or zipfian")
 	qps := flag.Float64("qps", 0, "with -workload: total offered rate for the open-loop schedule (0 = closed loop)")
 	theta := flag.Float64("theta", 0.99, "with -workload zipfian: zipfian exponent in (0,1)")
 	cacheFlag := flag.Bool("cache", false, "with -workload: enable the cluster's hot-key lease cache")
 	lease := flag.Duration("lease", 50*time.Millisecond, "with -cache: cache entry lease (the bounded staleness window)")
 	maxPending := flag.Int("maxpending", 0, "with -workload: per-node admission bound (0 = no shedding)")
-	poolSize := flag.Int("poolsize", 4, "with -workload: client pool connections per node (overload cells need more than the admission bound)")
 	durationFlag := flag.Duration("duration", 4*time.Second, "with -workload: measurement window")
 	workers := flag.Int("workers", 16, "with -workload: concurrent client workers")
 	readFrac := flag.Float64("readfrac", 0.95, "with -workload: fraction of ops that are reads")
@@ -80,13 +77,8 @@ func main() {
 	replayRecords := flag.Int("replayrecords", 1_000_000, "with -recoverybench: records in the generated replay log")
 	rrKeys := flag.Int("rrkeys", 100_000, "with -recoverybench: keys loaded before the disk-wipe re-replication phase")
 	flag.Parse()
-	proto, err := sockets.ParseProto(*protoFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "clusterbench:", err)
-		os.Exit(2)
-	}
 	if *chaosMode {
-		os.Exit(runChaos(*scenario, *seed, proto))
+		os.Exit(runChaos(*scenario, *seed))
 	}
 	if *walBench {
 		if *quick {
@@ -129,10 +121,8 @@ func main() {
 			cache:      *cacheFlag,
 			lease:      *lease,
 			maxPending: *maxPending,
-			poolSize:   *poolSize,
 			nodes:      *nodes,
 			replicas:   *replicas,
-			proto:      proto,
 			seed:       *seed,
 			durable:    *durable,
 			jsonPath:   *jsonPath,
@@ -156,12 +146,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	fmt.Printf("cluster scalability study: %d nodes, %d replicas, quorum W=R=%d, %d SET/GET pairs per run, %s protocol\n\n",
-		*nodes, *replicas, *replicas/2+1, *ops, proto)
+	fmt.Printf("cluster scalability study: %d nodes, %d replicas, quorum W=R=%d, %d SET/GET pairs per run\n\n",
+		*nodes, *replicas, *replicas/2+1, *ops)
 	var ms []metrics.Measurement
 	interrupted := false
 	for _, nc := range clients {
-		elapsed, err := throughputRun(ctx, *nodes, *replicas, nc, *ops, proto)
+		elapsed, err := throughputRun(ctx, *nodes, *replicas, nc, *ops)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				interrupted = true
@@ -193,7 +183,7 @@ func main() {
 		return // the failure/elasticity phases need an uninterrupted cluster
 	}
 	fmt.Println()
-	if err := availabilityAndJoin(ctx, *nodes, *replicas, *keys, proto); err != nil {
+	if err := availabilityAndJoin(ctx, *nodes, *replicas, *keys); err != nil {
 		fmt.Fprintln(os.Stderr, "clusterbench:", err)
 		os.Exit(1)
 	}
@@ -218,15 +208,13 @@ func parseClients(s string) ([]int, error) {
 	return out, nil
 }
 
-func newCluster(nodes, replicas int, proto sockets.Proto) (*cluster.Cluster, error) {
+func newCluster(nodes, replicas int) (*cluster.Cluster, error) {
 	return cluster.New(cluster.Config{
 		Nodes:             nodes,
 		Replicas:          replicas,
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  150 * time.Millisecond,
-		PoolSize:          4,
 		PoolTimeout:       500 * time.Millisecond,
-		Proto:             proto,
 	})
 }
 
@@ -234,8 +222,8 @@ func newCluster(nodes, replicas int, proto sockets.Proto) (*cluster.Cluster, err
 // ops quorum SET/GET pairs against a fresh cluster. Cancellation drains
 // the workers at the next quorum-op boundary and surfaces the wrapped
 // ctx error.
-func throughputRun(ctx context.Context, nodes, replicas, nclients, ops int, proto sockets.Proto) (time.Duration, error) {
-	c, err := newCluster(nodes, replicas, proto)
+func throughputRun(ctx context.Context, nodes, replicas, nclients, ops int) (time.Duration, error) {
+	c, err := newCluster(nodes, replicas)
 	if err != nil {
 		return 0, err
 	}
@@ -277,8 +265,8 @@ func throughputRun(ctx context.Context, nodes, replicas, nclients, ops int, prot
 // loaded cluster and prints the health report. An interrupt mid-phase
 // drains the phase in flight and still prints the report, so the
 // counters accumulated before Ctrl-C are not lost.
-func availabilityAndJoin(ctx context.Context, nodes, replicas, keys int, proto sockets.Proto) error {
-	c, err := newCluster(nodes, replicas, proto)
+func availabilityAndJoin(ctx context.Context, nodes, replicas, keys int) error {
+	c, err := newCluster(nodes, replicas)
 	if err != nil {
 		return err
 	}

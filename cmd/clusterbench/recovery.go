@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/sockets"
 	"repro/internal/wal"
 )
 
@@ -322,11 +321,9 @@ func runRereplicate(keys, valueSize int, seed int64, threshold float64, label st
 		Nodes: 3, Replicas: 3, WriteQuorum: 2, ReadQuorum: 2,
 		HeartbeatInterval:   25 * time.Millisecond,
 		HeartbeatTimeout:    400 * time.Millisecond,
-		PoolSize:            4,
 		PoolTimeout:         5 * time.Second,
 		DisableHints:        true,
 		Durable:             true,
-		Proto:               sockets.ProtoBinary,
 		SyncStreamThreshold: threshold,
 		DrainTimeout:        200 * time.Millisecond,
 	})

@@ -17,8 +17,8 @@ import (
 	"repro/internal/workload"
 )
 
-// workloadOpts is one workload-mode run: a distribution, a transport, a
-// cache setting, and either a closed loop (qps 0: every worker issues
+// workloadOpts is one workload-mode run: a distribution, a cache
+// setting, and either a closed loop (qps 0: every worker issues
 // its next op the moment the previous one returns) or an open loop
 // (workers dispatch on a fixed arrival schedule at the offered rate and
 // record how far they fall behind).
@@ -34,10 +34,8 @@ type workloadOpts struct {
 	cache      bool
 	lease      time.Duration
 	maxPending int
-	poolSize   int
 	nodes      int
 	replicas   int
-	proto      sockets.Proto
 	seed       int64
 	durable    bool
 	jsonPath   string
@@ -120,9 +118,7 @@ func runWorkload(ctx context.Context, o workloadOpts) int {
 		Replicas:          o.replicas,
 		HeartbeatInterval: 100 * time.Millisecond,
 		HeartbeatTimeout:  600 * time.Millisecond,
-		PoolSize:          o.poolSize,
 		PoolTimeout:       500 * time.Millisecond,
-		Proto:             o.proto,
 		HotKeyCache:       o.cache,
 		CacheLease:        o.lease,
 		MaxPending:        o.maxPending,
@@ -154,8 +150,8 @@ func runWorkload(ctx context.Context, o workloadOpts) int {
 	if o.qps > 0 {
 		mode = "open"
 	}
-	fmt.Printf("workload: %s keys=%d theta=%.2f readfrac=%.2f, %d workers, %s, %s loop",
-		o.dist, o.keys, o.theta, o.readFrac, o.workers, o.proto, mode)
+	fmt.Printf("workload: %s keys=%d theta=%.2f readfrac=%.2f, %d workers, %s loop",
+		o.dist, o.keys, o.theta, o.readFrac, o.workers, mode)
 	if o.qps > 0 {
 		fmt.Printf(" @ %.0f qps offered", o.qps)
 	}
@@ -241,7 +237,7 @@ func runWorkload(ctx context.Context, o workloadOpts) int {
 	res := workloadResult{
 		Label:      o.label,
 		Dist:       o.dist.String(),
-		Proto:      o.proto.String(),
+		Proto:      "binary", // the only inter-node transport; keeps derived cell labels matching earlier BENCH files
 		Cache:      o.cache,
 		Durable:    o.durable,
 		Mode:       mode,

@@ -1,7 +1,7 @@
 // Command kvbench runs the CS87 socket lab's scalability study against
 // the hardened KV server: for each concurrent-client count it drives a
-// fixed total number of SET/GET pairs through a pooled client, then
-// reduces the timings to the same speedup/efficiency/Karp-Flatt table
+// fixed total number of SET/GET pairs through one lab text Client per
+// worker, then reduces the timings to the same speedup/efficiency/Karp-Flatt table
 // lifebench prints, plus throughput per run and the server-side latency
 // histogram of the largest run.
 //
@@ -32,14 +32,7 @@ func main() {
 	clientsFlag := flag.String("clients", "1,2,4,8", "comma-separated concurrent client counts (must include 1)")
 	shards := flag.Int("shards", 16, "store shards (1 = the single-lock server)")
 	ops := flag.Int("ops", 2000, "total SET/GET pairs per run, split across clients")
-	protoFlag := flag.String("proto", "text", "wire protocol: text (one request per connection turn) or binary (pipelined PDUs)")
 	flag.Parse()
-
-	proto, err := sockets.ParseProto(*protoFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kvbench:", err)
-		os.Exit(2)
-	}
 
 	var clients []int
 	hasBaseline := false
@@ -64,13 +57,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	fmt.Printf("KV server scalability study: %d shards, %d SET/GET pairs per run, %s protocol\n\n", *shards, *ops, proto)
+	fmt.Printf("KV server scalability study: %d shards, %d SET/GET pairs per run, one lab Client per worker\n\n", *shards, *ops)
 	var ms []metrics.Measurement
 	var lastHist *metrics.Histogram
-	var lastPool *metrics.CounterSet
 	interrupted := false
 	for _, nc := range clients {
-		elapsed, hist, pool, err := run(ctx, *shards, nc, *ops, proto)
+		elapsed, hist, err := run(ctx, *shards, nc, *ops)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				interrupted = true
@@ -80,11 +72,10 @@ func main() {
 			os.Exit(1)
 		}
 		ms = append(ms, metrics.Measurement{Workers: nc, Elapsed: elapsed})
-		lastHist, lastPool = hist, pool
-		retries, _ := pool.Get("pool.retries")
+		lastHist = hist
 		opsSec := float64(2*(*ops)) / elapsed.Seconds()
-		fmt.Printf("%3d clients: %12v  %10.0f ops/sec  (%.0f retries)\n",
-			nc, elapsed.Round(time.Microsecond), opsSec, retries)
+		fmt.Printf("%3d clients: %12v  %10.0f ops/sec\n",
+			nc, elapsed.Round(time.Microsecond), opsSec)
 	}
 	if interrupted {
 		fmt.Println("\ninterrupted: reporting the runs that completed")
@@ -104,25 +95,27 @@ func main() {
 		tbl.FitF, metrics.AmdahlLimit(tbl.FitF))
 	fmt.Println("\nServer request latency, largest run:")
 	fmt.Print(lastHist)
-	fmt.Println("\nClient pool counters, largest run:")
-	fmt.Print(lastPool)
 }
 
-// run drives one measurement: nclients workers sharing a pool of the
-// same size, splitting ops SET/GET pairs against a fresh server. The
+// run drives one measurement: nclients workers, each on its own lab
+// Client, splitting ops SET/GET pairs against a fresh server. The
 // context bounds every request; cancellation drains the workers at the
 // next request boundary and surfaces the wrapped ctx error.
-func run(ctx context.Context, shards, nclients, ops int, proto sockets.Proto) (time.Duration, *metrics.Histogram, *metrics.CounterSet, error) {
+func run(ctx context.Context, shards, nclients, ops int) (time.Duration, *metrics.Histogram, error) {
 	s, err := sockets.NewServerConfig("127.0.0.1:0", sockets.ServerConfig{Shards: shards})
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
 	defer s.Close()
-	p, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{Size: nclients, Proto: proto})
-	if err != nil {
-		return 0, nil, nil, err
+	clients := make([]*sockets.Client, nclients)
+	for i := range clients {
+		c, err := sockets.DialCtx(ctx, s.Addr())
+		if err != nil {
+			return 0, nil, err
+		}
+		defer c.Close()
+		clients[i] = c
 	}
-	defer p.Close()
 
 	per := ops / nclients
 	if per == 0 {
@@ -137,11 +130,11 @@ func run(ctx context.Context, shards, nclients, ops int, proto sockets.Proto) (t
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				key := fmt.Sprintf("key-%d-%d", c, i%128)
-				if err := p.SetCtx(ctx, key, "value"); err != nil {
+				if err := clients[c].SetCtx(ctx, key, "value"); err != nil {
 					errs <- err
 					return
 				}
-				if _, _, err := p.GetCtx(ctx, key); err != nil {
+				if _, _, err := clients[c].GetCtx(ctx, key); err != nil {
 					errs <- err
 					return
 				}
@@ -152,7 +145,7 @@ func run(ctx context.Context, shards, nclients, ops int, proto sockets.Proto) (t
 	elapsed := time.Since(start)
 	close(errs)
 	for err := range errs {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
-	return elapsed, s.Latency(), p.Counters(), nil
+	return elapsed, s.Latency(), nil
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/dfs"
-	"repro/internal/sockets"
 	"repro/internal/testutil"
 )
 
@@ -162,43 +161,5 @@ func TestChaos_DFSScenarioReuse(t *testing.T) {
 	// primary, so a crash with no following traffic may go uncounted.
 	if crashes > 0 && (res.Failovers == 0 || res.Failovers > crashes) {
 		t.Errorf("failovers = %d, want 1..%d for the scripted crashes", res.Failovers, crashes)
-	}
-}
-
-// TestChaos_BinaryTransport replays a lifecycle-heavy scenario with the
-// inter-node pools speaking the binary protocol. The fault hooks see
-// text renderings of binary PDUs, so the same schedule drives both
-// transports; the linearizability contract must hold identically —
-// this is the regression gate for retry dedupe under real churn, where
-// a killed node's lost responses make the pool retry mutations.
-func TestChaos_BinaryTransport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos scenarios are multi-second integration runs")
-	}
-	var spec Spec
-	for _, s := range Scenarios() {
-		if s.Name == "kill-during-hint-replay" {
-			spec = s
-			break
-		}
-	}
-	if spec.Name == "" {
-		t.Fatal("scenario kill-during-hint-replay missing from registry")
-	}
-	spec.Proto = sockets.ProtoBinary
-	base := testutil.SettleGoroutines()
-	rep, err := Run(spec, *seedFlag)
-	if err != nil {
-		t.Fatalf("seed=%d: %v", *seedFlag, err)
-	}
-	t.Logf("\n%s", rep)
-	if rep.Failed() {
-		t.Errorf("binary-transport chaos failed under seed=%d\n%s", *seedFlag, rep)
-	}
-	if rep.Result.Ops == 0 {
-		t.Error("harness recorded no operations")
-	}
-	if after := testutil.SettleGoroutines(); after > base+2 {
-		t.Errorf("goroutines grew %d -> %d after harness run", base, after)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/sched"
-	"repro/internal/sockets"
 )
 
 // Spec describes one chaos scenario: the cluster shape, the workload,
@@ -35,12 +34,6 @@ type Spec struct {
 	PoolTimeout       time.Duration // default 250ms
 	PoolAttempts      int           // default 2
 	DrainTimeout      time.Duration // default 50ms
-
-	// Proto selects the inter-node wire protocol (text or binary). The
-	// fault surface is protocol-independent: PreHandle and PreAttempt
-	// hooks see the text rendering of binary PDUs, so every scenario
-	// runs unchanged on either transport.
-	Proto sockets.Proto
 
 	// Workload.
 	Workers   int           // concurrent client workers (default 4)
@@ -339,7 +332,6 @@ func Run(spec Spec, seed int64) (*Report, error) {
 		PoolTimeout:         spec.PoolTimeout,
 		PoolAttempts:        spec.PoolAttempts,
 		DrainTimeout:        spec.DrainTimeout,
-		Proto:               spec.Proto,
 		AllowUnsafeQuorums:  spec.AllowUnsafeQuorums,
 		HotKeyCache:         spec.HotKeyCache,
 		CacheLease:          spec.CacheLease,
@@ -608,19 +600,21 @@ func (h *harness) corruptWAL(node string) error {
 
 // serverPreHandle is the per-node server-side hook: heartbeat blackouts
 // stall PING, slow windows stall matching verbs.
-func (h *harness) serverPreHandle(name string) func(req string) {
-	return func(req string) {
+func (h *harness) serverPreHandle(name string) func(verb, key string) {
+	return func(verb, _ string) {
 		st := h.state(name)
 		st.mu.Lock()
 		blackout := st.blackoutUntil
-		verb, delay, slow := st.slowVerb, st.slowDelay, st.slowUntil
+		slowVerb, delay, slow := st.slowVerb, st.slowDelay, st.slowUntil
 		st.mu.Unlock()
 		now := time.Now()
-		if strings.HasPrefix(req, "PING") && now.Before(blackout) {
+		if verb == "PING" && now.Before(blackout) {
 			time.Sleep(time.Until(blackout))
 			return
 		}
-		if verb != "" && now.Before(slow) && strings.HasPrefix(req, verb) {
+		// A prefix match: a slow "SET" window also stalls SETV, the verb
+		// quorum writes use.
+		if slowVerb != "" && now.Before(slow) && strings.HasPrefix(verb, slowVerb) {
 			time.Sleep(delay)
 		}
 	}
@@ -651,8 +645,8 @@ func (h *harness) poolFailConn(name string) func(req, attempt int) bool {
 // poolPreAttempt injects client-side latency spikes during a latency
 // window; the sleep eats the attempt's deadline budget like real
 // network delay.
-func (h *harness) poolPreAttempt(name string) func(req string, attempt int) {
-	return func(req string, attempt int) {
+func (h *harness) poolPreAttempt(name string) func(attempt int) {
+	return func(int) {
 		st := h.state(name)
 		st.mu.Lock()
 		delay, until := st.latencyDelay, st.latencyUntil

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
-
-	"repro/internal/sockets"
 )
 
 // Scenarios returns the named chaos scenarios — one per failure mode
@@ -257,7 +255,6 @@ func Scenarios() []Spec {
 			// lost to either the corruption or the wipe.
 			Name:                "scrub-corrupt",
 			Durable:             true,
-			Proto:               sockets.ProtoBinary,
 			DisableHints:        true,
 			AntiEntropyInterval: ms(150),
 			RequireConvergence:  true,

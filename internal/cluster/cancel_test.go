@@ -16,12 +16,13 @@ import (
 // stall models a slow replica, not a dead one.
 func slowConfig(nodes int, slow map[string]bool, verb string, delay time.Duration) Config {
 	cfg := testConfig(nodes)
-	cfg.ServerPreHandle = func(name string) func(req string) {
+	cfg.ServerPreHandle = func(name string) func(verb, key string) {
 		if !slow[name] {
 			return nil
 		}
-		return func(req string) {
-			if strings.HasPrefix(req, verb) {
+		// A prefix match, so "SET" also stalls the SETV quorum writes use.
+		return func(v, _ string) {
+			if strings.HasPrefix(v, verb) {
 				time.Sleep(delay)
 			}
 		}

@@ -63,15 +63,12 @@ type Config struct {
 	// Workers sizes the sched.Pool that fans out key migration on
 	// join/leave (default: runtime.NumCPU()).
 	Workers int
-	// PoolSize, PoolTimeout, and PoolAttempts parameterize each node's
-	// sockets.Pool client (defaults 2 connections, 500ms, 2 attempts).
-	PoolSize     int
+	// PoolTimeout and PoolAttempts parameterize each node's sockets.Pool
+	// client (defaults 500ms, 2 attempts).
 	PoolTimeout  time.Duration
 	PoolAttempts int
-	// Proto selects the inter-node client protocol: sockets.ProtoText
-	// (the zero value, line-oriented) or sockets.ProtoBinary (pipelined
-	// PDUs with batched MGET/MPUT for migration and hint replay).
-	// Servers always speak both; this only switches what the pools dial.
+	// Deprecated: see sockets.Proto. Ignored — every inter-node pool
+	// speaks the binary protocol.
 	Proto sockets.Proto
 	// ServerShards is each node's store-stripe count (default 8).
 	ServerShards int
@@ -142,7 +139,7 @@ type Config struct {
 	// loss) is where per-key scans are slowest and streaming shines;
 	// light divergence stays on the Merkle path, which moves only the
 	// keys that differ. 0 means the 0.25 default; negative disables
-	// streaming. Streaming needs Durable and the binary protocol.
+	// streaming. Streaming needs Durable.
 	SyncStreamThreshold float64
 	// HintTTL bounds how long a hinted handoff stays parked before the
 	// age sweep drops it (counted in hints.expired) — the cap on hint~
@@ -179,13 +176,13 @@ type Config struct {
 	// stalls its PING responses (a heartbeat blackout). It is consulted
 	// again on Restart, so an injected fault can outlive one server
 	// incarnation.
-	ServerPreHandle func(name string) func(req string)
+	ServerPreHandle func(name string) func(verb, key string)
 	// PoolFailConn, when non-nil, supplies each named node's client-pool
 	// FailConn hook: connection drops injected on the request path.
 	PoolFailConn func(name string) func(req, attempt int) bool
 	// PoolPreAttempt, when non-nil, supplies each named node's client-
 	// pool PreAttempt hook: client-side latency spikes.
-	PoolPreAttempt func(name string) func(req string, attempt int)
+	PoolPreAttempt func(name string) func(attempt int)
 	// EventTap, when non-nil, observes lifecycle events (kills,
 	// restarts, failure-detector transitions, hint replays, topology
 	// changes) with timestamps. Chaos checkers use the stream to excuse
@@ -403,9 +400,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 250 * time.Millisecond
 	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 2
-	}
 	if cfg.PoolTimeout <= 0 {
 		cfg.PoolTimeout = 500 * time.Millisecond
 	}
@@ -534,10 +528,8 @@ func (c *Cluster) startNode(name string) (*node, error) {
 
 func (c *Cluster) poolConfig(name string) sockets.PoolConfig {
 	pcfg := sockets.PoolConfig{
-		Size:        c.cfg.PoolSize,
 		MaxAttempts: c.cfg.PoolAttempts,
 		Timeout:     c.cfg.PoolTimeout,
-		Proto:       c.cfg.Proto,
 	}
 	if c.cfg.PoolFailConn != nil {
 		pcfg.FailConn = c.cfg.PoolFailConn(name)
@@ -824,16 +816,27 @@ func (c *Cluster) writeQuorum(ctx context.Context, op, key string, payload func(
 // the per-op fan-out context; once it is canceled (quorum reached or
 // caller gone) the remaining network attempts abort.
 func (c *Cluster) writeReplica(ctx context.Context, key, enc string, target *node, fallbacks []*node) bool {
-	if !target.down.Load() {
+	down := target.down.Load()
+	if !down {
 		if _, err := target.client().SetVCtx(ctx, key, enc); err == nil {
 			return true
 		}
-	}
-	if ctx.Err() != nil {
-		return false // canceled: don't burn fallbacks on a dead op
+		if ctx.Err() != nil {
+			return false // canceled: don't burn fallbacks on a dead op
+		}
 	}
 	if c.cfg.DisableHints {
 		return false // the miss stands until anti-entropy repairs it
+	}
+	if down {
+		// A known-down target's hint is this write's only copy for it,
+		// and writeQuorum cancels ctx as soon as W direct acks land —
+		// typically before this hint does. Park it on the cluster
+		// lifetime, bounded like the migration extras, or the restarted
+		// node misses the write with nothing left to repair it.
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(c.ctx, c.cfg.PoolTimeout)
+		defer cancel()
 	}
 	hk := hintKey(target.name, key)
 	// Hints carry their birth time so the TTL sweep can age them out;

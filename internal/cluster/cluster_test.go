@@ -164,13 +164,32 @@ func TestClusterHintedHandoffReplaysOnRestart(t *testing.T) {
 	c.Probe()
 
 	const keys = 80
+	owned := 0
 	for i := 0; i < keys; i++ {
-		if err := c.Put(fmt.Sprintf("key-%d", i), fmt.Sprintf("val-%d", i)); err != nil {
+		key := fmt.Sprintf("key-%d", i)
+		if err := c.Put(key, fmt.Sprintf("val-%d", i)); err != nil {
 			t.Fatal(err)
 		}
+		p := c.place(key)
+		c.inflight.Done()
+		for _, r := range p.replicas {
+			if r.name == "node2" {
+				owned++
+			}
+		}
 	}
-	if hinted, _ := c.Counters().Get("cluster.hinted-writes"); hinted == 0 {
-		t.Fatal("no hints parked while node2 was dead")
+	// A Put can return on W direct acks before its hint for the dead
+	// node lands; restart only once every key node2 owns has one parked.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		hinted, _ := c.Counters().Get("cluster.hinted-writes")
+		if hinted >= float64(owned) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%v hints parked, want %d (one per key node2 replicates)", hinted, owned)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if err := c.Restart("node2"); err != nil {
 		t.Fatal(err)
@@ -357,13 +376,12 @@ func TestClusterClosedOps(t *testing.T) {
 // TestClusterBinaryProto runs the topology lifecycle — replicated
 // writes, a dead replica parking hints, restart replaying them (a
 // batched MGET sweep), and a join migrating arcs (batched MPUTs) —
-// with every inter-node pool speaking the binary protocol. Servers
-// negotiate per connection, so heartbeat probes (still text) coexist
-// with the binary request pools on the same listeners.
+// over the binary inter-node pools. Servers negotiate per connection,
+// so heartbeat probes (lab text PINGs) coexist with the binary request
+// pools on the same listeners.
 func TestClusterBinaryProto(t *testing.T) {
 	cfg := testConfig(4)
 	cfg.Replicas = 3
-	cfg.Proto = sockets.ProtoBinary
 	c := startCluster(t, cfg)
 
 	const keys = 120

@@ -161,10 +161,8 @@ func (c *Cluster) replayHints(ctx context.Context, dest *node) int {
 		if len(hintKeys) == 0 {
 			continue
 		}
-		// One batched fetch for the whole parked set. On the binary
-		// protocol this is a single MGET PDU per chunk; on text it
-		// degrades to sequential GETs inside the pool, so the sweep's
-		// behavior is identical either way.
+		// One batched fetch for the whole parked set: a single MGET PDU
+		// per chunk.
 		vals, found, err := holder.client().MGetCtx(ctx, hintKeys...)
 		if err != nil {
 			continue

@@ -311,10 +311,8 @@ const migrateChunk = 32
 // migrate copies each moved key to its new homes, in chunks fanned out
 // on the sched pool. Each copy carries the newest version across all
 // live old replicas. Within a chunk the copies are gathered per
-// destination and shipped as one MPUT batch — on the binary protocol a
-// single pipelined PDU per destination instead of a SET round-trip per
-// key; on text the pool degrades it to sequential SETs, so behavior is
-// unchanged. The fan-out rides ParallelForCtx on the cluster context:
+// destination and shipped as one MPUT batch — a single pipelined PDU
+// per destination instead of a SET round-trip per key. The fan-out rides ParallelForCtx on the cluster context:
 // Close stops seeding chunks and aborts the in-flight copies, so a
 // shutdown never waits out a large migration. Vacated copies are NOT
 // deleted here — reads still quorum on the old placement until the

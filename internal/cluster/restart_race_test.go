@@ -22,12 +22,12 @@ func TestRestartDiscardsStaleProbe(t *testing.T) {
 	cfg.HeartbeatTimeout = 2 * time.Second   // the stall must not time the probe out
 	cfg.DrainTimeout = 10 * time.Millisecond // Kill cuts the stalled PING fast
 	var incarnation atomic.Int32
-	cfg.ServerPreHandle = func(name string) func(req string) {
+	cfg.ServerPreHandle = func(name string) func(verb, key string) {
 		if name != "node1" || incarnation.Add(1) > 1 {
 			return nil // only node1's first incarnation stalls
 		}
-		return func(req string) {
-			if req == "PING" {
+		return func(verb, _ string) {
+			if verb == "PING" {
 				time.Sleep(500 * time.Millisecond)
 			}
 		}

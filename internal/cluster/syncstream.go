@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/merkle"
-	"repro/internal/sockets"
 	"repro/internal/version"
 	"repro/internal/wal"
 )
@@ -28,11 +27,10 @@ import (
 // streamEligible reports whether a pair sync should re-replicate by
 // streaming the WAL instead of span-repairing key by key: the
 // divergence ratio is at or past the configured threshold, and the
-// transport can carry it (durable nodes for the dump, binary pools for
-// the SYNCWAL verb).
+// nodes are durable (a memory-only node has no log to dump).
 func (c *Cluster) streamEligible(leaves []merkle.Range) bool {
 	thr := c.cfg.SyncStreamThreshold
-	if thr < 0 || !c.cfg.Durable || c.cfg.Proto != sockets.ProtoBinary {
+	if thr < 0 || !c.cfg.Durable {
 		return false
 	}
 	return float64(len(leaves)) >= thr*float64(merkle.Buckets)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/merkle"
-	"repro/internal/sockets"
 	"repro/internal/sockets/wire"
 )
 
@@ -22,7 +21,7 @@ import (
 func TestSyncWAL_StreamingRereplication(t *testing.T) {
 	c, err := New(Config{
 		Nodes: 3, Replicas: 3, WriteQuorum: 3, ReadQuorum: 1,
-		Durable: true, Proto: sockets.ProtoBinary, DisableHints: true,
+		Durable: true, DisableHints: true,
 		WALSegmentBytes:     4096, // several sealed segments, so the dump walks a real chain
 		SyncStreamThreshold: 0.01,
 		DrainTimeout:        50 * time.Millisecond,
@@ -103,13 +102,13 @@ func TestSyncWAL_StreamingRereplication(t *testing.T) {
 	}
 }
 
-// TestSyncWAL_StreamingRequiresOptIn checks the gates: light divergence
-// (below threshold), a disabled threshold, or a text-protocol cluster
-// must all stay on the Merkle span-repair path.
+// TestSyncWAL_StreamingRequiresOptIn checks the gate: with the
+// threshold disabled, even a wiped node stays on the Merkle span-repair
+// path.
 func TestSyncWAL_StreamingRequiresOptIn(t *testing.T) {
 	c, err := New(Config{
 		Nodes: 3, Replicas: 3, WriteQuorum: 3, ReadQuorum: 1,
-		Durable: true, Proto: sockets.ProtoBinary, DisableHints: true,
+		Durable: true, DisableHints: true,
 		SyncStreamThreshold: -1, // explicitly disabled
 		DrainTimeout:        50 * time.Millisecond,
 	})
@@ -203,7 +202,7 @@ func TestMigrationBatching_ReadAmplification(t *testing.T) {
 	moved := -1
 	c, err := New(Config{
 		Nodes: 3, Replicas: 3, WriteQuorum: 3, ReadQuorum: 1,
-		Proto: sockets.ProtoBinary, DisableHints: true,
+		DisableHints: true,
 		EventTap: func(e Event) {
 			if e.Type == EventJoin {
 				mu.Lock()

@@ -10,20 +10,15 @@ import (
 // ErrOverload is the typed client-side error for a request the server
 // shed at admission: the node's bounded pending-request queue was full,
 // so instead of queueing (and letting latency collapse for everyone) it
-// answered immediately with an overload status — "OVERLOAD" on the text
-// protocol, wire.RespOverload on the binary one. The Pool treats it as
+// answered immediately with wire.RespOverload. The Pool treats it as
 // retryable (the existing jittered backoff spaces the retries out), and
 // wraps it into the final error when every attempt was shed, so callers
 // can errors.Is for it and distinguish "healthy node saying not now"
 // from a dead peer.
 var ErrOverload = errors.New("sockets: server overloaded, request shed")
 
-// textOverload is the text protocol's shed response line.
-const textOverload = "OVERLOAD"
-
-// serverVerbs are the per-verb latency histogram keys — the text
-// protocol's command words, which the binary protocol's verbs also map
-// onto (wire.VerbName).
+// serverVerbs are the per-verb latency histogram keys — the command
+// words of wire.VerbName, which the lab's text verbs share.
 var serverVerbs = []string{"PING", "SET", "GET", "DEL", "MDEL", "COUNT", "KEYS", "MGET", "MPUT", "SETV", "TREE", "SCAN", "SYNCWAL"}
 
 // Verbs returns the fixed set of per-verb latency keys, in display

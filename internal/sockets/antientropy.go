@@ -1,9 +1,7 @@
 package sockets
 
 import (
-	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/merkle"
@@ -11,7 +9,7 @@ import (
 	"repro/internal/version"
 )
 
-// SETV outcome codes, carried in the RespCount body (text: "SETV <n>").
+// SETV outcome codes, carried in the RespCount body.
 // The verb is a version-conditional set: the server decodes the stored
 // value's stamp, compares it to the incoming one, and applies the write
 // only if the incoming version wins the cluster's total order. The
@@ -83,107 +81,6 @@ func clampSpan(sp wire.Span) (lo, hi int) {
 		lo = hi
 	}
 	return lo, hi
-}
-
-// parseTextSpans parses the text protocol's "lo-hi" span tokens.
-func parseTextSpans(tokens []string) ([]wire.Span, error) {
-	if len(tokens) == 0 {
-		return nil, fmt.Errorf("usage: TREE|SCAN lo-hi [lo-hi ...]")
-	}
-	spans := make([]wire.Span, 0, len(tokens))
-	for _, tok := range tokens {
-		dash := strings.IndexByte(tok, '-')
-		if dash <= 0 {
-			return nil, fmt.Errorf("bad span %q (want lo-hi)", tok)
-		}
-		lo, err := strconv.ParseUint(tok[:dash], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad span %q: %v", tok, err)
-		}
-		hi, err := strconv.ParseUint(tok[dash+1:], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad span %q: %v", tok, err)
-		}
-		if lo >= hi {
-			return nil, fmt.Errorf("empty span %q", tok)
-		}
-		spans = append(spans, wire.Span{Lo: uint32(lo), Hi: uint32(hi)})
-	}
-	return spans, nil
-}
-
-// --- text-protocol client parsers (shared by Client and Pool) ---
-
-func doSetV(rt roundTripper, key, value string) (uint64, error) {
-	if err := validateKey(key); err != nil {
-		return 0, err
-	}
-	if err := validateTextValue(value); err != nil {
-		return 0, err
-	}
-	resp, err := rt("SETV " + key + " " + value)
-	if err != nil {
-		return 0, err
-	}
-	var code uint64
-	if _, err := fmt.Sscanf(resp, "SETV %d", &code); err != nil {
-		return 0, fmt.Errorf("%w: %s", ErrServer, resp)
-	}
-	return code, nil
-}
-
-func textSpans(spans []wire.Span) string {
-	toks := make([]string, 0, len(spans))
-	for _, sp := range spans {
-		toks = append(toks, fmt.Sprintf("%d-%d", sp.Lo, sp.Hi))
-	}
-	return strings.Join(toks, " ")
-}
-
-func doTree(rt roundTripper, spans []wire.Span) ([]uint64, error) {
-	resp, err := rt("TREE " + textSpans(spans))
-	if err != nil {
-		return nil, err
-	}
-	if resp != "HASHES" && !strings.HasPrefix(resp, "HASHES ") {
-		return nil, fmt.Errorf("%w: %s", ErrServer, resp)
-	}
-	fields := strings.Fields(resp)[1:]
-	if len(fields) != len(spans) {
-		return nil, fmt.Errorf("%w: %d hashes for %d spans", ErrServer, len(fields), len(spans))
-	}
-	out := make([]uint64, 0, len(fields))
-	for _, f := range fields {
-		h, err := strconv.ParseUint(f, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad hash %q", ErrServer, f)
-		}
-		out = append(out, h)
-	}
-	return out, nil
-}
-
-func doScan(rt roundTripper, spans []wire.Span) ([]wire.ScanEntry, error) {
-	resp, err := rt("SCAN " + textSpans(spans))
-	if err != nil {
-		return nil, err
-	}
-	if resp != "SCAN" && !strings.HasPrefix(resp, "SCAN ") {
-		return nil, fmt.Errorf("%w: %s", ErrServer, resp)
-	}
-	fields := strings.Fields(resp)[1:]
-	if len(fields)%2 != 0 {
-		return nil, fmt.Errorf("%w: odd scan field count %d", ErrServer, len(fields))
-	}
-	out := make([]wire.ScanEntry, 0, len(fields)/2)
-	for i := 0; i < len(fields); i += 2 {
-		h, err := strconv.ParseUint(fields[i+1], 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad entry hash %q", ErrServer, fields[i+1])
-		}
-		out = append(out, wire.ScanEntry{Key: fields[i], Hash: h})
-	}
-	return out, nil
 }
 
 // applyTree answers TREE: one range hash per requested span.

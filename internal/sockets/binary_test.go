@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,7 +22,6 @@ import (
 // binPool opens a binary-protocol pool against s.
 func binPool(t *testing.T, s *sockets.Server, cfg sockets.PoolConfig) *sockets.Pool {
 	t.Helper()
-	cfg.Proto = sockets.ProtoBinary
 	p, err := sockets.NewPool(s.Addr(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +101,8 @@ func TestBinaryNegotiationSharedStore(t *testing.T) {
 func TestBinaryPipeliningOutOfOrder(t *testing.T) {
 	const stall = 300 * time.Millisecond
 	s := testutil.StartKV(t, sockets.ServerConfig{
-		PreHandle: func(req string) {
-			if strings.HasPrefix(req, "GET slow") {
+		PreHandle: func(verb, key string) {
+			if verb == "GET" && key == "slow" {
 				time.Sleep(stall)
 			}
 		},
@@ -215,16 +213,10 @@ func TestBinaryPoolRetryAfterConnKill(t *testing.T) {
 	}
 }
 
-// TestBinaryBatchOps: MGET/MPUT/MDEL round-trip as single PDUs, and the
-// text fallback produces identical results.
+// TestBinaryBatchOps: MGET/MPUT/MDEL round-trip as single PDUs.
 func TestBinaryBatchOps(t *testing.T) {
 	s := testutil.StartKV(t, sockets.ServerConfig{})
 	bp := binPool(t, s, sockets.PoolConfig{})
-	tp, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tp.Close()
 
 	pairs := []sockets.KV{{Key: "a", Value: "1"}, {Key: "b", Value: "2 with spaces"}, {Key: "c", Value: "3"}}
 	if err := bp.MPut(pairs); err != nil {
@@ -243,15 +235,6 @@ func TestBinaryBatchOps(t *testing.T) {
 	for i := range wantV {
 		if values[i] != wantV[i] || found[i] != wantF[i] {
 			t.Errorf("MGET[%d] = %q/%v, want %q/%v", i, values[i], found[i], wantV[i], wantF[i])
-		}
-	}
-	tv, tf, err := tp.MGet("a", "b", "missing", "c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantV {
-		if tv[i] != wantV[i] || tf[i] != wantF[i] {
-			t.Errorf("text MGet[%d] = %q/%v, want %q/%v", i, tv[i], tf[i], wantV[i], wantF[i])
 		}
 	}
 	if n, err := bp.MDel("a", "b", "missing", "c"); err != nil || n != 3 {
@@ -309,8 +292,8 @@ func TestBinaryMalformedPDUSurvives(t *testing.T) {
 func TestBinaryPoolCancelMidRequest(t *testing.T) {
 	base := testutil.SettleGoroutines()
 	s := testutil.StartKV(t, sockets.ServerConfig{
-		PreHandle: func(req string) {
-			if strings.HasPrefix(req, "GET stuck") {
+		PreHandle: func(verb, key string) {
+			if verb == "GET" && key == "stuck" {
 				time.Sleep(400 * time.Millisecond)
 			}
 		},

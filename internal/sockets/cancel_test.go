@@ -13,7 +13,7 @@ import (
 // request never reaches the wire.
 func TestPoolGetCtxExpiredDeadlineFailsFast(t *testing.T) {
 	s := startServer(t)
-	p, err := NewPool(s.Addr(), PoolConfig{Size: 1})
+	p, err := NewPool(s.Addr(), PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,6 @@ func TestPoolGetCtxExpiredDeadlineFailsFast(t *testing.T) {
 func TestPoolBackoffCancelPrompt(t *testing.T) {
 	s := startServer(t)
 	p, err := NewPool(s.Addr(), PoolConfig{
-		Size:        1,
 		MaxAttempts: 3,
 		// A backoff far longer than the test's cancel point: if the
 		// wait is not cancelable, the request takes >2s.
@@ -85,8 +84,8 @@ func TestPoolBackoffCancelPrompt(t *testing.T) {
 // cancellation, not held until the server answers.
 func TestClientGetCtxCancelWakesBlockedRead(t *testing.T) {
 	s, err := NewServerConfig("127.0.0.1:0", ServerConfig{
-		PreHandle: func(req string) {
-			if strings.HasPrefix(req, "GET") {
+		PreHandle: func(verb, _ string) {
+			if verb == "GET" {
 				time.Sleep(time.Second)
 			}
 		},
@@ -125,8 +124,8 @@ func TestClientGetCtxCancelWakesBlockedRead(t *testing.T) {
 // server costs the caller only its own budget.
 func TestPoolCtxDeadlineTightensAttempt(t *testing.T) {
 	s, err := NewServerConfig("127.0.0.1:0", ServerConfig{
-		PreHandle: func(req string) {
-			if strings.HasPrefix(req, "GET") {
+		PreHandle: func(verb, _ string) {
+			if verb == "GET" {
 				time.Sleep(time.Second)
 			}
 		},
@@ -135,7 +134,7 @@ func TestPoolCtxDeadlineTightensAttempt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	p, err := NewPool(s.Addr(), PoolConfig{Size: 1, MaxAttempts: 1, Timeout: 5 * time.Second})
+	p, err := NewPool(s.Addr(), PoolConfig{MaxAttempts: 1, Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestCrashRecovery_SnapshotTail100k(t *testing.T) {
 	// snapshot + tail path rather than a pure log replay.
 	s := startDurable(t, dir, sockets.ServerConfig{WALSnapshotEvery: 16})
 
-	p, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{Proto: sockets.ProtoBinary})
+	p, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{})
 	if err != nil {
 		t.Fatalf("NewPool: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestCrashRecovery_LogOrderMatchesApplyOrder(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		dir := t.TempDir()
 		s := startDurable(t, dir, sockets.ServerConfig{})
-		p, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{Proto: sockets.ProtoBinary})
+		p, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{})
 		if err != nil {
 			t.Fatalf("NewPool: %v", err)
 		}

@@ -134,7 +134,7 @@ func TestFramingEmbeddedCRLF(t *testing.T) {
 	}
 
 	// The binary protocol lifts the restriction entirely.
-	p, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{Proto: sockets.ProtoBinary})
+	p, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,7 @@ type pipeFuture struct {
 // one shared connection, a writer side serialized by writeMu, and a
 // reader goroutine that settles response futures by correlation ID —
 // so responses return in whatever order the server finishes them and
-// one connection carries any number of in-flight operations. It
-// replaces the text path's checkout-per-request entirely.
+// one connection carries any number of in-flight operations.
 type pipe struct {
 	p        *Pool
 	clientID uint64
@@ -171,8 +170,8 @@ func (pp *pipe) fail(conn net.Conn, fw *frameWriter, gen uint64, err error) {
 }
 
 // shutdown closes the live connection; its readLoop then fails the
-// in-flight futures with the connection error, which doCtx's closed
-// check converts to ErrPoolClosed for new requests.
+// in-flight futures with the connection error, and do's closed check
+// turns away new requests with ErrPoolClosed.
 func (pp *pipe) shutdown() {
 	pp.mu.Lock()
 	conn := pp.conn
@@ -202,12 +201,14 @@ func (pp *pipe) unregister(id uint64, f *pipeFuture) {
 	pp.mu.Unlock()
 }
 
-// binDo runs one PDU through the pipelined transport under the same
-// borrow-free retry/deadline/cancellation contract as the text path's
-// doCtx. The correlation ID is assigned once per logical request and
-// reused across retries — that reuse is what lets the server dedupe a
-// retried mutation whose first response was lost in transit.
-func (p *Pool) binDo(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+// do runs one PDU through the pipelined transport under the Pool's
+// retry/deadline/cancellation contract. A context that is already done
+// fails fast, before any dial or write; cancellation mid-attempt or in
+// backoff returns at once with an error wrapping ctx.Err(). The
+// correlation ID is assigned once per logical request and reused across
+// retries — that reuse is what lets the server dedupe a retried
+// mutation whose first response was lost in transit.
+func (p *Pool) do(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	if p.closed.Load() {
 		return nil, ErrPoolClosed
 	}
@@ -267,7 +268,7 @@ func (p *Pool) binDo(ctx context.Context, req *wire.Request) (*wire.Response, er
 func (pp *pipe) try(ctx context.Context, req *wire.Request, enc []byte, attempt int) (*wire.Response, error) {
 	p := pp.p
 	if p.cfg.PreAttempt != nil {
-		p.cfg.PreAttempt(preHandleText(req), attempt)
+		p.cfg.PreAttempt(attempt)
 	}
 	timeout, ctxBounded := p.attemptTimeout(ctx)
 	if timeout <= 0 {
@@ -324,9 +325,8 @@ var (
 	errPipeStalled    = errors.New("sockets: pipelined connection stalled")
 )
 
-// wrapCtxTimeout mirrors the text path's deadline attribution: when the
-// ctx deadline set the attempt budget, an I/O timeout IS the ctx
-// deadline expiring.
+// wrapCtxTimeout attributes deadlines: when the ctx deadline set the
+// attempt budget, an I/O timeout IS the ctx deadline expiring.
 func wrapCtxTimeout(ctx context.Context, ctxBounded bool, err error) error {
 	if cerr := ctx.Err(); cerr != nil {
 		return fmt.Errorf("sockets: request interrupted: %w", cerr)
@@ -338,183 +338,17 @@ func wrapCtxTimeout(ctx context.Context, ctxBounded bool, err error) error {
 	return err
 }
 
-// --- binary op implementations (the typed layer over binDo) ---
-
-// binErr converts a RespErr into the same ErrServer-wrapped error the
-// text parsers produce, so callers are protocol-agnostic.
-func binErr(resp *wire.Response) error {
+// respErr converts an unexpected response — RespErr or a tag the
+// operation does not answer with — into an ErrServer-wrapped error.
+func respErr(resp *wire.Response) error {
 	if resp.Tag == wire.RespErr {
 		return fmt.Errorf("%w: %s", ErrServer, resp.Err)
 	}
 	return fmt.Errorf("%w: unexpected response tag 0x%02x", ErrServer, resp.Tag)
 }
 
-func (p *Pool) binPing(ctx context.Context) error {
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbPing})
-	if err != nil {
-		return err
-	}
-	if resp.Tag != wire.RespOK {
-		return binErr(resp)
-	}
-	return nil
-}
-
-func (p *Pool) binSet(ctx context.Context, key, value string) error {
-	if err := validateKey(key); err != nil {
-		return err
-	}
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbSet, Key: key, Value: []byte(value)})
-	if err != nil {
-		return err
-	}
-	if resp.Tag != wire.RespOK {
-		return binErr(resp)
-	}
-	return nil
-}
-
-func (p *Pool) binGet(ctx context.Context, key string) (string, bool, error) {
-	if err := validateKey(key); err != nil {
-		return "", false, err
-	}
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbGet, Key: key})
-	if err != nil {
-		return "", false, err
-	}
-	switch resp.Tag {
-	case wire.RespValue:
-		return string(resp.Value), true, nil
-	case wire.RespNotFound:
-		return "", false, nil
-	}
-	return "", false, binErr(resp)
-}
-
-func (p *Pool) binDel(ctx context.Context, key string) (bool, error) {
-	if err := validateKey(key); err != nil {
-		return false, err
-	}
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbDel, Key: key})
-	if err != nil {
-		return false, err
-	}
-	switch resp.Tag {
-	case wire.RespOK:
-		return true, nil
-	case wire.RespNotFound:
-		return false, nil
-	}
-	return false, binErr(resp)
-}
-
-func (p *Pool) binCount(ctx context.Context) (int, error) {
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbCount})
-	if err != nil {
-		return 0, err
-	}
-	if resp.Tag != wire.RespCount {
-		return 0, binErr(resp)
-	}
-	return int(resp.N), nil
-}
-
-func (p *Pool) binKeys(ctx context.Context) ([]string, error) {
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbKeys})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Tag != wire.RespKeys {
-		return nil, binErr(resp)
-	}
-	return resp.Keys, nil
-}
-
-func (p *Pool) binMDel(ctx context.Context, keys []string) (int, error) {
-	deleted := 0
-	for _, chunk := range chunkKeys(keys) {
-		resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbMDel, Keys: chunk})
-		if err != nil {
-			return deleted, err
-		}
-		if resp.Tag != wire.RespCount {
-			return deleted, binErr(resp)
-		}
-		deleted += int(resp.N)
-	}
-	return deleted, nil
-}
-
-func (p *Pool) binMGet(ctx context.Context, keys []string) ([]string, []bool, error) {
-	values := make([]string, 0, len(keys))
-	found := make([]bool, 0, len(keys))
-	for _, chunk := range chunkKeys(keys) {
-		resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbMGet, Keys: chunk})
-		if err != nil {
-			return nil, nil, err
-		}
-		if resp.Tag != wire.RespMulti || len(resp.Values) != len(chunk) {
-			return nil, nil, binErr(resp)
-		}
-		for i := range chunk {
-			values = append(values, string(resp.Values[i]))
-			found = append(found, resp.Found[i])
-		}
-	}
-	return values, found, nil
-}
-
-func (p *Pool) binMPut(ctx context.Context, pairs []wire.KV) error {
-	for _, chunk := range chunkPairs(pairs) {
-		resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbMPut, Pairs: chunk})
-		if err != nil {
-			return err
-		}
-		if resp.Tag != wire.RespCount {
-			return binErr(resp)
-		}
-	}
-	return nil
-}
-
-func (p *Pool) binSetV(ctx context.Context, key, value string) (uint64, error) {
-	if err := validateKey(key); err != nil {
-		return 0, err
-	}
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbSetV, Key: key, Value: []byte(value)})
-	if err != nil {
-		return 0, err
-	}
-	if resp.Tag != wire.RespCount {
-		return 0, binErr(resp)
-	}
-	return resp.N, nil
-}
-
-func (p *Pool) binTree(ctx context.Context, spans []wire.Span) ([]uint64, error) {
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbTree, Spans: spans})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Tag != wire.RespHashes || len(resp.Hashes) != len(spans) {
-		return nil, binErr(resp)
-	}
-	return resp.Hashes, nil
-}
-
-func (p *Pool) binScan(ctx context.Context, spans []wire.Span) ([]wire.ScanEntry, error) {
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbScan, Spans: spans})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Tag != wire.RespScan {
-		return nil, binErr(resp)
-	}
-	return resp.Scan, nil
-}
-
 // chunkKeys splits a key list so each batch PDU stays well under the
-// frame limit (same budget as the text path's MDEL chunking).
+// frame limit (the same budget as the lab Client's MDEL chunking).
 func chunkKeys(keys []string) [][]string {
 	var out [][]string
 	for len(keys) > 0 {

@@ -3,8 +3,6 @@ package sockets
 import (
 	"context"
 	"errors"
-	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,46 +16,26 @@ type KV struct {
 	Key, Value string
 }
 
-// Proto selects a Pool's wire protocol.
+// Proto once selected a Pool's wire protocol. The Pool now speaks only
+// the pipelined binary protocol (the line-oriented text protocol lives
+// on in the lab Client), so Proto, ProtoBinary, PoolConfig.Proto,
+// PoolConfig.Size and cluster.Config.Proto survive only so existing
+// callers that still set them keep compiling; no code reads them.
+//
+// Deprecated: the Pool is binary-only; leave the field unset.
 type Proto int
 
-const (
-	// ProtoText is the legacy line-oriented protocol: one request in
-	// flight per pooled connection, checkout-per-request.
-	ProtoText Proto = iota
-	// ProtoBinary is the pipelined binary protocol (internal/sockets/
-	// wire): one shared connection multiplexes many in-flight requests,
-	// matched to responses by correlation ID.
-	ProtoBinary
-)
-
-func (p Proto) String() string {
-	if p == ProtoBinary {
-		return "binary"
-	}
-	return "text"
-}
-
-// ParseProto maps the -proto flag values of kvbench and clusterbench.
-func ParseProto(s string) (Proto, error) {
-	switch s {
-	case "text":
-		return ProtoText, nil
-	case "binary":
-		return ProtoBinary, nil
-	}
-	return ProtoText, fmt.Errorf("sockets: unknown protocol %q (want text or binary)", s)
-}
+// ProtoBinary is the only protocol a Pool speaks.
+//
+// Deprecated: see Proto.
+const ProtoBinary Proto = 1
 
 // PoolConfig parameterizes a Pool.
 type PoolConfig struct {
-	// Proto selects the wire protocol (default ProtoText). With
-	// ProtoBinary the pool replaces checkout-per-request with one shared
-	// pipelined connection; Size then caps nothing but is kept for
-	// config compatibility.
+	// Deprecated: see Proto. Ignored.
 	Proto Proto
-	// Size is the number of pooled connections (default 4). Requests
-	// borrow one connection each; excess callers block until one frees.
+	// Deprecated: see Proto. Ignored — every request rides one shared
+	// pipelined connection, so there is no pool to size.
 	Size int
 	// MaxAttempts bounds tries per request, dialing included (default 3).
 	MaxAttempts int
@@ -74,49 +52,45 @@ type PoolConfig struct {
 	BackoffMax  time.Duration
 	// Seed makes the jitter deterministic for tests (default 1).
 	Seed uint64
-	// FailConn, when non-nil, reports whether the borrowed connection
+	// FailConn, when non-nil, reports whether the shared connection
 	// should be killed before attempt `attempt` of request `req`
 	// (both 1-based) — the fault-injection hook mirroring
 	// mapreduce.Config.FailTask. Killed attempts fail with a transport
 	// error and take the retry path.
 	FailConn func(req, attempt int) bool
 	// PreAttempt, when non-nil, runs before each wire attempt with the
-	// raw request text and the 1-based attempt number — the client-side
-	// counterpart of ServerConfig.PreHandle. Chaos harnesses use it to
-	// inject latency spikes on the request path (a sleep here delays the
-	// attempt but still counts against its deadline budget, so a spike
-	// longer than the remaining budget surfaces as a timeout, exactly
-	// like real network delay). Keep it bounded: it runs on the request
-	// path and is not interrupted by cancellation.
-	PreAttempt func(req string, attempt int)
+	// 1-based attempt number — the client-side counterpart of
+	// ServerConfig.PreHandle. Chaos harnesses use it to inject latency
+	// spikes on the request path (a sleep here delays the attempt but
+	// still counts against its deadline budget, so a spike longer than
+	// the remaining budget surfaces as a timeout, exactly like real
+	// network delay). Keep it bounded: it runs on the request path and is
+	// not interrupted by cancellation.
+	PreAttempt func(attempt int)
 }
 
 // ErrPoolClosed is returned for requests issued after Close.
 var ErrPoolClosed = errors.New("sockets: pool closed")
 
-// poolConn is one slot of the pool; conn is nil until dialed (or after
-// a transport error discards it).
-type poolConn struct {
-	conn net.Conn
-}
-
-// Pool is a fixed-size pool of KV-server connections with per-request
+// Pool is the production-shaped client the lab's single-connection
+// Client grows into: one pipelined binary-protocol connection that
+// multiplexes any number of in-flight requests, with per-request
 // deadlines and bounded retry with exponential backoff plus jitter on
-// dial and transport errors — the production-shaped client the lab's
-// single-connection Client grows into. Safe for concurrent use.
+// dial and transport errors. Retried mutations reuse their correlation
+// ID, so the server's dedupe table makes them exactly-once. Safe for
+// concurrent use.
 //
 // Every operation has a context-first core (GetCtx, SetCtx, ...): the
-// context bounds the whole request — borrow wait, dial, write, read,
-// and retry backoff — and a canceled or expired context surfaces as an
-// error wrapping context.Canceled or context.DeadlineExceeded, distinct
-// from ErrPoolClosed and from peer/transport failures. The ctx-less
-// methods are context.Background() wrappers kept for call sites that
-// have no lifetime to attach.
+// context bounds the whole request — dial, write, read, and retry
+// backoff — and a canceled or expired context surfaces as an error
+// wrapping context.Canceled or context.DeadlineExceeded, distinct from
+// ErrPoolClosed and from peer/transport failures. The ctx-less methods
+// are context.Background() wrappers kept for call sites that have no
+// lifetime to attach.
 type Pool struct {
 	addr string
 	cfg  PoolConfig
-	free chan *poolConn
-	pipe *pipe // the shared pipelined transport; nil on ProtoText
+	pipe *pipe // the shared pipelined transport
 
 	closed       atomic.Bool
 	reqSeen      atomic.Int64
@@ -132,12 +106,9 @@ type Pool struct {
 	rng   uint64
 }
 
-// NewPool connects a pool to a server, dialing one connection eagerly
-// (to fail fast on a bad address) and the rest on demand.
+// NewPool connects a pool to a server, establishing the shared
+// connection eagerly to fail fast on a bad address.
 func NewPool(addr string, cfg PoolConfig) (*Pool, error) {
-	if cfg.Size <= 0 {
-		cfg.Size = 4
-	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
 	}
@@ -153,23 +124,10 @@ func NewPool(addr string, cfg PoolConfig) (*Pool, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	p := &Pool{addr: addr, cfg: cfg, free: make(chan *poolConn, cfg.Size), rng: cfg.Seed}
-	if cfg.Proto == ProtoBinary {
-		p.pipe = newPipe(p)
-		// Establish the shared connection eagerly to fail fast on a bad
-		// address, like the text path's eager first dial.
-		if _, _, _, err := p.pipe.ensure(context.Background()); err != nil {
-			return nil, err
-		}
-		return p, nil
-	}
-	conn, err := dialCtx(context.Background(), addr, cfg.Timeout)
-	if err != nil {
+	p := &Pool{addr: addr, cfg: cfg, rng: cfg.Seed}
+	p.pipe = newPipe(p)
+	if _, _, _, err := p.pipe.ensure(context.Background()); err != nil {
 		return nil, err
-	}
-	p.free <- &poolConn{conn: conn}
-	for i := 1; i < cfg.Size; i++ {
-		p.free <- &poolConn{}
 	}
 	return p, nil
 }
@@ -184,7 +142,7 @@ func (p *Pool) Stats() Stats {
 }
 
 // Counters exports the pool's client-side counters as a
-// metrics.CounterSet so benchmark drivers (kvbench, clusterbench) can
+// metrics.CounterSet so benchmark drivers such as clusterbench can
 // print them next to latency tables: requests issued, wire attempts
 // (first tries + retries), retries, failed attempts, FailConn fault
 // injections, and requests abandoned because the caller's context was
@@ -206,102 +164,14 @@ func (p *Pool) Counters() *metrics.CounterSet {
 // transport error).
 func (p *Pool) Overloads() int64 { return p.overloadSeen.Load() }
 
-// Close releases the pooled connections. In-flight requests finish;
-// their connections are closed on return.
+// Close releases the shared connection. In-flight requests fail, and
+// requests issued afterwards get ErrPoolClosed.
 func (p *Pool) Close() error {
 	if p.closed.Swap(true) {
 		return nil
 	}
-	if p.pipe != nil {
-		p.pipe.shutdown()
-	}
-	for {
-		select {
-		case pc := <-p.free:
-			if pc.conn != nil {
-				pc.conn.Close()
-			}
-		default:
-			return nil
-		}
-	}
-}
-
-// rt adapts the ctx core to the shared command parsers.
-func (p *Pool) rt(ctx context.Context) roundTripper {
-	return func(req string) (string, error) { return p.doCtx(ctx, req) }
-}
-
-// doCtx runs one request through the borrow/deadline/retry machinery
-// under ctx. A context that is already done fails fast — before any
-// borrow, dial, or write. Cancellation mid-attempt wakes the blocked
-// read; cancellation between attempts skips the remaining backoff and
-// retries. The returned error wraps ctx.Err() so callers can
-// errors.Is it against context.Canceled / context.DeadlineExceeded.
-func (p *Pool) doCtx(ctx context.Context, req string) (string, error) {
-	if p.closed.Load() {
-		return "", ErrPoolClosed
-	}
-	if err := ctx.Err(); err != nil {
-		p.canceledSeen.Add(1)
-		return "", fmt.Errorf("sockets: request aborted before first attempt: %w", err)
-	}
-	p.reqSeen.Add(1)
-	id := int(p.reqSeq.Add(1))
-	var lastErr error
-	shed := false
-	for attempt := 1; attempt <= p.cfg.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			p.retrySeen.Add(1)
-			if err := p.backoff(ctx, backoffStep(attempt, shed)); err != nil {
-				p.canceledSeen.Add(1)
-				return "", fmt.Errorf("sockets: request canceled in retry backoff after %d attempts: %w", attempt-1, err)
-			}
-		}
-		p.attemptSeen.Add(1)
-		var pc *poolConn
-		select {
-		case pc = <-p.free:
-		case <-ctx.Done():
-			p.canceledSeen.Add(1)
-			return "", fmt.Errorf("sockets: request canceled waiting for a pooled connection: %w", ctx.Err())
-		}
-		resp, err := p.try(ctx, pc, req, id, attempt)
-		if p.closed.Load() {
-			if pc.conn != nil {
-				pc.conn.Close()
-				pc.conn = nil
-			}
-		}
-		p.free <- pc
-		if err == nil {
-			if resp != textOverload {
-				return resp, nil
-			}
-			// The server shed this attempt at admission. The connection is
-			// fine (keep it pooled); the node just needs breathing room, so
-			// take the jittered backoff ladder — stiffened, because a shed
-			// means the node is saturated, not flaky: re-offering the load
-			// on the transport-error schedule is exactly the retry storm
-			// admission control exists to damp.
-			p.errSeen.Add(1)
-			p.overloadSeen.Add(1)
-			lastErr = ErrOverload
-			shed = true
-			if cerr := ctx.Err(); cerr != nil {
-				p.canceledSeen.Add(1)
-				return "", fmt.Errorf("sockets: request canceled after %d attempts: %w", attempt, cerr)
-			}
-			continue
-		}
-		p.errSeen.Add(1)
-		lastErr = err
-		if cerr := ctx.Err(); cerr != nil {
-			p.canceledSeen.Add(1)
-			return "", fmt.Errorf("sockets: request canceled after %d attempts: %w", attempt, cerr)
-		}
-	}
-	return "", fmt.Errorf("sockets: request failed after %d attempts: %w", p.cfg.MaxAttempts, lastErr)
+	p.pipe.shutdown()
+	return nil
 }
 
 // defaultAttemptTimeout backs a zero cfg.Timeout. NewPool normalizes
@@ -330,77 +200,6 @@ func (p *Pool) attemptTimeout(ctx context.Context) (d time.Duration, ctxBounded 
 	return d, ctxBounded
 }
 
-// try performs one attempt on one pooled connection, discarding the
-// connection on any transport error so the next attempt redials. A
-// cancellation while the attempt is blocked in write/read rewinds the
-// connection deadline to wake it immediately.
-func (p *Pool) try(ctx context.Context, pc *poolConn, req string, id, attempt int) (string, error) {
-	// The injected latency runs before the deadline budget is computed,
-	// so under a ctx deadline a spike eats the attempt's remaining time
-	// the way real network delay would.
-	if p.cfg.PreAttempt != nil {
-		p.cfg.PreAttempt(req, attempt)
-	}
-	timeout, ctxBounded := p.attemptTimeout(ctx)
-	if timeout <= 0 {
-		return "", context.DeadlineExceeded
-	}
-	// When the ctx deadline (not cfg.Timeout) set this attempt's budget,
-	// an I/O timeout IS the ctx deadline expiring — attribute it, since
-	// the read can wake a hair before ctx.Err() flips.
-	wrap := func(err error) error {
-		var nerr net.Error
-		if ctxBounded && errors.As(err, &nerr) && nerr.Timeout() {
-			return fmt.Errorf("sockets: attempt stopped by ctx deadline: %w", context.DeadlineExceeded)
-		}
-		return err
-	}
-	if pc.conn == nil {
-		conn, err := dialCtx(ctx, p.addr, timeout)
-		if err != nil {
-			return "", wrap(err)
-		}
-		pc.conn = conn
-	}
-	if p.cfg.FailConn != nil && p.cfg.FailConn(id, attempt) {
-		p.failInjSeen.Add(1)
-		pc.conn.Close() // the injected mid-flight connection kill
-	}
-	pc.conn.SetDeadline(time.Now().Add(timeout))
-	if done := ctx.Done(); done != nil {
-		conn := pc.conn
-		watch := make(chan struct{})
-		exited := make(chan struct{})
-		go func() {
-			defer close(exited)
-			select {
-			case <-done:
-				conn.SetDeadline(aLongTimeAgo) // wake the blocked read
-			case <-watch:
-			}
-		}()
-		// Join the watchdog before returning: a stray SetDeadline after
-		// the connection goes back to the pool would clobber the next
-		// request's deadline.
-		defer func() { close(watch); <-exited }()
-	}
-	if err := WriteFrame(pc.conn, []byte(req)); err != nil {
-		pc.conn.Close()
-		pc.conn = nil
-		return "", wrap(err)
-	}
-	resp, err := ReadFrame(pc.conn)
-	if err != nil {
-		pc.conn.Close()
-		pc.conn = nil
-		return "", wrap(err)
-	}
-	return string(resp), nil
-}
-
-// backoff waits out the exponential, jittered delay before a retry
-// (attempt >= 2), returning early with ctx.Err() when the caller gives
-// up — a canceled request must not sit out the backoff ladder.
 // backoffStep maps an attempt number to its rung on the backoff
 // ladder. A shed previous attempt jumps three rungs (8× the base wait):
 // a saturated node needs the aggregate retry pressure to drop, and the
@@ -413,6 +212,9 @@ func backoffStep(attempt int, shed bool) int {
 	return attempt
 }
 
+// backoff waits out the exponential, jittered delay before a retry
+// (attempt >= 2), returning early with ctx.Err() when the caller gives
+// up — a canceled request must not sit out the backoff ladder.
 func (p *Pool) backoff(ctx context.Context, attempt int) error {
 	d := p.cfg.BackoffBase << (attempt - 2)
 	if d > p.cfg.BackoffMax || d <= 0 {
@@ -435,33 +237,38 @@ func (p *Pool) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// binary reports whether this pool speaks the pipelined binary
-// protocol; each public operation branches here, so callers are
-// protocol-agnostic.
-func (p *Pool) binary() bool { return p.cfg.Proto == ProtoBinary }
-
 // Ping checks liveness.
 func (p *Pool) Ping() error { return p.PingCtx(context.Background()) }
 
 // PingCtx checks liveness under ctx.
 func (p *Pool) PingCtx(ctx context.Context) error {
-	if p.binary() {
-		return p.binPing(ctx)
+	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbPing})
+	if err != nil {
+		return err
 	}
-	return doPing(p.rt(ctx))
+	if resp.Tag != wire.RespOK {
+		return respErr(resp)
+	}
+	return nil
 }
 
 // Set stores key = value (keys with whitespace rejected via ErrBadKey;
-// on the text protocol, values containing CR/LF rejected via
-// ErrBadValue — the binary protocol carries opaque bytes).
+// values are opaque bytes).
 func (p *Pool) Set(key, value string) error { return p.SetCtx(context.Background(), key, value) }
 
 // SetCtx stores key = value under ctx.
 func (p *Pool) SetCtx(ctx context.Context, key, value string) error {
-	if p.binary() {
-		return p.binSet(ctx, key, value)
+	if err := validateKey(key); err != nil {
+		return err
 	}
-	return doSet(p.rt(ctx), key, value)
+	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbSet, Key: key, Value: []byte(value)})
+	if err != nil {
+		return err
+	}
+	if resp.Tag != wire.RespOK {
+		return respErr(resp)
+	}
+	return nil
 }
 
 // Get fetches a value; found is false for missing keys.
@@ -471,10 +278,20 @@ func (p *Pool) Get(key string) (value string, found bool, err error) {
 
 // GetCtx fetches a value under ctx; found is false for missing keys.
 func (p *Pool) GetCtx(ctx context.Context, key string) (value string, found bool, err error) {
-	if p.binary() {
-		return p.binGet(ctx, key)
+	if err := validateKey(key); err != nil {
+		return "", false, err
 	}
-	return doGet(p.rt(ctx), key)
+	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbGet, Key: key})
+	if err != nil {
+		return "", false, err
+	}
+	switch resp.Tag {
+	case wire.RespValue:
+		return string(resp.Value), true, nil
+	case wire.RespNotFound:
+		return "", false, nil
+	}
+	return "", false, respErr(resp)
 }
 
 // Del removes a key, reporting whether it existed.
@@ -482,10 +299,20 @@ func (p *Pool) Del(key string) (bool, error) { return p.DelCtx(context.Backgroun
 
 // DelCtx removes a key under ctx, reporting whether it existed.
 func (p *Pool) DelCtx(ctx context.Context, key string) (bool, error) {
-	if p.binary() {
-		return p.binDel(ctx, key)
+	if err := validateKey(key); err != nil {
+		return false, err
 	}
-	return doDel(p.rt(ctx), key)
+	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbDel, Key: key})
+	if err != nil {
+		return false, err
+	}
+	switch resp.Tag {
+	case wire.RespOK:
+		return true, nil
+	case wire.RespNotFound:
+		return false, nil
+	}
+	return false, respErr(resp)
 }
 
 // MDel bulk-deletes keys (chunked under the frame limit), returning how
@@ -500,10 +327,18 @@ func (p *Pool) MDelCtx(ctx context.Context, keys ...string) (int, error) {
 			return 0, err
 		}
 	}
-	if p.binary() {
-		return p.binMDel(ctx, keys)
+	deleted := 0
+	for _, chunk := range chunkKeys(keys) {
+		resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbMDel, Keys: chunk})
+		if err != nil {
+			return deleted, err
+		}
+		if resp.Tag != wire.RespCount {
+			return deleted, respErr(resp)
+		}
+		deleted += int(resp.N)
 	}
-	return doMDel(p.rt(ctx), keys)
+	return deleted, nil
 }
 
 // MGet fetches many keys at once. See MGetCtx.
@@ -512,27 +347,28 @@ func (p *Pool) MGet(keys ...string) ([]string, []bool, error) {
 }
 
 // MGetCtx fetches many keys, returning values and found flags parallel
-// to keys. On the binary protocol the whole batch rides one MGET PDU
-// per chunk — one syscall amortized over the batch, the fan-in path
-// cluster hint replay uses; on the text protocol it degrades to
-// sequential GETs (stopping at the first transport error).
+// to keys. The whole batch rides one MGET PDU per chunk — one syscall
+// amortized over the batch, the fan-in path cluster hint replay uses.
 func (p *Pool) MGetCtx(ctx context.Context, keys ...string) ([]string, []bool, error) {
 	for _, k := range keys {
 		if err := validateKey(k); err != nil {
 			return nil, nil, err
 		}
 	}
-	if p.binary() {
-		return p.binMGet(ctx, keys)
-	}
-	values := make([]string, len(keys))
-	found := make([]bool, len(keys))
-	for i, k := range keys {
-		v, ok, err := doGet(p.rt(ctx), k)
+	values := make([]string, 0, len(keys))
+	found := make([]bool, 0, len(keys))
+	for _, chunk := range chunkKeys(keys) {
+		resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbMGet, Keys: chunk})
 		if err != nil {
 			return nil, nil, err
 		}
-		values[i], found[i] = v, ok
+		if resp.Tag != wire.RespMulti || len(resp.Values) != len(chunk) {
+			return nil, nil, respErr(resp)
+		}
+		for i := range chunk {
+			values = append(values, string(resp.Values[i]))
+			found = append(found, resp.Found[i])
+		}
 	}
 	return values, found, nil
 }
@@ -540,26 +376,26 @@ func (p *Pool) MGetCtx(ctx context.Context, keys ...string) ([]string, []bool, e
 // MPut stores many pairs at once. See MPutCtx.
 func (p *Pool) MPut(pairs []KV) error { return p.MPutCtx(context.Background(), pairs) }
 
-// MPutCtx stores many pairs. On the binary protocol the batch rides
-// one MPUT PDU per chunk — what cluster migration uses to land a moved
-// arc's keys without a round trip per key; on the text protocol it
-// degrades to sequential SETs (with the text path's value rules).
+// MPutCtx stores many pairs. The batch rides one MPUT PDU per chunk —
+// what cluster migration uses to land a moved arc's keys without a
+// round trip per key.
 func (p *Pool) MPutCtx(ctx context.Context, pairs []KV) error {
 	for _, kv := range pairs {
 		if err := validateKey(kv.Key); err != nil {
 			return err
 		}
 	}
-	if p.binary() {
-		wkv := make([]wire.KV, len(pairs))
-		for i, kv := range pairs {
-			wkv[i] = wire.KV{Key: kv.Key, Value: []byte(kv.Value)}
-		}
-		return p.binMPut(ctx, wkv)
+	wkv := make([]wire.KV, len(pairs))
+	for i, kv := range pairs {
+		wkv[i] = wire.KV{Key: kv.Key, Value: []byte(kv.Value)}
 	}
-	for _, kv := range pairs {
-		if err := doSet(p.rt(ctx), kv.Key, kv.Value); err != nil {
+	for _, chunk := range chunkPairs(wkv) {
+		resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbMPut, Pairs: chunk})
+		if err != nil {
 			return err
+		}
+		if resp.Tag != wire.RespCount {
+			return respErr(resp)
 		}
 	}
 	return nil
@@ -572,19 +408,30 @@ func (p *Pool) MPutCtx(ctx context.Context, pairs []KV) error {
 // blind SetCtx, a delayed or retried SETV can never regress a replica
 // to an older version.
 func (p *Pool) SetVCtx(ctx context.Context, key, value string) (uint64, error) {
-	if p.binary() {
-		return p.binSetV(ctx, key, value)
+	if err := validateKey(key); err != nil {
+		return 0, err
 	}
-	return doSetV(p.rt(ctx), key, value)
+	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbSetV, Key: key, Value: []byte(value)})
+	if err != nil {
+		return 0, err
+	}
+	if resp.Tag != wire.RespCount {
+		return 0, respErr(resp)
+	}
+	return resp.N, nil
 }
 
 // TreeCtx fetches the node's Merkle range hash for each span — the
 // descent step of an anti-entropy diff walk.
 func (p *Pool) TreeCtx(ctx context.Context, spans []wire.Span) ([]uint64, error) {
-	if p.binary() {
-		return p.binTree(ctx, spans)
+	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbTree, Spans: spans})
+	if err != nil {
+		return nil, err
 	}
-	return doTree(p.rt(ctx), spans)
+	if resp.Tag != wire.RespHashes || len(resp.Hashes) != len(spans) {
+		return nil, respErr(resp)
+	}
+	return resp.Hashes, nil
 }
 
 // ScanCtx lists the node's (key, entry hash) pairs for the given Merkle
@@ -592,10 +439,14 @@ func (p *Pool) TreeCtx(ctx context.Context, spans []wire.Span) ([]uint64, error)
 // not transferred; the caller compares hashes and fetches only the keys
 // that differ.
 func (p *Pool) ScanCtx(ctx context.Context, spans []wire.Span) ([]wire.ScanEntry, error) {
-	if p.binary() {
-		return p.binScan(ctx, spans)
+	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbScan, Spans: spans})
+	if err != nil {
+		return nil, err
 	}
-	return doScan(p.rt(ctx), spans)
+	if resp.Tag != wire.RespScan {
+		return nil, respErr(resp)
+	}
+	return resp.Scan, nil
 }
 
 // Count returns the number of stored keys.
@@ -603,10 +454,14 @@ func (p *Pool) Count() (int, error) { return p.CountCtx(context.Background()) }
 
 // CountCtx returns the number of stored keys under ctx.
 func (p *Pool) CountCtx(ctx context.Context) (int, error) {
-	if p.binary() {
-		return p.binCount(ctx)
+	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbCount})
+	if err != nil {
+		return 0, err
 	}
-	return doCount(p.rt(ctx))
+	if resp.Tag != wire.RespCount {
+		return 0, respErr(resp)
+	}
+	return int(resp.N), nil
 }
 
 // Keys returns all stored keys in sorted order.
@@ -614,8 +469,12 @@ func (p *Pool) Keys() ([]string, error) { return p.KeysCtx(context.Background())
 
 // KeysCtx returns all stored keys in sorted order under ctx.
 func (p *Pool) KeysCtx(ctx context.Context) ([]string, error) {
-	if p.binary() {
-		return p.binKeys(ctx)
+	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbKeys})
+	if err != nil {
+		return nil, err
 	}
-	return doKeys(p.rt(ctx))
+	if resp.Tag != wire.RespKeys {
+		return nil, respErr(resp)
+	}
+	return resp.Keys, nil
 }

@@ -12,7 +12,7 @@ import (
 
 func TestPoolBasics(t *testing.T) {
 	s := startServer(t)
-	p, err := NewPool(s.Addr(), PoolConfig{Size: 2})
+	p, err := NewPool(s.Addr(), PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestPoolBasics(t *testing.T) {
 
 func TestPoolConcurrent(t *testing.T) {
 	s := startServer(t)
-	p, err := NewPool(s.Addr(), PoolConfig{Size: 4})
+	p, err := NewPool(s.Addr(), PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,6 @@ func TestPoolRetriesThroughInjectedFaults(t *testing.T) {
 	// Kill the connection on the first attempt of every request: each
 	// request must succeed on attempt 2 over a fresh dial.
 	p, err := NewPool(s.Addr(), PoolConfig{
-		Size:        2,
 		MaxAttempts: 3,
 		BackoffBase: time.Millisecond,
 		FailConn:    func(req, attempt int) bool { return attempt == 1 },
@@ -118,7 +117,6 @@ func TestPoolRetriesThroughInjectedFaults(t *testing.T) {
 func TestPoolExhaustsRetryBudget(t *testing.T) {
 	s := startServer(t)
 	p, err := NewPool(s.Addr(), PoolConfig{
-		Size:        1,
 		MaxAttempts: 2,
 		BackoffBase: time.Millisecond,
 		FailConn:    func(req, attempt int) bool { return true }, // every attempt dies
@@ -142,9 +140,8 @@ func TestPoolDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.preHandle = func(string) { time.Sleep(300 * time.Millisecond) }
+	s.preHandle = func(string, string) { time.Sleep(300 * time.Millisecond) }
 	p, err := NewPool(s.Addr(), PoolConfig{
-		Size:        1,
 		MaxAttempts: 2,
 		Timeout:     50 * time.Millisecond,
 		BackoffBase: time.Millisecond,
@@ -164,7 +161,7 @@ func TestPoolDeadline(t *testing.T) {
 
 func TestPoolClosed(t *testing.T) {
 	s := startServer(t)
-	p, err := NewPool(s.Addr(), PoolConfig{Size: 2})
+	p, err := NewPool(s.Addr(), PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +187,6 @@ func TestPoolCounterSet(t *testing.T) {
 	// One injected kill on the first attempt of every request: each
 	// request costs 2 attempts, 1 retry, 1 failed attempt, 1 injection.
 	p, err := NewPool(s.Addr(), PoolConfig{
-		Size:        2,
 		MaxAttempts: 3,
 		BackoffBase: time.Millisecond,
 		FailConn:    func(req, attempt int) bool { return attempt == 1 },
@@ -231,18 +227,15 @@ func TestPoolCounterSet(t *testing.T) {
 func TestPoolPreAttemptHook(t *testing.T) {
 	s := startServer(t)
 	var mu sync.Mutex
-	var seen []string
 	var attempts []int
 	p, err := NewPool(s.Addr(), PoolConfig{
-		Size:        1,
 		MaxAttempts: 3,
 		BackoffBase: time.Millisecond,
 		// Kill the first attempt of every request so the hook is seen
 		// on the retry too.
 		FailConn: func(req, attempt int) bool { return attempt == 1 },
-		PreAttempt: func(req string, attempt int) {
+		PreAttempt: func(attempt int) {
 			mu.Lock()
-			seen = append(seen, req)
 			attempts = append(attempts, attempt)
 			mu.Unlock()
 		},
@@ -256,9 +249,6 @@ func TestPoolPreAttemptHook(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(seen) != 2 || seen[0] != "SET k v" || seen[1] != "SET k v" {
-		t.Errorf("PreAttempt saw %q, want the SET twice", seen)
-	}
 	if len(attempts) != 2 || attempts[0] != 1 || attempts[1] != 2 {
 		t.Errorf("PreAttempt attempts = %v, want [1 2]", attempts)
 	}
@@ -267,12 +257,11 @@ func TestPoolPreAttemptHook(t *testing.T) {
 func TestPoolPreAttemptLatencyEatsCtxBudget(t *testing.T) {
 	s := startServer(t)
 	p, err := NewPool(s.Addr(), PoolConfig{
-		Size:        1,
 		MaxAttempts: 1,
 		Timeout:     2 * time.Second,
 		// A spike longer than the caller's deadline: the attempt must
 		// surface DeadlineExceeded instead of succeeding late.
-		PreAttempt: func(req string, attempt int) { time.Sleep(80 * time.Millisecond) },
+		PreAttempt: func(int) { time.Sleep(80 * time.Millisecond) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -330,14 +319,14 @@ func TestPoolZeroTimeoutCancel(t *testing.T) {
 	s := startServer(t)
 	release := make(chan struct{})
 	var once sync.Once
-	s.preHandle = func(req string) {
-		if strings.HasPrefix(req, "GET slow") {
+	s.preHandle = func(verb, key string) {
+		if verb == "GET" && key == "slow" {
 			<-release
 		}
 	}
 	defer once.Do(func() { close(release) })
 
-	p, err := NewPool(s.Addr(), PoolConfig{Size: 1, MaxAttempts: 1})
+	p, err := NewPool(s.Addr(), PoolConfig{MaxAttempts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

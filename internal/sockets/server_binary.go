@@ -59,9 +59,8 @@ type dedupeEntry struct {
 // MPUT) exactly-once on the server: the first arrival of a (client,
 // correlation ID) pair applies the op and records the encoded response;
 // any later arrival — the Pool retries with the same ID after an
-// ambiguous transport failure — replays the recording. The text
-// protocol has no correlation IDs and keeps its at-least-once
-// ambiguity; DESIGN.md documents the limitation. Stripes are locked
+// ambiguous transport failure — replays the recording. (Lab text
+// clients carry no correlation IDs and never retry.) Stripes are locked
 // independently; a (client, id) pair always hashes to the same stripe,
 // so the exactly-once argument is per-stripe and unchanged.
 //
@@ -287,18 +286,10 @@ func (s *Server) serveBinary(cs *connState, br *bufio.Reader) {
 				// the conn under a mutation whose response isn't out yet.
 				cs.addInflight(1)
 				start := time.Now()
-				resp := s.handleBinary(clientID, req)
-				if resp.Tag == wire.RespErr {
-					s.errSeen.Add(1)
-				}
-				out := wire.AppendResponse(nil, resp)
-				werr := fw.write(out)
+				werr := fw.write(s.respond(req, s.handleBinary(clientID, req), start))
 				if req.Verb != wire.VerbPing {
 					s.release()
 				}
-				d := time.Since(start)
-				s.latency.Observe(d)
-				s.observeVerb(wire.VerbName(req.Verb), d)
 				closing := cs.addInflight(-1)
 				if werr != nil || closing || s.closed.Load() {
 					// Unwinding runs fw.stop, which flushes the queued
@@ -314,22 +305,12 @@ func (s *Server) serveBinary(cs *connState, br *bufio.Reader) {
 			defer wg.Done()
 			start := time.Now()
 			if s.preHandle != nil {
-				// Fault-injection hooks match on the text form's verb
-				// prefix; synthesize enough of it for them.
-				s.preHandle(preHandleText(req))
+				s.preHandle(wire.VerbName(req.Verb), req.Key)
 			}
-			resp := s.handleBinary(clientID, req)
-			if resp.Tag == wire.RespErr {
-				s.errSeen.Add(1)
-			}
-			out := wire.AppendResponse(nil, resp)
-			werr := fw.write(out)
+			werr := fw.write(s.respond(req, s.handleBinary(clientID, req), start))
 			if req.Verb != wire.VerbPing {
 				s.release()
 			}
-			d := time.Since(start)
-			s.latency.Observe(d)
-			s.observeVerb(wire.VerbName(req.Verb), d)
 			closing := cs.addInflight(-1)
 			if werr != nil || closing || s.closed.Load() {
 				// Mirror the text loop's exit conditions: flush queued
@@ -344,18 +325,18 @@ func (s *Server) serveBinary(cs *connState, br *bufio.Reader) {
 	}
 }
 
-// preHandleText renders the text-protocol shape of a binary PDU for
-// ServerConfig.PreHandle, whose consumers (the chaos harness's
-// per-verb stalls, tests asserting on request text) match on the verb
-// word and key.
-func preHandleText(r *wire.Request) string {
-	out := wire.VerbName(r.Verb)
-	if r.Key != "" {
-		out += " " + r.Key
+// respond accounts one handled PDU — error count, latency, per-verb
+// latency — and encodes its response. The accounting happens before the
+// caller hands the bytes to the writer, so a client holding its reply
+// always finds the request in Latency() as well as in Stats().
+func (s *Server) respond(req *wire.Request, resp *wire.Response, start time.Time) []byte {
+	if resp.Tag == wire.RespErr {
+		s.errSeen.Add(1)
 	}
-	if r.Verb == wire.VerbSet {
-		out += " " + string(r.Value)
-	}
+	out := wire.AppendResponse(nil, resp)
+	d := time.Since(start)
+	s.latency.Observe(d)
+	s.observeVerb(wire.VerbName(req.Verb), d)
 	return out
 }
 

@@ -9,9 +9,10 @@
 // its own readers-writer lock (keyed by the same FNV-1a hash as
 // mapreduce.Partition), Close drains in-flight requests before hard-
 // closing connections, and per-server counters plus a latency histogram
-// (metrics.Histogram) make throughput studies measurable. Pool adds a
-// production-shaped client: a fixed-size connection pool with
-// per-request deadlines and bounded, jittered retry.
+// (metrics.Histogram) make throughput studies measurable. Pool adds the
+// production-shaped client the cluster uses: one pipelined binary-
+// protocol connection with per-request deadlines and bounded, jittered
+// retry.
 package sockets
 
 import (
@@ -90,11 +91,13 @@ type ServerConfig struct {
 	// DrainTimeout bounds how long Close waits for in-flight requests
 	// before hard-closing their connections. Default 5s.
 	DrainTimeout time.Duration
-	// PreHandle, when non-nil, runs before each request is interpreted —
-	// the hook tests and benches use to make requests observably
-	// in-flight or a node deliberately slow (the laggard in the
-	// quorum-abort experiments).
-	PreHandle func(req string)
+	// PreHandle, when non-nil, runs before each request is interpreted,
+	// on either protocol, with the request's command word (wire.VerbName
+	// for a binary PDU) and its key (empty for verbs without one) — the
+	// hook tests and benches use to make requests observably in-flight
+	// or a node deliberately slow (the laggard in the quorum-abort
+	// experiments).
+	PreHandle func(verb, key string)
 	// MaxPending bounds how many admitted requests may be outstanding
 	// across all connections before the server sheds new arrivals with an
 	// overload response instead of queueing them — per-node admission
@@ -219,7 +222,7 @@ type Server struct {
 
 	// preHandle, when non-nil, runs before each request is interpreted —
 	// a test hook for making requests observably in-flight.
-	preHandle func(req string)
+	preHandle func(verb, key string)
 
 	// digest is the anti-entropy Merkle digest, maintained incrementally
 	// under the same shard locks that order mutations; syncExclude keys
@@ -292,7 +295,9 @@ func (s *Server) Stats() Stats {
 }
 
 // Latency returns the per-request latency histogram (read-complete to
-// response-written).
+// response-ready). Every serving path observes it before the response
+// goes to the writer, so a client holding its reply always finds the
+// request counted here as well as in Stats.
 func (s *Server) Latency() *metrics.Histogram { return s.latency }
 
 // shardFor maps a key to its stripe with the same FNV-1a hash
@@ -424,8 +429,10 @@ func (s *Server) acceptLoop() {
 }
 
 // serve negotiates the protocol from the connection's first byte and
-// hands off to the matching loop. Text frames always open with 0x00
-// (the high byte of a u32 length far below 2^24), so wire.Magic is
+// hands off to the matching loop: the store's clients speak binary, and
+// the negotiation exists so the lab's text clients (and heartbeat
+// PINGs) can share the port. Text frames always open with 0x00 (the
+// high byte of a u32 length far below 2^24), so wire.Magic is
 // unambiguous; see the wire package comment.
 func (s *Server) serve(cs *connState) {
 	br := bufio.NewReader(cs.conn)
@@ -441,8 +448,10 @@ func (s *Server) serve(cs *connState) {
 	s.serveText(cs, br)
 }
 
-// serveText is the legacy loop: one request in flight per connection,
-// strictly in-order responses.
+// serveText is the lab loop: one request in flight per connection,
+// strictly in-order responses. Its only traffic is lab Clients and
+// heartbeat PINGs, so it skips admission control — PING is exempt, and
+// the lab Client could not interpret a shed anyway.
 func (s *Server) serveText(cs *connState, br *bufio.Reader) {
 	for {
 		req, err := ReadFrame(br)
@@ -451,33 +460,19 @@ func (s *Server) serveText(cs *connState, br *bufio.Reader) {
 		}
 		cs.addInflight(1)
 		s.reqSeen.Add(1)
-		verb := textVerb(string(req))
-		if verb != "PING" && !s.admit() {
-			// Shed before PreHandle and before any store work: an
-			// overloaded node must answer in O(1), or the pushback itself
-			// queues behind the load it is pushing back on.
-			werr := WriteFrame(cs.conn, []byte(textOverload))
-			closing := cs.addInflight(-1)
-			if werr != nil || closing || s.closed.Load() {
-				return
-			}
-			continue
-		}
 		start := time.Now()
+		verb, key := textVerbKey(string(req))
 		if s.preHandle != nil {
-			s.preHandle(string(req))
+			s.preHandle(verb, key)
 		}
 		resp := s.handle(string(req))
 		if strings.HasPrefix(resp, "ERR") {
 			s.errSeen.Add(1)
 		}
-		werr := WriteFrame(cs.conn, []byte(resp))
-		if verb != "PING" {
-			s.release()
-		}
 		d := time.Since(start)
 		s.latency.Observe(d)
 		s.observeVerb(verb, d)
+		werr := WriteFrame(cs.conn, []byte(resp))
 		closing := cs.addInflight(-1)
 		if werr != nil || closing || s.closed.Load() {
 			return
@@ -485,13 +480,13 @@ func (s *Server) serveText(cs *connState, br *bufio.Reader) {
 	}
 }
 
-// textVerb extracts a text request's command word, uppercased the way
-// handle matches it.
-func textVerb(req string) string {
-	if i := strings.IndexByte(req, ' '); i >= 0 {
-		req = req[:i]
-	}
-	return strings.ToUpper(req)
+// textVerbKey extracts a text request's command word, uppercased the
+// way handle matches it, and its first argument (the key of the
+// single-key verbs).
+func textVerbKey(req string) (verb, key string) {
+	verb, rest, _ := strings.Cut(req, " ")
+	key, _, _ = strings.Cut(rest, " ")
+	return strings.ToUpper(verb), key
 }
 
 // handle interprets one request. Protocol (space-delimited within one
@@ -504,9 +499,10 @@ func textVerb(req string) string {
 //	MDEL k1 k2 ...   -> "DELETED <n>" (n = how many existed; missing keys ignored)
 //	COUNT            -> "COUNT <n>"
 //	KEYS             -> "KEYS <k1> <k2> ..." (sorted; bare "KEYS" when empty)
-//	SETV key value   -> "SETV <code>" (version-conditional set; see the SetV* outcome codes)
-//	TREE lo-hi ...   -> "HASHES <h> ..." (one 16-hex-digit Merkle range hash per span)
-//	SCAN lo-hi ...   -> "SCAN <key> <h> ..." (key + entry hash per stored key in the spans)
+//
+// These are the CS87 lab's verbs. The cluster's verbs (SETV, TREE,
+// SCAN, SYNCWAL, MGET, MPUT) exist only in the binary protocol and are
+// unknown commands here.
 func (s *Server) handle(req string) string {
 	parts := strings.SplitN(req, " ", 3)
 	switch strings.ToUpper(parts[0]) {
@@ -579,42 +575,6 @@ func (s *Server) handle(req string) string {
 			return "ERR durability: " + err.Error()
 		}
 		return fmt.Sprintf("DELETED %d", resp.N)
-	case "SETV":
-		if len(parts) != 3 {
-			return "ERR usage: SETV key value"
-		}
-		if validateTextValue(parts[2]) != nil {
-			return "ERR value must not contain CR or LF (use the binary protocol for opaque bytes)"
-		}
-		resp, tick := s.applyMutation(0, &wire.Request{Verb: wire.VerbSetV, Key: parts[1], Value: []byte(parts[2])}, nil)
-		if resp.Tag == wire.RespErr {
-			return "ERR " + resp.Err
-		}
-		if err := s.walWait(tick); err != nil {
-			return "ERR durability: " + err.Error()
-		}
-		return fmt.Sprintf("SETV %d", resp.N)
-	case "TREE", "SCAN":
-		spans, err := parseTextSpans(strings.Fields(req)[1:])
-		if err != nil {
-			return "ERR " + err.Error()
-		}
-		if strings.ToUpper(parts[0]) == "TREE" {
-			resp := s.applyTree(&wire.Request{Verb: wire.VerbTree, Spans: spans})
-			out := make([]string, 0, len(resp.Hashes)+1)
-			out = append(out, "HASHES")
-			for _, h := range resp.Hashes {
-				out = append(out, fmt.Sprintf("%016x", h))
-			}
-			return strings.Join(out, " ")
-		}
-		resp := s.applyScan(&wire.Request{Verb: wire.VerbScan, Spans: spans})
-		out := make([]string, 0, 2*len(resp.Scan)+1)
-		out = append(out, "SCAN")
-		for _, e := range resp.Scan {
-			out = append(out, e.Key, fmt.Sprintf("%016x", e.Hash))
-		}
-		return strings.Join(out, " ")
 	case "COUNT":
 		// Shards are read-locked one at a time, so the count is a
 		// point-in-time sum per stripe, not an atomic global snapshot.
@@ -665,8 +625,7 @@ var ErrBadKey = errors.New("sockets: key must be non-empty and contain no whites
 // logs, multi-line tooling, and any consumer that treats the payload as
 // lines — and historically desynchronized line-based readers. The
 // binary protocol has no such restriction (values are length-prefixed
-// opaque bytes); use PoolConfig.Proto = ProtoBinary to store arbitrary
-// payloads.
+// opaque bytes); use a Pool to store arbitrary payloads.
 var ErrBadValue = errors.New("sockets: text-protocol value must not contain CR or LF (use the binary protocol for opaque bytes)")
 
 func validateKey(key string) error {
@@ -676,10 +635,10 @@ func validateKey(key string) error {
 	return nil
 }
 
-// validateTextValue applies the text path's value restriction, on both
-// sides of the wire: the text round-trippers reject before writing, and
+// validateTextValue applies the text protocol's value restriction, on
+// both sides of the wire: the lab Client rejects before writing, and
 // the server's SET branch rejects hand-rolled clients that skip the
-// client library. The binary path carries opaque bytes.
+// client library. The binary protocol carries opaque bytes.
 func validateTextValue(value string) error {
 	if strings.ContainsAny(value, "\r\n") {
 		return fmt.Errorf("%w: %q", ErrBadValue, value)
@@ -687,8 +646,8 @@ func validateTextValue(value string) error {
 	return nil
 }
 
-// roundTripper issues one request and returns the raw response; Client
-// and Pool both satisfy it, sharing the command parsers below.
+// roundTripper issues one text request and returns the raw response —
+// the Client's round trip, as the command parsers below consume it.
 type roundTripper func(req string) (string, error)
 
 func doPing(rt roundTripper) error {

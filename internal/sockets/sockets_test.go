@@ -2,12 +2,15 @@ package sockets
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sockets/wire"
 )
 
 func startServer(t *testing.T) *Server {
@@ -325,8 +328,8 @@ func TestServerDrainsInFlightOnClose(t *testing.T) {
 	}
 	const delay = 150 * time.Millisecond
 	started := make(chan struct{}, 1)
-	s.preHandle = func(req string) {
-		if strings.HasPrefix(req, "SET") {
+	s.preHandle = func(verb, _ string) {
+		if verb == "SET" {
 			started <- struct{}{}
 			time.Sleep(delay)
 		}
@@ -402,6 +405,142 @@ func TestServerErrorCounter(t *testing.T) {
 	}
 	if s.Latency().Count() != st.Requests {
 		t.Errorf("latency histogram has %d observations, want %d", s.Latency().Count(), st.Requests)
+	}
+}
+
+// TestStatsCountedBeforeReply: every serving path — the text loop and
+// the binary inline and goroutine paths — accounts a request's latency
+// before its response leaves, so a client holding its reply always
+// finds Latency().Count() == Stats().Requests.
+func TestStatsCountedBeforeReply(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cfg    ServerConfig
+		binary bool
+	}{
+		{"text", ServerConfig{}, false},
+		{"binary-inline", ServerConfig{}, true},
+		// A PreHandle hook moves every PDU onto its own goroutine.
+		{"binary-goroutine", ServerConfig{PreHandle: func(string, string) {}}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewServerConfig("127.0.0.1:0", tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var ping func() error
+			if tc.binary {
+				p, err := NewPool(s.Addr(), PoolConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.Close()
+				ping = p.Ping
+			} else {
+				c, err := Dial(s.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				ping = c.Ping
+			}
+			for i := 0; i < 500; i++ {
+				if err := ping(); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := s.Latency().Count(), s.Stats().Requests; got != want {
+					t.Fatalf("after reply %d: latency histogram has %d observations, server counted %d requests", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestTextServesLabVerbsOnly: the text protocol is the CS87 lab's. Its
+// seven verbs work; the cluster's verbs exist only in the binary
+// protocol and are unknown commands here.
+func TestTextServesLabVerbsOnly(t *testing.T) {
+	s := startServer(t)
+	for _, req := range []string{"SETV k 1@1 v x", "TREE 0-4096", "SCAN 0-4096"} {
+		if resp := rawRequest(t, s.Addr(), req); resp != "ERR unknown command" {
+			t.Errorf("%q = %q, want ERR unknown command", req, resp)
+		}
+	}
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"b", "a", "c"} {
+		if err := c.Set(k, "v "+k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, ok, err := c.Get("a"); err != nil || !ok || v != "v a" {
+		t.Errorf("GET a = %q %v %v", v, ok, err)
+	}
+	if ok, err := c.Del("c"); err != nil || !ok {
+		t.Errorf("DEL c = %v %v", ok, err)
+	}
+	if n, err := c.MDel("b", "missing"); err != nil || n != 1 {
+		t.Errorf("MDEL = %d %v, want 1", n, err)
+	}
+	if n, err := c.Count(); err != nil || n != 1 {
+		t.Errorf("COUNT = %d %v, want 1", n, err)
+	}
+	if keys, err := c.Keys(); err != nil || len(keys) != 1 || keys[0] != "a" {
+		t.Errorf("KEYS = %v %v, want [a]", keys, err)
+	}
+}
+
+// TestPreHandleVerbAndKey: the PreHandle hook sees the same verb and key
+// for a single-key request whichever protocol carried it, so fault
+// hooks match on the verb without caring about the transport.
+func TestPreHandleVerbAndKey(t *testing.T) {
+	type call struct{ verb, key string }
+	seen := make(chan call, 1)
+	s, err := NewServerConfig("127.0.0.1:0", ServerConfig{
+		PreHandle: func(verb, key string) { seen <- call{verb, key} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p, err := NewPool(s.Addr(), PoolConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for _, tc := range []struct {
+		text string
+		bin  wire.Request
+		want call
+	}{
+		{"SET k v w", wire.Request{Verb: wire.VerbSet, Key: "k", Value: []byte("v w")}, call{"SET", "k"}},
+		{"GET k", wire.Request{Verb: wire.VerbGet, Key: "k"}, call{"GET", "k"}},
+		{"DEL k", wire.Request{Verb: wire.VerbDel, Key: "k"}, call{"DEL", "k"}},
+	} {
+		if _, err := c.roundTrip(tc.text); err != nil {
+			t.Fatal(err)
+		}
+		if got := <-seen; got != tc.want {
+			t.Errorf("text %q: PreHandle saw %+v, want %+v", tc.text, got, tc.want)
+		}
+		if _, err := p.do(context.Background(), &tc.bin); err != nil {
+			t.Fatal(err)
+		}
+		if got := <-seen; got != tc.want {
+			t.Errorf("binary %s: PreHandle saw %+v, want %+v", tc.want.verb, got, tc.want)
+		}
 	}
 }
 

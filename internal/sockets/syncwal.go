@@ -163,24 +163,18 @@ func (s *Server) stopScrub() {
 
 // --- client side ---
 
-// errSyncWALText marks the text protocol's lack of a SYNCWAL encoding.
-var errSyncWALText = fmt.Errorf("%w: SYNCWAL requires the binary protocol", ErrServer)
-
 // SyncWALDumpCtx pulls one chunk of the server's WAL stream from
 // cursor. The returned chunk is an opaque CRC-framed blob (feed it to
 // SyncWALApplyCtx on another node); next is the cursor for the following
 // chunk, valid until done reports the stream's end. Safe to retry: a
 // dump mutates nothing.
 func (p *Pool) SyncWALDumpCtx(ctx context.Context, cursor uint64) (chunk []byte, next uint64, done bool, err error) {
-	if !p.binary() {
-		return nil, 0, false, errSyncWALText
-	}
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbSyncWAL, Mode: wire.SyncWALDump, Cursor: cursor})
+	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbSyncWAL, Mode: wire.SyncWALDump, Cursor: cursor})
 	if err != nil {
 		return nil, 0, false, err
 	}
 	if resp.Tag != wire.RespSyncWAL {
-		return nil, 0, false, binErr(resp)
+		return nil, 0, false, respErr(resp)
 	}
 	return resp.Value, resp.N, resp.Done, nil
 }
@@ -190,15 +184,12 @@ func (p *Pool) SyncWALDumpCtx(ctx context.Context, cursor uint64) (chunk []byte,
 // many records actually applied — retries and stale records fold to
 // zero, so the call is idempotent like SETV.
 func (p *Pool) SyncWALApplyCtx(ctx context.Context, chunk []byte) (int, error) {
-	if !p.binary() {
-		return 0, errSyncWALText
-	}
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbSyncWAL, Mode: wire.SyncWALApply, Value: chunk})
+	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbSyncWAL, Mode: wire.SyncWALApply, Value: chunk})
 	if err != nil {
 		return 0, err
 	}
 	if resp.Tag != wire.RespCount {
-		return 0, binErr(resp)
+		return 0, respErr(resp)
 	}
 	return int(resp.N), nil
 }

@@ -2,7 +2,6 @@ package sockets
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -26,7 +25,7 @@ func syncWALServer(t *testing.T, dir string, cfg ServerConfig) (*Server, *Pool) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPool(s.Addr(), PoolConfig{Proto: ProtoBinary})
+	p, err := NewPool(s.Addr(), PoolConfig{})
 	if err != nil {
 		s.Close()
 		t.Fatal(err)
@@ -171,7 +170,7 @@ func TestSyncWAL_DumpApply_ByteIdenticalReplica(t *testing.T) {
 		t.Fatalf("recovering the streamed replica: %v", err)
 	}
 	defer re.Close()
-	rePool, err := NewPool(re.Addr(), PoolConfig{Proto: ProtoBinary})
+	rePool, err := NewPool(re.Addr(), PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +236,7 @@ func TestSyncWAL_ApplyIsVersionSafe(t *testing.T) {
 	}
 }
 
-// TestSyncWAL_Refusals: dump needs a WAL to stream, and the verb has no
-// text-protocol encoding.
+// TestSyncWAL_Refusals: dump needs a WAL to stream.
 func TestSyncWAL_Refusals(t *testing.T) {
 	ctx := context.Background()
 	s, err := NewServer("127.0.0.1:0") // memory-only
@@ -246,7 +244,7 @@ func TestSyncWAL_Refusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	p, err := NewPool(s.Addr(), PoolConfig{Proto: ProtoBinary})
+	p, err := NewPool(s.Addr(), PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,18 +258,6 @@ func TestSyncWAL_Refusals(t *testing.T) {
 	chunk := walStreamRecord("k", version.Encode(version.Version{}.Next("n0", 1), "v"))
 	if n, err := p.SyncWALApplyCtx(ctx, chunk); err != nil || n != 1 {
 		t.Fatalf("apply on memory-only node: n=%d err=%v", n, err)
-	}
-
-	tp, err := NewPool(s.Addr(), PoolConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tp.Close()
-	if _, _, _, err := tp.SyncWALDumpCtx(ctx, 0); !errors.Is(err, ErrServer) {
-		t.Fatalf("text pool dump: %v, want binary-protocol refusal", err)
-	}
-	if _, err := tp.SyncWALApplyCtx(ctx, chunk); !errors.Is(err, ErrServer) {
-		t.Fatalf("text pool apply: %v, want binary-protocol refusal", err)
 	}
 }
 

@@ -2,7 +2,8 @@
 # scripts/perf/run.sh — the committed benchmark grid.
 #
 # Runs clusterbench -workload over the full cell grid
-# (uniform/zipfian x text/binary x cache on/off, closed loop) plus the
+# (uniform/zipfian x cache on/off, closed loop, over the binary
+# inter-node transport — cells keep their -binary- labels) plus the
 # overload trio (capacity probe, then 2x-capacity open loop with and
 # without admission control), the durability pair (WAL group-commit
 # microbench and the durable-cluster capacity cell), the anti-entropy
@@ -53,18 +54,16 @@ bench() {
     done
 }
 
-echo "== grid: dist x proto x cache (closed loop, 64B values) =="
+echo "== grid: dist x cache (closed loop, 64B values) =="
 for dist in uniform zipfian; do
-    for proto in text binary; do
-        for cache in false true; do
-            echo "-- cell: $dist-$proto-cache=$cache --"
-            bench -workload "$dist" -proto "$proto" -cache="$cache" \
-                -wkeys 512 -workers 16 -valuesize 64
-        done
+    for cache in false true; do
+        echo "-- cell: $dist-binary-cache=$cache --"
+        bench -workload "$dist" -cache="$cache" \
+            -wkeys 512 -workers 16 -valuesize 64
     done
 done
 
-echo "== overload quartet (zipfian, binary, 4KB values) =="
+echo "== overload quartet (zipfian, 4KB values) =="
 # Two capacity probes, because admission control changes the serving
 # path: MaxPending forces the binary server onto goroutine dispatch
 # (the handler goroutine set is the bounded queue), while MaxPending 0
@@ -76,11 +75,11 @@ CAP_INLINE="capacity-inline-closed-4k"
 CAP_ASYNC="capacity-async-closed-4k"
 for rep in $(seq 1 "$REPEATS"); do
     "$BIN" -seed $((42 + rep * 1000)) -json "$RAW" -duration "$OVER_DURATION" \
-        -workload zipfian -proto binary -wkeys 128 -valuesize 4096 -workers 32 \
+        -workload zipfian -wkeys 128 -valuesize 4096 -workers 32 \
         -label "$CAP_INLINE"
     echo
     "$BIN" -seed $((42 + rep * 1000)) -json "$RAW" -duration "$OVER_DURATION" \
-        -workload zipfian -proto binary -wkeys 128 -valuesize 4096 -workers 32 \
+        -workload zipfian -wkeys 128 -valuesize 4096 -workers 32 \
         -maxpending 1024 -label "$CAP_ASYNC"
     echo
 done
@@ -91,11 +90,11 @@ echo "async-path capacity ~= $CAPACITY ops/s -> offering $OFFERED qps"
 # The same 2x-capacity open-loop storm, unprotected vs admission-controlled.
 for rep in $(seq 1 "$REPEATS"); do
     "$BIN" -seed $((42 + rep * 1000)) -json "$RAW" -duration "$OVER_DURATION" \
-        -workload zipfian -proto binary -wkeys 128 -valuesize 4096 \
+        -workload zipfian -wkeys 128 -valuesize 4096 \
         -workers 128 -qps "$OFFERED" -label "overload-open-2x"
     echo
     "$BIN" -seed $((42 + rep * 1000)) -json "$RAW" -duration "$OVER_DURATION" \
-        -workload zipfian -proto binary -wkeys 128 -valuesize 4096 \
+        -workload zipfian -wkeys 128 -valuesize 4096 \
         -workers 128 -qps "$OFFERED" -maxpending 64 -label "overload-open-2x-shed"
     echo
 done
@@ -114,7 +113,7 @@ done
 # its ack, judged against CAP_ASYNC above.
 for rep in $(seq 1 "$REPEATS"); do
     "$BIN" -seed $((42 + rep * 1000)) -json "$RAW" -duration "$OVER_DURATION" \
-        -workload zipfian -proto binary -wkeys 128 -valuesize 4096 -workers 32 \
+        -workload zipfian -wkeys 128 -valuesize 4096 -workers 32 \
         -maxpending 1024 -durable -label "capacity-durable-closed-4k"
     echo
 done
