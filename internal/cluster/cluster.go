@@ -18,8 +18,10 @@
 // the background (read repair), and a Merkle-tree anti-entropy loop
 // (antientropy.go) lets replicas that diverged silently — with hints
 // disabled or expired — find and exchange exactly the keys that differ.
-// The db.DHT doubles as the ring metadata, so its Moves() counter
-// certifies the minimal-movement property on every topology change.
+// The db.DHT supplies the ring geometry, and Moves() counts the tracked
+// keys whose owner each topology change moved — the same count a
+// db.DHT holding those keys reports — certifying the minimal-movement
+// property.
 package cluster
 
 import (
@@ -290,9 +292,10 @@ func (n *node) server() *sockets.Server {
 type Cluster struct {
 	cfg Config
 
-	// topoMu guards the ring, the tracked key table, and the membership
-	// tables. Request paths hold it only to compute placement; all
-	// network traffic happens outside it.
+	// topoMu guards the ring, the tracked key table, the membership
+	// tables, and moves. Request paths hold it only to compute placement;
+	// all network traffic happens outside it. The ring is geometry only:
+	// it stores no keys, c.keys is the one table of them.
 	//
 	// keys maps each tracked key to its last-seen version vector — the
 	// causal history this client has stamped onto the key so far. The
@@ -306,6 +309,7 @@ type Cluster struct {
 	keys   map[string]version.Vector
 	nodes  map[string]*node
 	order  []string // join order, for stable iteration and reports
+	moves  int64    // tracked keys whose owner a topology change moved
 
 	// Migration-window state, guarded by topoMu. While prevRing is
 	// non-nil a topology change is copying keys: quorum placement stays
@@ -580,12 +584,13 @@ func (c *Cluster) Nodes() []string {
 	return append([]string(nil), c.order...)
 }
 
-// Moves reports how many keys topology changes have migrated so far —
-// the ring-metadata counter that certifies the ~K/n movement property.
+// Moves reports how many tracked keys topology changes have given a new
+// owner so far — the counter that certifies the ~K/n movement property,
+// equal to what db.DHT.Moves reports for the same keys and changes.
 func (c *Cluster) Moves() int64 {
 	c.topoMu.RLock()
 	defer c.topoMu.RUnlock()
-	return c.ring.Moves()
+	return c.moves
 }
 
 func (c *Cluster) validateKey(key string) error {
@@ -739,10 +744,6 @@ func (c *Cluster) writeQuorum(ctx context.Context, op, key string, payload func(
 	}
 
 	c.topoMu.Lock()
-	if err := c.ring.Put(key, ""); err != nil {
-		c.topoMu.Unlock()
-		return zero, err
-	}
 	p := c.placeLocked(key)
 	if len(p.replicas) == 0 {
 		c.topoMu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/db"
 	"repro/internal/sockets"
 	"repro/internal/version"
 )
@@ -250,6 +251,56 @@ func TestClusterHintedHandoffReplaysOnRestart(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestClusterMovesMatchesDHT: the cluster keeps no per-owner copy of
+// its keys, yet Moves() must still count exactly what a db.DHT holding
+// the same keys counts — after the writes, after a join, after a leave.
+func TestClusterMovesMatchesDHT(t *testing.T) {
+	cfg := testConfig(3)
+	c := startCluster(t, cfg)
+	shadow, err := db.NewDHT(cfg.VNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Nodes() {
+		if err := shadow.AddNode(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(step string) {
+		t.Helper()
+		if got, want := c.Moves(), shadow.Moves(); got != want {
+			t.Fatalf("after %s: cluster Moves() = %d, DHT Moves() = %d", step, got, want)
+		}
+	}
+	for i := 0; i < 500; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		if err := c.Put(key, "v"); err != nil {
+			t.Fatal(err)
+		}
+		if err := shadow.Put(key, "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("Put 500")
+	if err := c.Join("node3"); err != nil {
+		t.Fatal(err)
+	}
+	if err := shadow.AddNode("node3"); err != nil {
+		t.Fatal(err)
+	}
+	check(`Join("node3")`)
+	if c.Moves() == 0 {
+		t.Fatal("join moved no keys")
+	}
+	if err := c.Leave("node1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := shadow.RemoveNode("node1"); err != nil {
+		t.Fatal(err)
+	}
+	check(`Leave("node1")`)
 }
 
 func TestClusterJoinMovesOnlyArcKeys(t *testing.T) {

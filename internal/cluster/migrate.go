@@ -252,13 +252,17 @@ func (c *Cluster) replicaSetsLocked() map[string][]string {
 	return out
 }
 
-// movesSinceLocked diffs the current placement against a snapshot.
+// movesSinceLocked diffs the current placement against a snapshot, and
+// adds the keys whose owner (first replica) changed to c.moves.
 func (c *Cluster) movesSinceLocked(before map[string][]string) []move {
 	var out []move
 	for key, old := range before {
 		now := c.ring.NodesFor(key, c.cfg.Replicas)
 		if !sameNodes(old, now) {
 			out = append(out, move{key: key, old: old, new: now})
+			if old[0] != now[0] {
+				c.moves++
+			}
 		}
 	}
 	return out

@@ -12,15 +12,21 @@ import (
 var errWriterClosed = errors.New("sockets: frame writer closed")
 
 // frameWriter is the writing half of a pipelined connection: callers
-// enqueue encoded frames and return immediately; a dedicated writer
-// goroutine drains whatever has accumulated and ships the whole batch
-// with one conn.Write. The batching is self-clocking — while one flush
-// syscall is in flight, every frame that arrives queues behind it and
-// rides the next flush — so under N in-flight operations up to N write
-// syscalls collapse into one. That amortization (and its mirror on the
-// read side, one buffered reader draining responses) is where the
-// binary protocol's throughput edge over write-read-per-turn text
-// comes from on low-latency links.
+// encode their frames straight into one length-prefixed byte queue and
+// return immediately; a dedicated writer goroutine swaps that queue
+// with a spare buffer and ships the whole batch with one conn.Write. The
+// batching is self-clocking — while one flush syscall is in flight,
+// every frame that arrives queues behind it and rides the next flush —
+// so under N in-flight operations up to N write syscalls collapse into
+// one. That amortization (and its mirror on the read side, one buffered
+// reader draining responses) is where the binary protocol's throughput
+// edge over write-read-per-turn text comes from on low-latency links.
+//
+// The two buffers are the writer's only memory and they settle at the
+// connection's usual batch size, so a steady stream of frames allocates
+// nothing. A buffer that grew past maxKeptBuffer (a SYNCWAL chunk, an
+// MPUT batch) is dropped after its flush rather than kept, so one big
+// frame does not pin its size on the connection for good.
 //
 // Write errors surface asynchronously on the onErr callback (once); by
 // then earlier write() calls have already returned nil, which is fine —
@@ -35,11 +41,15 @@ type frameWriter struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  [][]byte
-	err    error // latched first failure
+	queue  []byte // length-prefixed frames waiting for the next flush
+	err    error  // latched first failure
 	closed bool
 	done   chan struct{} // closed when loop exits (queue drained or conn failed)
 }
+
+// maxKeptBuffer is the largest queue buffer the writer keeps for reuse
+// after a flush.
+const maxKeptBuffer = 64 << 10
 
 func newFrameWriter(conn net.Conn, onErr func(error)) *frameWriter {
 	w := &frameWriter{conn: conn, onErr: onErr, done: make(chan struct{})}
@@ -48,9 +58,13 @@ func newFrameWriter(conn net.Conn, onErr func(error)) *frameWriter {
 	return w
 }
 
-// write enqueues one encoded frame payload (the writer adds the length
-// header). It fails fast only if the writer already died or stopped.
-func (w *frameWriter) write(frame []byte) error {
+// write appends one frame to the queue: encode appends the payload to
+// the buffer it is given and returns the extended slice, and the writer
+// adds the length header. encode runs under the writer's lock, straight
+// into the queue, so the payload is never staged in a buffer of its own;
+// it must not retain the slice. write fails fast only if the writer
+// already died or stopped.
+func (w *frameWriter) write(encode func(dst []byte) []byte) error {
 	w.mu.Lock()
 	if w.err != nil {
 		err := w.err
@@ -61,7 +75,9 @@ func (w *frameWriter) write(frame []byte) error {
 		w.mu.Unlock()
 		return errWriterClosed
 	}
-	w.queue = append(w.queue, frame)
+	start := len(w.queue)
+	w.queue = encode(append(w.queue, 0, 0, 0, 0))
+	binary.BigEndian.PutUint32(w.queue[start:], uint32(len(w.queue)-start-4))
 	w.mu.Unlock()
 	w.cond.Signal()
 	return nil
@@ -86,7 +102,7 @@ func (w *frameWriter) stop() {
 
 func (w *frameWriter) loop() {
 	defer close(w.done)
-	buf := make([]byte, 0, 64<<10)
+	var spare []byte
 	for {
 		w.mu.Lock()
 		for len(w.queue) == 0 && !w.closed && w.err == nil {
@@ -97,17 +113,10 @@ func (w *frameWriter) loop() {
 			return
 		}
 		batch := w.queue
-		w.queue = nil
+		w.queue = spare[:0]
 		w.mu.Unlock()
 
-		buf = buf[:0]
-		for _, f := range batch {
-			var hdr [4]byte
-			binary.BigEndian.PutUint32(hdr[:], uint32(len(f)))
-			buf = append(buf, hdr[:]...)
-			buf = append(buf, f...)
-		}
-		if _, err := w.conn.Write(buf); err != nil {
+		if _, err := w.conn.Write(batch); err != nil {
 			w.mu.Lock()
 			w.err = err
 			w.mu.Unlock()
@@ -115,6 +124,10 @@ func (w *frameWriter) loop() {
 				w.onErr(err)
 			}
 			return
+		}
+		spare = nil
+		if cap(batch) <= maxKeptBuffer {
+			spare = batch
 		}
 	}
 }

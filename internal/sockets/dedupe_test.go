@@ -4,6 +4,7 @@
 package sockets
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -109,5 +110,38 @@ func TestDedupeEarlyEvictionCounted(t *testing.T) {
 	}
 	if got := tab.earlyEvict.Load(); got != 1 {
 		t.Errorf("earlyEvict = %d, want 1", got)
+	}
+}
+
+// TestDedupeTableGrowsOnUse: a server's dedupe table reserves nothing up
+// front — most traffic (reads, SETV) never enters it — and still holds
+// its capacity bound once mutations do arrive.
+func TestDedupeTableGrowsOnUse(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tab := newDedupeTable(dedupeCap, dedupeRetryHorizon)
+	runtime.ReadMemStats(&after)
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a fresh dedupe table allocates %d B", grew)
+	if grew >= 64<<10 {
+		t.Errorf("a fresh dedupe table allocates %d B, want < 64 KiB", grew)
+	}
+
+	// Fill one stripe with twice its capacity: every key is still inside
+	// the retry horizon, so each one past the cap is an early eviction.
+	keys := sameStripeKeys(tab, 11, 2*tab.stripes[0].cap)
+	d := tab.stripe(keys[0])
+	for _, k := range keys {
+		e, dup := tab.begin(k)
+		if dup {
+			t.Fatalf("fresh key %v reported duplicate", k)
+		}
+		tab.finish(k, e, []byte{0x81})
+	}
+	if n := len(d.entries); n > d.cap {
+		t.Errorf("stripe holds %d entries, want at most its cap %d", n, d.cap)
+	}
+	if got, want := tab.earlyEvict.Load(), int64(len(keys)-d.cap); got != want {
+		t.Errorf("earlyEvict = %d, want %d", got, want)
 	}
 }

@@ -178,21 +178,23 @@ func (s *Server) Crash() error {
 }
 
 // requestRecord maps one applied mutating request onto its log record.
-// client is 0 for text-protocol mutations — the text protocol has no
-// dedupe identity, so replay restores state but records no response.
-func requestRecord(client uint64, r *wire.Request) *wal.Record {
+// value is the string a SET or SETV stored: the record shares it rather
+// than copying the request's bytes again. client is 0 for text-protocol
+// mutations — the text protocol has no dedupe identity, so replay
+// restores state but records no response.
+func requestRecord(client uint64, r *wire.Request, value string) *wal.Record {
 	rec := &wal.Record{Client: client, ID: r.ID, Key: r.Key}
 	switch r.Verb {
 	case wire.VerbSet:
 		rec.Kind = wal.KindSet
-		rec.Value = string(r.Value)
+		rec.Value = value
 	case wire.VerbSetV:
 		// An applied SETV logs as a plain set: the version compare already
 		// ran (only winners are logged), so replay just restores the bytes
 		// — the store ends byte-identical without any version logic in the
 		// replay path.
 		rec.Kind = wal.KindSet
-		rec.Value = string(r.Value)
+		rec.Value = value
 	case wire.VerbDel:
 		rec.Kind = wal.KindDel
 	case wire.VerbMDel:

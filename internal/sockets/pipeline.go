@@ -2,6 +2,7 @@ package sockets
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/binary"
@@ -68,7 +69,7 @@ type pipe struct {
 	conn     net.Conn
 	fw       *frameWriter // coalesced request writes on conn
 	gen      uint64
-	pending  map[uint64]*pipeFuture
+	pending  map[uint64]pipeFuture
 	lastRecv atomic.Int64 // UnixNano of the last frame read; dead-conn heuristic
 }
 
@@ -76,7 +77,7 @@ func newPipe(p *Pool) *pipe {
 	return &pipe{
 		p:        p,
 		clientID: newClientID(),
-		pending:  make(map[uint64]*pipeFuture),
+		pending:  make(map[uint64]pipeFuture),
 	}
 }
 
@@ -120,12 +121,14 @@ func (pp *pipe) ensure(ctx context.Context) (net.Conn, *frameWriter, uint64, err
 // on it fails (the callers' retry machinery takes over from there).
 func (pp *pipe) readLoop(conn net.Conn, fw *frameWriter, gen uint64) {
 	br := bufio.NewReader(conn)
+	var frame []byte // the connection's read buffer, reused frame after frame
 	for {
-		payload, err := ReadFrame(br)
+		payload, err := readFrame(br, frame)
 		if err != nil {
 			pp.fail(conn, fw, gen, err)
 			return
 		}
+		frame = reuseFrame(payload)
 		resp, err := wire.DecodeResponse(payload)
 		if err != nil {
 			pp.fail(conn, fw, gen, fmt.Errorf("sockets: undecodable response: %w", err))
@@ -133,17 +136,30 @@ func (pp *pipe) readLoop(conn net.Conn, fw *frameWriter, gen uint64) {
 		}
 		pp.lastRecv.Store(time.Now().UnixNano())
 		pp.mu.Lock()
-		f := pp.pending[resp.ID]
-		if f != nil && f.gen == gen {
+		f, ok := pp.pending[resp.ID]
+		ok = ok && f.gen == gen // else a late response to an abandoned or re-issued ID: drop
+		if ok {
 			delete(pp.pending, resp.ID)
-		} else {
-			f = nil // late response to an abandoned or re-issued ID: drop
 		}
 		pp.mu.Unlock()
-		if f != nil {
-			f.ch <- pipeResult{resp: resp}
+		if ok {
+			f.ch <- pipeResult{resp: ownResponse(resp)}
 		}
 	}
+}
+
+// ownResponse moves a decoded response's values off the read loop's
+// frame buffer, which the next read overwrites, onto one fresh
+// allocation each before the response leaves the loop. These copies are
+// the only ones a value gets on the client: GetCtx and MGetCtx hand them
+// out as strings without copying again (ownedString). Keys, scan
+// entries and error text decode into strings and are private already.
+func ownResponse(r *wire.Response) *wire.Response {
+	r.Value = bytes.Clone(r.Value)
+	for i, v := range r.Values {
+		r.Values[i] = bytes.Clone(v)
+	}
+	return r
 }
 
 // fail retires one connection incarnation: closes it, stops its frame
@@ -156,7 +172,7 @@ func (pp *pipe) fail(conn net.Conn, fw *frameWriter, gen uint64, err error) {
 	if pp.gen == gen && pp.conn == conn {
 		pp.conn = nil
 	}
-	var settled []*pipeFuture
+	var settled []pipeFuture
 	for id, f := range pp.pending {
 		if f.gen == gen {
 			delete(pp.pending, id)
@@ -184,8 +200,8 @@ func (pp *pipe) shutdown() {
 // register installs a future for id on generation gen. Any stale
 // future under the same ID (an abandoned earlier attempt) is dropped —
 // its reply, if it ever comes, no longer has an audience.
-func (pp *pipe) register(id, gen uint64) *pipeFuture {
-	f := &pipeFuture{gen: gen, ch: make(chan pipeResult, 1)}
+func (pp *pipe) register(id, gen uint64) pipeFuture {
+	f := pipeFuture{gen: gen, ch: make(chan pipeResult, 1)}
 	pp.mu.Lock()
 	pp.pending[id] = f
 	pp.mu.Unlock()
@@ -193,7 +209,7 @@ func (pp *pipe) register(id, gen uint64) *pipeFuture {
 }
 
 // unregister abandons a future (ctx cancellation or attempt timeout).
-func (pp *pipe) unregister(id uint64, f *pipeFuture) {
+func (pp *pipe) unregister(id uint64, f pipeFuture) {
 	pp.mu.Lock()
 	if pp.pending[id] == f {
 		delete(pp.pending, id)
@@ -218,7 +234,6 @@ func (p *Pool) do(ctx context.Context, req *wire.Request) (*wire.Response, error
 	}
 	p.reqSeen.Add(1)
 	req.ID = uint64(p.reqSeq.Add(1))
-	enc := wire.AppendRequest(make([]byte, 0, 64), req)
 	var lastErr error
 	shed := false
 	for attempt := 1; attempt <= p.cfg.MaxAttempts; attempt++ {
@@ -230,7 +245,7 @@ func (p *Pool) do(ctx context.Context, req *wire.Request) (*wire.Response, error
 			}
 		}
 		p.attemptSeen.Add(1)
-		resp, err := p.pipe.try(ctx, req, enc, attempt)
+		resp, err := p.pipe.try(ctx, req, attempt)
 		if err == nil {
 			if resp.Tag != wire.RespOverload {
 				return resp, nil
@@ -265,7 +280,10 @@ func (p *Pool) do(ctx context.Context, req *wire.Request) (*wire.Response, error
 
 // try performs one pipelined attempt: ensure the shared conn, register
 // the future, write the frame, wait for the response / ctx / deadline.
-func (pp *pipe) try(ctx context.Context, req *wire.Request, enc []byte, attempt int) (*wire.Response, error) {
+// The request is encoded straight into the connection's writer, so it
+// has no buffer of its own; a retry encodes it again, with the same
+// correlation ID.
+func (pp *pipe) try(ctx context.Context, req *wire.Request, attempt int) (*wire.Response, error) {
 	p := pp.p
 	if p.cfg.PreAttempt != nil {
 		p.cfg.PreAttempt(attempt)
@@ -283,7 +301,7 @@ func (pp *pipe) try(ctx context.Context, req *wire.Request, enc []byte, attempt 
 		conn.Close() // the injected mid-flight connection kill
 	}
 	f := pp.register(req.ID, gen)
-	werr := fw.write(enc)
+	werr := fw.write(func(dst []byte) []byte { return wire.AppendRequest(dst, req) })
 	if werr != nil {
 		pp.unregister(req.ID, f)
 		// The writer for this incarnation already died; retire the whole
@@ -291,8 +309,8 @@ func (pp *pipe) try(ctx context.Context, req *wire.Request, enc []byte, attempt 
 		pp.fail(conn, fw, gen, werr)
 		return nil, wrapCtxTimeout(ctx, ctxBounded, werr)
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
+	t := startTimer(timeout)
+	defer recycleTimer(t)
 	select {
 	case r := <-f.ch:
 		if r.err != nil {
@@ -317,6 +335,30 @@ func (pp *pipe) try(ctx context.Context, req *wire.Request, enc []byte, attempt 
 			return nil, fmt.Errorf("sockets: attempt stopped by ctx deadline: %w", context.DeadlineExceeded)
 		}
 		return nil, fmt.Errorf("sockets: no response within %v: %w", timeout, errAttemptTimeout)
+	}
+}
+
+// attemptTimers recycles try's deadline timers: a fresh one per
+// attempt would be the largest allocation of a small round trip.
+var attemptTimers sync.Pool
+
+// startTimer returns a timer that fires after d.
+func startTimer(d time.Duration) *time.Timer {
+	if t, ok := attemptTimers.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// recycleTimer stops t and keeps it for a later attempt, but only if it
+// had not fired: then its channel is empty and stays empty under either
+// timer-channel semantics. A fired timer may still deliver its tick
+// (buffered channels, the module's go 1.22 semantics), which would time
+// the next attempt out at once, so it is left to the collector.
+func recycleTimer(t *time.Timer) {
+	if t.Stop() {
+		attemptTimers.Put(t)
 	}
 }
 

@@ -261,7 +261,7 @@ func (p *Pool) SetCtx(ctx context.Context, key, value string) error {
 	if err := validateKey(key); err != nil {
 		return err
 	}
-	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbSet, Key: key, Value: []byte(value)})
+	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbSet, Key: key, Value: readOnlyBytes(value)})
 	if err != nil {
 		return err
 	}
@@ -287,7 +287,7 @@ func (p *Pool) GetCtx(ctx context.Context, key string) (value string, found bool
 	}
 	switch resp.Tag {
 	case wire.RespValue:
-		return string(resp.Value), true, nil
+		return ownedString(resp.Value), true, nil
 	case wire.RespNotFound:
 		return "", false, nil
 	}
@@ -366,7 +366,7 @@ func (p *Pool) MGetCtx(ctx context.Context, keys ...string) ([]string, []bool, e
 			return nil, nil, respErr(resp)
 		}
 		for i := range chunk {
-			values = append(values, string(resp.Values[i]))
+			values = append(values, ownedString(resp.Values[i]))
 			found = append(found, resp.Found[i])
 		}
 	}
@@ -387,7 +387,7 @@ func (p *Pool) MPutCtx(ctx context.Context, pairs []KV) error {
 	}
 	wkv := make([]wire.KV, len(pairs))
 	for i, kv := range pairs {
-		wkv[i] = wire.KV{Key: kv.Key, Value: []byte(kv.Value)}
+		wkv[i] = wire.KV{Key: kv.Key, Value: readOnlyBytes(kv.Value)}
 	}
 	for _, chunk := range chunkPairs(wkv) {
 		resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbMPut, Pairs: chunk})
@@ -411,7 +411,7 @@ func (p *Pool) SetVCtx(ctx context.Context, key, value string) (uint64, error) {
 	if err := validateKey(key); err != nil {
 		return 0, err
 	}
-	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbSetV, Key: key, Value: []byte(value)})
+	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbSetV, Key: key, Value: readOnlyBytes(value)})
 	if err != nil {
 		return 0, err
 	}

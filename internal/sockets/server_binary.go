@@ -2,6 +2,7 @@ package sockets
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"io"
 	"sync"
@@ -15,8 +16,10 @@ import (
 
 // dedupeCap bounds the server-wide retry-dedupe table — the hard
 // memory backstop when age-based eviction alone cannot keep up with
-// the mutation rate. Completed entries are small (the key pair plus an
-// encoded OK/NOTFOUND/COUNT response), so the worst case is a few MiB.
+// the mutation rate. The table grows on use: an empty one is under
+// 2 KiB, and a full one — each entry a map slot, an order slot, the
+// entry, its done channel and an encoded OK/NOTFOUND/COUNT response —
+// about 17 MiB. Reads and SETV never enter it.
 const dedupeCap = 1 << 16
 
 // dedupeRetryHorizon is how long a completed mutation's recorded
@@ -91,11 +94,9 @@ func newDedupeTable(capacity int, horizon time.Duration) *dedupeTable {
 	}
 	t := &dedupeTable{horizon: horizon}
 	for i := range t.stripes {
-		t.stripes[i] = dedupeStripe{
-			cap:     per,
-			entries: make(map[dedupeKey]*dedupeEntry, per),
-			order:   make([]dedupeKey, 0, per),
-		}
+		// Nothing is sized to the cap: the maps and order slices grow with
+		// the mutations that actually arrive.
+		t.stripes[i] = dedupeStripe{cap: per, entries: make(map[dedupeKey]*dedupeEntry)}
 	}
 	return t
 }
@@ -214,10 +215,19 @@ func (s *Server) serveBinary(cs *connState, br *bufio.Reader) {
 	defer fw.stop() // after wg.Wait: late handler responses still drain
 	var wg sync.WaitGroup
 	defer wg.Wait()
+	var frame []byte // the connection's read buffer, reused frame after frame
 	for {
-		payload, err := ReadFrame(br)
+		payload, err := readFrame(br, frame)
 		if err != nil {
 			return // EOF, broken pipe, or cut by Close: client done
+		}
+		frame = reuseFrame(payload)
+		inline := len(payload) > 0 && s.inlineVerb(payload[0])
+		if !inline {
+			// The request outlives this iteration on a goroutine of its
+			// own, and the next read overwrites frame: decode it from
+			// private bytes.
+			payload = bytes.Clone(payload)
 		}
 		req, derr := wire.DecodeRequest(payload)
 		s.reqSeen.Add(1)
@@ -230,8 +240,7 @@ func (s *Server) serveBinary(cs *connState, br *bufio.Reader) {
 			if req != nil {
 				id = req.ID
 			}
-			out := wire.AppendResponse(nil, &wire.Response{Tag: wire.RespErr, ID: id, Err: derr.Error()})
-			if fw.write(out) != nil {
+			if writeResponse(fw, &wire.Response{Tag: wire.RespErr, ID: id, Err: derr.Error()}) != nil {
 				return
 			}
 			continue
@@ -242,62 +251,29 @@ func (s *Server) serveBinary(cs *connState, br *bufio.Reader) {
 			// client's retry of the same ID would wait on a recording that
 			// will never be finished. O(1) answer, no store work, no
 			// goroutine.
-			out := wire.AppendResponse(nil, &wire.Response{Tag: wire.RespOverload, ID: req.ID})
-			if fw.write(out) != nil {
+			if writeResponse(fw, &wire.Response{Tag: wire.RespOverload, ID: req.ID}) != nil {
 				return
 			}
 			continue
 		}
-		// Fast path: single-key verbs and the cheap aggregates run
-		// inline, skipping a goroutine spawn per request. Reads cannot
-		// block at all (no dedupe bookkeeping, shard RLocks only). An
-		// inline SET/DEL can wait on a dedupe entry only when it is a
-		// retried duplicate racing its original — and the wait graph
-		// always points at a strictly older entry whose owner never
-		// waits in turn, so the loop can stall briefly but never
-		// deadlock. What keeps its own goroutine: batch verbs and KEYS
-		// (big enough to convoy the pipeline behind them), and every
-		// verb once a PreHandle stall hook is installed — those are the
-		// cases out-of-order completion exists for.
-		//
-		// MaxPending also forces the goroutine path: inline handling is
-		// self-limiting (one request per connection in service at a
-		// time), so a bounded pending queue is only meaningful when
-		// pipelined ingestion is decoupled from service — the handler
-		// goroutine set IS the pending queue admission control bounds.
-		// A durable server routes mutations to the goroutine path even
-		// when they would qualify for the fast path: an inline SET/DEL
-		// would hold the connection's read loop through its fsync wait,
-		// serializing the group commit to one record per connection per
-		// flush — the goroutine path is what lets pipelined mutations
-		// from one connection share a batch.
-		if s.preHandle == nil && s.maxPending <= 0 {
-			inline := false
-			switch req.Verb {
-			case wire.VerbPing, wire.VerbGet, wire.VerbCount:
-				inline = true
-			case wire.VerbSet, wire.VerbDel:
-				inline = s.wal == nil
+		if inline {
+			// The inline path still counts as in flight: a graceful
+			// Close must see the request and grant it the same drain
+			// grace as the text and goroutine paths instead of cutting
+			// the conn under a mutation whose response isn't out yet.
+			cs.addInflight(1)
+			start := time.Now()
+			werr := s.respond(fw, req, s.handleBinary(clientID, req), start)
+			if req.Verb != wire.VerbPing {
+				s.release()
 			}
-			if inline {
-				// The inline path still counts as in flight: a graceful
-				// Close must see the request and grant it the same drain
-				// grace as the text and goroutine paths instead of cutting
-				// the conn under a mutation whose response isn't out yet.
-				cs.addInflight(1)
-				start := time.Now()
-				werr := fw.write(s.respond(req, s.handleBinary(clientID, req), start))
-				if req.Verb != wire.VerbPing {
-					s.release()
-				}
-				closing := cs.addInflight(-1)
-				if werr != nil || closing || s.closed.Load() {
-					// Unwinding runs fw.stop, which flushes the queued
-					// response before the conn is torn down.
-					return
-				}
-				continue
+			closing := cs.addInflight(-1)
+			if werr != nil || closing || s.closed.Load() {
+				// Unwinding runs fw.stop, which flushes the queued
+				// response before the conn is torn down.
+				return
 			}
+			continue
 		}
 		cs.addInflight(1)
 		wg.Add(1)
@@ -307,7 +283,7 @@ func (s *Server) serveBinary(cs *connState, br *bufio.Reader) {
 			if s.preHandle != nil {
 				s.preHandle(wire.VerbName(req.Verb), req.Key)
 			}
-			werr := fw.write(s.respond(req, s.handleBinary(clientID, req), start))
+			werr := s.respond(fw, req, s.handleBinary(clientID, req), start)
 			if req.Verb != wire.VerbPing {
 				s.release()
 			}
@@ -325,19 +301,59 @@ func (s *Server) serveBinary(cs *connState, br *bufio.Reader) {
 	}
 }
 
+// inlineVerb reports whether the read loop serves a request with this
+// verb itself, straight off the connection's read buffer, instead of on
+// a goroutine of its own. Single-key verbs and the cheap aggregates run
+// inline, skipping a goroutine spawn per request. Reads cannot block at
+// all (no dedupe bookkeeping, shard RLocks only). An inline SET/DEL can
+// wait on a dedupe entry only when it is a retried duplicate racing its
+// original — and the wait graph always points at a strictly older entry
+// whose owner never waits in turn, so the loop can stall briefly but
+// never deadlock. What keeps its own goroutine: batch verbs and KEYS
+// (big enough to convoy the pipeline behind them), and every verb once a
+// PreHandle stall hook is installed — those are the cases out-of-order
+// completion exists for.
+//
+// MaxPending also forces the goroutine path: inline handling is
+// self-limiting (one request per connection in service at a time), so a
+// bounded pending queue is only meaningful when pipelined ingestion is
+// decoupled from service — the handler goroutine set IS the pending
+// queue admission control bounds. A durable server routes mutations to
+// the goroutine path even when they would qualify for the fast path: an
+// inline SET/DEL would hold the connection's read loop through its
+// fsync wait, serializing the group commit to one record per connection
+// per flush — the goroutine path is what lets pipelined mutations from
+// one connection share a batch.
+func (s *Server) inlineVerb(verb byte) bool {
+	if s.preHandle != nil || s.maxPending > 0 {
+		return false
+	}
+	switch verb {
+	case wire.VerbPing, wire.VerbGet, wire.VerbCount:
+		return true
+	case wire.VerbSet, wire.VerbDel:
+		return s.wal == nil
+	}
+	return false
+}
+
 // respond accounts one handled PDU — error count, latency, per-verb
-// latency — and encodes its response. The accounting happens before the
-// caller hands the bytes to the writer, so a client holding its reply
-// always finds the request in Latency() as well as in Stats().
-func (s *Server) respond(req *wire.Request, resp *wire.Response, start time.Time) []byte {
+// latency — and then encodes its response into the connection's writer.
+// The accounting comes first, so a client holding its reply always
+// finds the request in Latency() as well as in Stats().
+func (s *Server) respond(fw *frameWriter, req *wire.Request, resp *wire.Response, start time.Time) error {
 	if resp.Tag == wire.RespErr {
 		s.errSeen.Add(1)
 	}
-	out := wire.AppendResponse(nil, resp)
 	d := time.Since(start)
 	s.latency.Observe(d)
 	s.observeVerb(wire.VerbName(req.Verb), d)
-	return out
+	return writeResponse(fw, resp)
+}
+
+// writeResponse encodes resp straight into fw's queue.
+func writeResponse(fw *frameWriter, resp *wire.Response) error {
+	return fw.write(func(dst []byte) []byte { return wire.AppendResponse(dst, resp) })
 }
 
 // handleBinary interprets one decoded PDU against the sharded store.
@@ -384,7 +400,9 @@ func (s *Server) handleBinary(clientID uint64, r *wire.Request) *wire.Response {
 	// the dedupe recording, and reserves the WAL position — all under the
 	// shard lock(s), so log order equals apply order and a snapshot can
 	// never prune a record whose recording it missed. The fsync wait
-	// happens off-lock, below.
+	// happens off-lock, below. A recording outlives the request (and may
+	// go into a WAL snapshot), so it is encoded into bytes of its own,
+	// not into the connection's writer.
 	resp, tick := s.applyMutation(clientID, r, func(applied *wire.Response) {
 		s.dedupe.record(k, e, wire.AppendResponse(nil, applied))
 	})
@@ -423,34 +441,38 @@ func (s *Server) applyMutation(client uint64, r *wire.Request, record func(*wire
 	}
 	// seal publishes the outcome while the caller's locks are held:
 	// dedupe recording first, then the commit-queue reservation.
-	seal := func(resp *wire.Response) *wal.Ticket {
+	seal := func(resp *wire.Response, value string) *wal.Ticket {
 		if record != nil {
 			record(resp)
 		}
 		if s.wal == nil {
 			return nil
 		}
-		return s.wal.Begin(requestRecord(client, r))
+		return s.wal.Begin(requestRecord(client, r, value))
 	}
 	switch r.Verb {
 	case wire.VerbSet:
 		if err := validateKey(r.Key); err != nil {
 			return errResp(err.Error()), nil
 		}
+		v := string(r.Value)
 		sh := s.shardFor(r.Key)
 		sh.lock.Lock()
 		old, had := sh.store[r.Key]
-		sh.store[r.Key] = string(r.Value)
-		s.digestApply(r.Key, old, string(r.Value), had, true)
+		sh.store[r.Key] = v
+		s.digestApply(r.Key, old, v, had, true)
 		resp := &wire.Response{Tag: wire.RespOK, ID: r.ID}
-		tick := seal(resp)
+		tick := seal(resp, v)
 		sh.lock.Unlock()
 		return resp, tick
 	case wire.VerbSetV:
 		if err := validateKey(r.Key); err != nil {
 			return errResp(err.Error()), nil
 		}
-		in, _, _, err := version.Decode(string(r.Value))
+		// One copy off the request serves the compare, the store, the
+		// digest and the log record.
+		v := string(r.Value)
+		in, _, _, err := version.Decode(v)
 		if err != nil {
 			// An unstamped SETV payload can neither be compared nor later
 			// compete against stamped values: reject, apply nothing.
@@ -463,12 +485,12 @@ func (s *Server) applyMutation(client uint64, r *wire.Request, record func(*wire
 		resp := &wire.Response{Tag: wire.RespCount, ID: r.ID, N: code}
 		var tick *wal.Ticket
 		if apply {
-			sh.store[r.Key] = string(r.Value)
-			s.digestApply(r.Key, cur, string(r.Value), had, true)
+			sh.store[r.Key] = v
+			s.digestApply(r.Key, cur, v, had, true)
 			// Logged (as a plain set — replay needs no version logic, the
 			// compare already happened) only when something changed: a
 			// rejected SETV must not dirty the log.
-			tick = seal(resp)
+			tick = seal(resp, v)
 		} else if record != nil {
 			record(resp)
 		}
@@ -496,7 +518,7 @@ func (s *Server) applyMutation(client uint64, r *wire.Request, record func(*wire
 			// replay the same answer.
 			resp = &wire.Response{Tag: wire.RespNotFound, ID: r.ID}
 		}
-		tick := seal(resp)
+		tick := seal(resp, "")
 		sh.lock.Unlock()
 		return resp, tick
 	case wire.VerbMDel:
@@ -518,7 +540,7 @@ func (s *Server) applyMutation(client uint64, r *wire.Request, record func(*wire
 			}
 		}
 		resp := &wire.Response{Tag: wire.RespCount, ID: r.ID, N: n}
-		tick := seal(resp)
+		tick := seal(resp, "")
 		unlock()
 		return resp, tick
 	case wire.VerbMPut:
@@ -534,12 +556,13 @@ func (s *Server) applyMutation(client uint64, r *wire.Request, record func(*wire
 		unlock := s.lockShardSet(keys)
 		for _, kv := range r.Pairs {
 			st := s.shardFor(kv.Key).store
+			v := string(kv.Value)
 			old, had := st[kv.Key]
-			st[kv.Key] = string(kv.Value)
-			s.digestApply(kv.Key, old, string(kv.Value), had, true)
+			st[kv.Key] = v
+			s.digestApply(kv.Key, old, v, had, true)
 		}
 		resp := &wire.Response{Tag: wire.RespCount, ID: r.ID, N: uint64(len(r.Pairs))}
-		tick := seal(resp)
+		tick := seal(resp, "")
 		unlock()
 		return resp, tick
 	}
@@ -578,7 +601,7 @@ func (s *Server) applyBinary(r *wire.Request) *wire.Response {
 		if !ok {
 			return &wire.Response{Tag: wire.RespNotFound, ID: r.ID}
 		}
-		return &wire.Response{Tag: wire.RespValue, ID: r.ID, Value: []byte(v)}
+		return &wire.Response{Tag: wire.RespValue, ID: r.ID, Value: readOnlyBytes(v)}
 	case wire.VerbMGet:
 		resp := &wire.Response{
 			Tag:    wire.RespMulti,
@@ -593,7 +616,7 @@ func (s *Server) applyBinary(r *wire.Request) *wire.Response {
 			sh.lock.RUnlock()
 			resp.Found = append(resp.Found, ok)
 			if ok {
-				resp.Values = append(resp.Values, []byte(v))
+				resp.Values = append(resp.Values, readOnlyBytes(v))
 			} else {
 				resp.Values = append(resp.Values, nil)
 			}

@@ -55,21 +55,45 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed message.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ReadFrame reads one length-prefixed message into a buffer of its own.
+func ReadFrame(r io.Reader) ([]byte, error) { return readFrame(r, nil) }
+
+// readFrame reads one length-prefixed message into buf when buf has the
+// room, and into a fresh buffer when it does not (or is nil). The
+// pipelined read loops pass the previous frame's buffer back in, so a
+// connection reads every frame into the same memory; whatever they keep
+// past the next read they must copy out first. The length header is read
+// into buf as well: a header array of its own would escape to the heap.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("sockets: frame of %d exceeds limit", n)
 	}
-	buf := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// reuseFrame returns a frame buffer for the next readFrame, or nil when
+// the frame was big enough (an MPUT batch, a SYNCWAL chunk) that keeping
+// it would pin that size on the connection.
+func reuseFrame(frame []byte) []byte {
+	if cap(frame) > maxKeptBuffer {
+		return nil
+	}
+	return frame
 }
 
 // Stats counts activity. A Server fills Connections, Requests, and
