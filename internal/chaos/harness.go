@@ -153,6 +153,9 @@ type Report struct {
 	// (e.g. restarting a node that was not killed) — a scenario-design
 	// bug, not a cluster bug.
 	FaultErrors []string
+	// Notes records what the harness did on its own to make a fault
+	// hold, such as which WAL file a corruption landed in.
+	Notes []string
 	// Recovery is how long after the last fault cleared the cluster
 	// took to serve a clean full-key sweep again.
 	Recovery time.Duration
@@ -190,6 +193,9 @@ func (r *Report) String() string {
 	}
 	for _, fe := range r.FaultErrors {
 		fmt.Fprintf(&b, "  fault error: %s\n", fe)
+	}
+	for _, n := range r.Notes {
+		fmt.Fprintf(&b, "  note: %s\n", n)
 	}
 	if r.SyncRepairs > 0 {
 		fmt.Fprintf(&b, "convergence: anti-entropy rewrote %d replica copies\n", r.SyncRepairs)
@@ -249,6 +255,8 @@ type harness struct {
 
 	faultErrMu  sync.Mutex
 	faultErrors []string
+	notes       []string
+	corrupted   map[string]string // node -> WAL file its FaultCorrupt flipped
 }
 
 type span struct{ from, to time.Time }
@@ -267,6 +275,12 @@ func (h *harness) state(node string) *nodeFaults {
 func (h *harness) faultErr(f Fault, err error) {
 	h.faultErrMu.Lock()
 	h.faultErrors = append(h.faultErrors, fmt.Sprintf("%s: %v", f, err))
+	h.faultErrMu.Unlock()
+}
+
+func (h *harness) note(f Fault, format string, args ...any) {
+	h.faultErrMu.Lock()
+	h.notes = append(h.notes, fmt.Sprintf("%s: %s", f, fmt.Sprintf(format, args...)))
 	h.faultErrMu.Unlock()
 }
 
@@ -316,10 +330,11 @@ func (h *harness) excused(op Op) bool {
 func Run(spec Spec, seed int64) (*Report, error) {
 	spec = spec.withDefaults()
 	h := &harness{
-		spec:     spec,
-		seed:     seed,
-		states:   map[string]*nodeFaults{},
-		openKill: map[string]int{},
+		spec:      spec,
+		seed:      seed,
+		states:    map[string]*nodeFaults{},
+		openKill:  map[string]int{},
+		corrupted: map[string]string{},
 	}
 
 	cfg := cluster.Config{
@@ -366,13 +381,43 @@ func Run(spec Spec, seed int64) (*Report, error) {
 
 	// Fault executor: every fault fires at its offset in its own
 	// goroutine, so lifecycle faults can overlap in-flight recovery work
-	// (that overlap is much of what the scenarios are probing).
+	// (that overlap is much of what the scenarios are probing). The
+	// faults on a node whose log gets corrupted are the exception: they
+	// run in plan order. Corruption waits for a sealed segment, which on
+	// a loaded host can take longer than the plan's gaps; the kill and
+	// the restart that must refuse the damage may not run ahead of it,
+	// and a fault behind a late one keeps its planned gap after it (the
+	// scrub needs that time to find the damage).
+	chained := map[string]bool{}
+	for _, f := range plan {
+		if f.Kind == FaultCorrupt {
+			chained[f.Node] = true
+		}
+	}
+	type link struct {
+		done chan struct{}
+		at   time.Duration
+	}
+	last := map[string]link{}
 	var faultWG sync.WaitGroup
 	for _, f := range plan {
+		prev, done := last[f.Node], make(chan struct{})
+		if chained[f.Node] {
+			last[f.Node] = link{done: done, at: f.At}
+		}
 		faultWG.Add(1)
 		go func(f Fault) {
 			defer faultWG.Done()
+			defer close(done)
 			time.Sleep(time.Until(h.start.Add(f.At)))
+			if prev.done != nil {
+				select {
+				case <-prev.done:
+				default:
+					<-prev.done
+					time.Sleep(f.At - prev.at)
+				}
+			}
 			h.apply(f)
 		}(f)
 	}
@@ -445,6 +490,7 @@ func Run(spec Spec, seed int64) (*Report, error) {
 		Result:          res,
 		Events:          events,
 		FaultErrors:     h.faultErrors,
+		Notes:           h.notes,
 		Recovery:        recovery,
 		SyncRepairs:     syncRepairs,
 		ConvergeFailure: convergeFailure,
@@ -507,15 +553,25 @@ func (h *harness) apply(f Fault) {
 		// Disk damage, not a lifecycle event: the node keeps serving from
 		// memory, so nothing is disturbed — the scrub finding it is the
 		// scenario's whole point.
-		if err := h.corruptWAL(f.Node); err != nil {
+		file, err := h.corruptWAL(f.Node)
+		if err != nil {
 			h.faultErr(f, err)
+			break
 		}
+		h.note(f, "flipped a byte in %s", filepath.Base(file))
+		h.faultErrMu.Lock()
+		h.corrupted[f.Node] = file
+		h.faultErrMu.Unlock()
 	case FaultRestartCorrupt:
 		// The node's log carries injected corruption: recovery MUST refuse
 		// to serve rather than silently drop or mangle acked data.
+		file, err := h.keepCorruption(f)
+		if err != nil {
+			h.faultErr(f, err)
+		}
 		if err := h.c.Restart(f.Node); err == nil {
 			h.closeDisturbance(f.Node, time.Now())
-			h.faultErr(f, fmt.Errorf("restart on a corrupt log succeeded; recovery must refuse unverifiable data"))
+			h.faultErr(f, fmt.Errorf("restart on a corrupt log (%s) succeeded; recovery must refuse unverifiable data", filepath.Base(file)))
 			break
 		}
 		// Expected refusal. Operator playbook for a dead disk: wipe the
@@ -523,7 +579,7 @@ func (h *harness) apply(f Fault) {
 		if err := h.c.WipeWAL(f.Node); err != nil {
 			h.faultErr(f, err)
 		}
-		err := h.c.Restart(f.Node)
+		err = h.c.Restart(f.Node)
 		h.closeDisturbance(f.Node, time.Now())
 		if err != nil {
 			h.faultErr(f, err)
@@ -562,40 +618,75 @@ func (h *harness) apply(f Fault) {
 }
 
 // corruptWAL flips one byte in the middle of the node's lowest-sequence
-// sealed WAL segment. It waits (bounded) for a sealed segment to exist:
-// the fault fires at a seed-chosen offset, and enough workload writes
-// must land on the victim first to rotate its active segment at least
-// once.
-func (h *harness) corruptWAL(node string) error {
+// sealed WAL segment and returns its path. It waits (bounded) for a
+// sealed segment to exist: the fault fires at a seed-chosen offset, and
+// enough workload writes must land on the victim first to rotate its
+// active segment at least once.
+func (h *harness) corruptWAL(node string) (string, error) {
 	dir, err := h.c.WALDir(node)
 	if err != nil {
-		return err
+		return "", err
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
-		if err != nil {
-			return err
-		}
-		sort.Strings(segs)
-		// Segment names are zero-padded sequence numbers: everything
-		// before the last (active) one is sealed.
-		if len(segs) >= 2 {
-			target := segs[0]
-			data, err := os.ReadFile(target)
-			if err != nil {
-				return err
-			}
-			if len(data) > 0 {
-				data[len(data)/2] ^= 0x40
-				return os.WriteFile(target, data, 0o600)
-			}
+		target, err := flipOldestSealed(dir)
+		if err != nil || target != "" {
+			return target, err
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("no sealed WAL segment appeared in %s to corrupt", dir)
+			return "", fmt.Errorf("no sealed WAL segment appeared in %s to corrupt", dir)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// keepCorruption makes sure the killed node's log still holds the
+// injected damage before the restart that must refuse it. A snapshot
+// may have pruned the corrupted segment since; the damage then goes
+// into the current oldest sealed segment instead, and a note says so.
+// It returns the corrupted file.
+func (h *harness) keepCorruption(f Fault) (string, error) {
+	h.faultErrMu.Lock()
+	file := h.corrupted[f.Node]
+	h.faultErrMu.Unlock()
+	if file == "" {
+		return "", fmt.Errorf("no corrupt-wal fault landed on %s", f.Node)
+	}
+	if _, err := os.Stat(file); err == nil {
+		return file, nil
+	}
+	dir, err := h.c.WALDir(f.Node)
+	if err != nil {
+		return "", err
+	}
+	target, err := flipOldestSealed(dir)
+	if err == nil && target == "" {
+		err = fmt.Errorf("no sealed WAL segment left in %s to corrupt", dir)
+	}
+	if err != nil {
+		return "", err
+	}
+	h.note(f, "%s was gone; flipped a byte in %s instead", filepath.Base(file), filepath.Base(target))
+	return target, nil
+}
+
+// flipOldestSealed flips the middle byte of the lowest-sequence sealed
+// segment in dir and returns its path, or "" when no non-empty sealed
+// segment exists yet. Segment names are zero-padded sequence numbers:
+// everything before the last (active) one is sealed.
+func flipOldestSealed(dir string) (string, error) {
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segs) < 2 {
+		return "", err
+	}
+	sort.Strings(segs)
+	target := segs[0]
+	data, err := os.ReadFile(target)
+	if err != nil || len(data) == 0 {
+		return "", err
+	}
+	data[len(data)/2] ^= 0x40
+	return target, os.WriteFile(target, data, 0o600)
 }
 
 // serverPreHandle is the per-node server-side hook: heartbeat blackouts

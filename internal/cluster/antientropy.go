@@ -268,8 +268,8 @@ func (c *Cluster) repairSpans(ctx context.Context, a, b *node, spans []wire.Span
 		rb, okB := valsB[k]
 		switch {
 		case okA && okB:
-			va, _, _, errA := version.Decode(ra)
-			vb, _, _, errB := version.Decode(rb)
+			va, _, errA := version.ParseHeader(ra)
+			vb, _, errB := version.ParseHeader(rb)
 			switch {
 			case errA != nil && errB != nil:
 				// Neither side decodes: nothing trustworthy to copy.
@@ -281,11 +281,11 @@ func (c *Cluster) repairSpans(ctx context.Context, a, b *node, spans []wire.Span
 				if c.pushRepair(ctx, b, k, ra) {
 					repaired++
 				}
-			case version.Newer(va, vb):
+			case va.Newer(vb):
 				if c.pushRepair(ctx, b, k, ra) {
 					repaired++
 				}
-			case version.Newer(vb, va):
+			case vb.Newer(va):
 				if c.pushRepair(ctx, a, k, rb) {
 					repaired++
 				}

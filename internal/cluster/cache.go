@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"container/list"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,7 +80,7 @@ type cacheShard struct {
 // not-founds (a hot key that was deleted keeps absorbing reads).
 type cacheEntry struct {
 	key     string
-	ver     version.Version
+	ver     version.Header
 	value   string
 	deleted bool
 	expires time.Time
@@ -91,8 +90,8 @@ type cacheEntry struct {
 // entry at cur: yes unless cur strictly beats it under the version
 // total order. Equal versions refresh (same bytes, fresher lease),
 // mirroring the seed's `seq >= entry.seq` guard.
-func supersedes(ver, cur version.Version) bool {
-	return !version.Newer(cur, ver)
+func supersedes(ver, cur version.Header) bool {
+	return !cur.Newer(ver)
 }
 
 // newHotCache sizes the cache. size is the total entry budget across
@@ -116,9 +115,7 @@ func newHotCache(size int, lease time.Duration, threshold int, window time.Durat
 }
 
 func (h *hotCache) shard(key string) *cacheShard {
-	f := fnv.New32a()
-	f.Write([]byte(key))
-	return &h.shards[f.Sum32()%cacheShards]
+	return &h.shards[stripeOf(key, cacheShards)]
 }
 
 // lookup serves a read from the cache when the key has a live lease.
@@ -157,7 +154,7 @@ func (h *hotCache) lookup(key string) (value string, found, hit bool) {
 // installs the result with the lease anchored at readStart. found=false
 // with a zero version is a quorum-agreed "never existed"; found=false
 // with a real version is a tombstone — both cache as not-found.
-func (h *hotCache) observe(key string, readStart time.Time, ver version.Version, value string, found bool) {
+func (h *hotCache) observe(key string, readStart time.Time, ver version.Header, value string, found bool) {
 	if h == nil {
 		return
 	}
@@ -206,7 +203,7 @@ func (h *hotCache) observe(key string, readStart time.Time, ver version.Version,
 // supersedes it will run its own writeThrough before returning.
 // Non-resident keys are left alone: write traffic must not flush the
 // read-hot working set.
-func (h *hotCache) writeThrough(key string, ver version.Version, value string, deleted bool) {
+func (h *hotCache) writeThrough(key string, ver version.Header, value string, deleted bool) {
 	if h == nil {
 		return
 	}

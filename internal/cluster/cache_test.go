@@ -12,11 +12,15 @@ import (
 // coordinator, so vclock(a) dominates vclock(b) exactly when a > b —
 // the same shape the old integer sequence guard was tested with.
 // vclock(0) is the zero version ("never existed").
-func vclock(n uint64) version.Version {
+func vclock(n uint64) version.Header {
 	if n == 0 {
-		return version.Version{}
+		return version.Header{}
 	}
-	return version.Version{VV: version.Vector{"n0": n}, Clock: int64(n)}
+	h, _, err := version.ParseHeader(version.Encode(version.Version{VV: version.Vector{"n0": n}, Clock: int64(n)}, ""))
+	if err != nil {
+		panic(err)
+	}
+	return h
 }
 
 // admitKey drives key through the admission threshold so later observe

@@ -292,21 +292,21 @@ func (n *node) server() *sockets.Server {
 type Cluster struct {
 	cfg Config
 
-	// topoMu guards the ring, the tracked key table, the membership
-	// tables, and moves. Request paths hold it only to compute placement;
-	// all network traffic happens outside it. The ring is geometry only:
-	// it stores no keys, c.keys is the one table of them.
+	// topoMu guards the ring, the membership tables, and moves. Request
+	// paths, writes included, hold it shared only to compute placement;
+	// all network traffic happens outside it. Join and Leave hold it
+	// exclusively, which excludes every writer. The ring is geometry
+	// only: it stores no keys, c.keys is the one table of them.
 	//
-	// keys maps each tracked key to its last-seen version vector — the
+	// keys maps each tracked key to the vector of its last stamp — the
 	// causal history this client has stamped onto the key so far. The
 	// next write bumps the coordinator's slot in that vector under the
-	// same exclusive lock that computes placement, so writes from this
-	// client to one key always dominate their predecessors; concurrent
-	// (incomparable) vectors only arise across clients or from injected
-	// divergence.
+	// key's stripe lock, so writes from this client to one key always
+	// dominate their predecessors; concurrent (incomparable) vectors only
+	// arise across clients or from injected divergence.
 	topoMu sync.RWMutex
 	ring   *db.DHT
-	keys   map[string]version.Vector
+	keys   keyTable
 	nodes  map[string]*node
 	order  []string // join order, for stable iteration and reports
 	moves  int64    // tracked keys whose owner a topology change moved
@@ -320,8 +320,11 @@ type Cluster struct {
 	// the dirty keys and drops the window — only then does placement see
 	// the new ring. Without this, a read placed on the new ring could
 	// miss a write the old ring's quorum acknowledged moments earlier.
+	// Writers, holding topoMu shared, add to dirty under dirtyMu; the
+	// topology change replaces and reads it holding topoMu exclusively.
 	prevRing  *db.DHT
 	prevOrder []string
+	dirtyMu   sync.Mutex
 	dirty     map[string]struct{}
 	// inflight counts ops that have taken their placement and are still
 	// fanning out; the cutover waits for them so its re-copy reads
@@ -454,7 +457,6 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:   cfg,
 		ring:  ring,
-		keys:  make(map[string]version.Vector),
 		nodes: make(map[string]*node),
 		sched: sched.New(cfg.Workers),
 	}
@@ -605,9 +607,9 @@ func (c *Cluster) validateKey(key string) error {
 	return nil
 }
 
-// Stored values carry a version stamp and a kind marker — see
-// internal/version for the encoding ("<stamp> v <value>" for live
-// values, "<stamp> t" for delete tombstones). Tombstones ride the same
+// Stored values carry a binary version stamp with a kind byte — see
+// internal/version for the encoding: a live value's payload follows
+// its stamp, a delete tombstone has none. Tombstones ride the same
 // quorum/hint/migration/anti-entropy machinery as writes, so a delete
 // wins or loses against concurrent puts by the version total order
 // exactly like an overwrite — without them, a replica that missed the
@@ -687,7 +689,7 @@ func (c *Cluster) Put(key, value string) error {
 // than W replicas acknowledged; a canceled or expired ctx surfaces as
 // an error wrapping ctx.Err().
 func (c *Cluster) PutCtx(ctx context.Context, key, value string) error {
-	ver, err := c.writeQuorum(ctx, "put", key, func(v version.Version) string { return version.Encode(v, value) })
+	ver, err := c.writeQuorum(ctx, "put", key, value, false)
 	if err == nil {
 		c.puts.Add(1)
 		// Write-through before returning: a caller that saw this Put
@@ -710,7 +712,7 @@ func (c *Cluster) Del(key string) error {
 // key is not an error (the tombstone simply becomes the newest
 // version).
 func (c *Cluster) DelCtx(ctx context.Context, key string) error {
-	ver, err := c.writeQuorum(ctx, "del", key, version.EncodeTombstone)
+	ver, err := c.writeQuorum(ctx, "del", key, "", true)
 	if err == nil {
 		c.dels.Add(1)
 		// Cached tombstone: a hot key that was just deleted keeps
@@ -722,16 +724,17 @@ func (c *Cluster) DelCtx(ctx context.Context, key string) error {
 
 // writeQuorum is the shared quorum-write core under PutCtx and DelCtx:
 // it stamps the write with the key's next version vector, encodes the
-// payload, and fans out to the key's replicas until W acks arrive.
+// value (or a tombstone), and fans out to the key's replicas until W
+// acks arrive. It returns the write's stamp.
 //
-// The version is assigned inside the same exclusive topology-lock
-// critical section that computes placement: the key's last-seen vector
-// is bumped in the coordinator's slot (the first live replica — the
-// node this client writes on behalf of) and written back, so every
-// write this client issues to a key causally dominates its
+// The vector is assigned while the shared topology lock that computed
+// placement is held: the key's last-seen vector is bumped in the
+// coordinator's slot (the first live replica — the node this client
+// writes on behalf of) and written back under the key's stripe lock,
+// so every write this client issues to a key causally dominates its
 // predecessors no matter how their network fan-outs interleave.
-func (c *Cluster) writeQuorum(ctx context.Context, op, key string, payload func(v version.Version) string) (version.Version, error) {
-	var zero version.Version
+func (c *Cluster) writeQuorum(ctx context.Context, op, key, value string, tombstone bool) (version.Header, error) {
+	var zero version.Header
 	if c.closed.Load() {
 		return zero, ErrClosed
 	}
@@ -743,10 +746,10 @@ func (c *Cluster) writeQuorum(ctx context.Context, op, key string, payload func(
 		return zero, fmt.Errorf("cluster: %s %q aborted: %w", op, key, err)
 	}
 
-	c.topoMu.Lock()
+	c.topoMu.RLock()
 	p := c.placeLocked(key)
 	if len(p.replicas) == 0 {
-		c.topoMu.Unlock()
+		c.topoMu.RUnlock()
 		c.quorumFailures.Add(1)
 		return zero, fmt.Errorf("%w: no replicas for %q", ErrNoQuorum, key)
 	}
@@ -757,15 +760,17 @@ func (c *Cluster) writeQuorum(ctx context.Context, op, key string, payload func(
 			break
 		}
 	}
-	ver := version.Version{VV: c.keys[key]}.Next(coord, time.Now().UnixNano())
-	c.keys[key] = ver.VV
+	vec := c.keys.bump(key, coord)
 	if c.prevRing != nil {
+		c.dirtyMu.Lock()
 		c.dirty[key] = struct{}{}
+		c.dirtyMu.Unlock()
 	}
 	c.inflight.Add(1)
-	c.topoMu.Unlock()
+	c.topoMu.RUnlock()
 	defer c.inflight.Done()
-	enc := payload(ver)
+	enc := version.EncodeVector(vec, time.Now().UnixNano(), tombstone, value)
+	ver, _, _ := version.ParseHeader(enc) // enc was just encoded: it parses
 
 	// During a migration window, also land the write on the next
 	// topology's new replicas. Best effort on the cluster lifetime (the
@@ -906,13 +911,12 @@ func (c *Cluster) GetCtx(ctx context.Context, key string) (value string, found b
 	c.gets.Add(1)
 
 	type resp struct {
-		node    *node
-		ver     version.Version
-		raw     string // the stored bytes, for read repair
-		value   string
-		found   bool // some version (value or tombstone) exists
-		deleted bool // that version is a tombstone
-		err     error
+		node  *node
+		ver   version.Header // ver.Tombstone: the version is a delete
+		raw   string         // the stored bytes, for read repair
+		value string
+		found bool // some version (value or tombstone) exists
+		err   error
 	}
 	opCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -932,12 +936,12 @@ func (c *Cluster) GetCtx(ctx context.Context, key string) (value string, found b
 				resps <- resp{node: n} // a valid "not here" answer
 				return
 			}
-			ver, v, deleted, err := version.Decode(raw)
+			ver, v, err := version.ParseHeader(raw)
 			if err != nil {
 				resps <- resp{node: n, err: err}
 				return
 			}
-			resps <- resp{node: n, ver: ver, raw: raw, value: v, found: true, deleted: deleted}
+			resps <- resp{node: n, ver: ver, raw: raw, value: v, found: true}
 		}(n)
 	}
 
@@ -952,7 +956,7 @@ func (c *Cluster) GetCtx(ctx context.Context, key string) (value string, found b
 			}
 			answered++
 			got = append(got, r)
-			if r.found && (!best.found || version.Newer(r.ver, best.ver)) {
+			if r.found && (!best.found || r.ver.Newer(best.ver)) {
 				best = r
 			}
 		case <-ctx.Done():
@@ -978,10 +982,10 @@ func (c *Cluster) GetCtx(ctx context.Context, key string) (value string, found b
 					go c.readRepair(key, best.raw, stale)
 				}
 			}
-			c.cache.observe(key, readStart, best.ver, best.value, best.found && !best.deleted)
+			c.cache.observe(key, readStart, best.ver, best.value, best.found && !best.ver.Tombstone)
 			// A newest-version tombstone means the key is deleted: the
 			// quorum agrees it existed, and that its last write removed it.
-			if best.deleted {
+			if best.ver.Tombstone {
 				return "", false, nil
 			}
 			return best.value, best.found, nil

@@ -385,6 +385,9 @@ func TestClusterJoinValidation(t *testing.T) {
 	if err := c.Join("bad~name"); err == nil {
 		t.Error("'~' in node name must fail")
 	}
+	if err := c.Join("\x01bad"); err == nil {
+		t.Error("control byte in node name must fail: it could start like a version stamp")
+	}
 }
 
 func TestClusterReportListsNodesAndCounters(t *testing.T) {

@@ -235,7 +235,7 @@ const (
 // every replica, and either way the outcome is counted
 // (hints.concurrent) instead of being misread as plain staleness.
 func (c *Cluster) applyHint(ctx context.Context, dest *node, key, raw string) hintOutcome {
-	if _, _, _, err := version.Decode(raw); err != nil {
+	if _, _, err := version.ParseHeader(raw); err != nil {
 		return hintFailed
 	}
 	code, err := dest.client().SetVCtx(ctx, key, raw)

@@ -1,0 +1,71 @@
+package cluster
+
+import (
+	"sync"
+
+	"repro/internal/version"
+)
+
+// keyStripes is how many independently locked maps the key table is
+// split into, so writes to different keys rarely contend.
+const keyStripes = 16
+
+// keyTable is the client's per-key version table: each key this client
+// has written maps to the vector section of its last stamp (from
+// version.Bump) — a few bytes per key, not a map. Writes bump a key
+// under its stripe's mutex while holding topoMu shared; the whole-table
+// walks run under topoMu held exclusively, so no write is adding keys
+// meanwhile.
+type keyTable [keyStripes]keyStripe
+
+type keyStripe struct {
+	mu sync.Mutex
+	m  map[string]string
+}
+
+// bump assigns key's next vector: the last one with coord's slot
+// incremented. It records the vector and returns it.
+func (t *keyTable) bump(key, coord string) string {
+	s := &t[stripeOf(key, keyStripes)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.m == nil {
+		s.m = make(map[string]string)
+	}
+	vec := version.Bump(s.m[key], coord)
+	s.m[key] = vec
+	return vec
+}
+
+// len reports how many keys the table tracks.
+func (t *keyTable) len() int {
+	n := 0
+	for i := range t {
+		t[i].mu.Lock()
+		n += len(t[i].m)
+		t[i].mu.Unlock()
+	}
+	return n
+}
+
+// each calls fn for every tracked key.
+func (t *keyTable) each(fn func(key string)) {
+	for i := range t {
+		t[i].mu.Lock()
+		for key := range t[i].m {
+			fn(key)
+		}
+		t[i].mu.Unlock()
+	}
+}
+
+// stripeOf hashes key (FNV-1a) onto one of n stripes without
+// allocating.
+func stripeOf(key string, n uint32) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return h % n
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"unicode"
 
 	"repro/internal/db"
 	"repro/internal/sockets"
@@ -38,14 +39,14 @@ type move struct {
 // Join adds a fresh node to the ring and migrates the keys whose
 // replica sets now include it — the ~K/n arc move, fanned out on the
 // sched pool. The name must be unique, non-empty, and free of
-// whitespace, '~' (it appears inside hint keys), and the version
-// stamp's delimiters ':', ',' and '@' (it appears inside version
-// vectors — see internal/version).
+// whitespace, '~' (it appears inside hint keys), and control bytes (so
+// no name can begin with the version stamp's magic byte — see
+// internal/version).
 func (c *Cluster) Join(name string) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	if name == "" || strings.ContainsAny(name, " \t\n\r~:,@") {
+	if name == "" || strings.ContainsAny(name, " ~") || strings.ContainsFunc(name, unicode.IsControl) {
 		return fmt.Errorf("cluster: bad node name %q", name)
 	}
 	c.topoChange.Lock()
@@ -211,7 +212,7 @@ func (c *Cluster) newestCopies(ctx context.Context, wants map[string][]string, b
 		}
 	}
 	type candidate struct {
-		ver version.Version
+		ver version.Header
 		raw string
 	}
 	best := make(map[string]candidate, len(wants))
@@ -227,11 +228,11 @@ func (c *Cluster) newestCopies(ctx context.Context, wants map[string][]string, b
 			if !found[i] {
 				continue
 			}
-			ver, _, _, err := version.Decode(vals[i])
+			ver, _, err := version.ParseHeader(vals[i])
 			if err != nil {
 				continue
 			}
-			if b, ok := best[key]; !ok || version.Newer(ver, b.ver) {
+			if b, ok := best[key]; !ok || ver.Newer(b.ver) {
 				best[key] = candidate{ver: ver, raw: vals[i]}
 			}
 		}
@@ -243,12 +244,13 @@ func (c *Cluster) newestCopies(ctx context.Context, wants map[string][]string, b
 	return out
 }
 
-// replicaSetsLocked snapshots every tracked key's replica set.
+// replicaSetsLocked snapshots every tracked key's replica set. The
+// caller holds topoMu exclusively, so no write is adding keys.
 func (c *Cluster) replicaSetsLocked() map[string][]string {
-	out := make(map[string][]string, len(c.keys))
-	for key := range c.keys {
+	out := make(map[string][]string, c.keys.len())
+	c.keys.each(func(key string) {
 		out[key] = c.ring.NodesFor(key, c.cfg.Replicas)
-	}
+	})
 	return out
 }
 

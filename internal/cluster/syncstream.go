@@ -134,7 +134,7 @@ func (c *Cluster) filterStream(chunk []byte, dstName string) ([]byte, error) {
 		if strings.HasPrefix(key, hintMark) || !c.replicaFor(key, dstName) {
 			return false
 		}
-		_, _, _, err := version.Decode(value)
+		_, _, err := version.ParseHeader(value)
 		return err == nil
 	}
 	var out []byte

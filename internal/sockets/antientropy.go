@@ -36,26 +36,27 @@ func SetVAppliedCode(code uint64) bool {
 	return code == SetVApplied || code == SetVAppliedConcurrent
 }
 
-// setvOutcome compares an incoming encoded value against the stored one
-// and decides whether to apply. An undecodable or missing stored value
-// loses: SETV's callers always carry well-formed stamps, so whatever is
-// there predates the versioning scheme or was corrupted — either way
-// the stamped write is the one to keep.
-func setvOutcome(cur string, curOK bool, in version.Version) (apply bool, code uint64) {
+// setvOutcome compares an incoming value's stamp against the stored
+// value and decides whether to apply. Both stamps are read in place,
+// with no allocation. A stored value without a binary stamp (missing,
+// text-stamped, or corrupted) loses: SETV's callers always carry
+// well-formed stamps, so whatever is there predates the binary header
+// or was damaged — either way the stamped write is the one to keep.
+func setvOutcome(cur string, curOK bool, in version.Header) (apply bool, code uint64) {
 	if !curOK {
 		return true, SetVApplied
 	}
-	curV, _, _, err := version.Decode(cur)
+	curV, _, err := version.ParseHeader(cur)
 	if err != nil {
 		return true, SetVApplied
 	}
-	conc := in.Compare(curV) == version.Concurrent
-	switch {
-	case version.Newer(in, curV) && conc:
-		return true, SetVAppliedConcurrent
-	case version.Newer(in, curV):
+	switch in.Compare(curV) {
+	case version.Dominates:
 		return true, SetVApplied
-	case conc:
+	case version.Concurrent:
+		if in.Newer(curV) {
+			return true, SetVAppliedConcurrent
+		}
 		return false, SetVStaleConcurrent
 	}
 	return false, SetVStale

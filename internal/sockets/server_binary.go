@@ -472,7 +472,7 @@ func (s *Server) applyMutation(client uint64, r *wire.Request, record func(*wire
 		// One copy off the request serves the compare, the store, the
 		// digest and the log record.
 		v := string(r.Value)
-		in, _, _, err := version.Decode(v)
+		in, _, err := version.ParseHeader(v)
 		if err != nil {
 			// An unstamped SETV payload can neither be compared nor later
 			// compete against stamped values: reject, apply nothing.

@@ -75,7 +75,7 @@ func (s *Server) syncWALApply(r *wire.Request) *wire.Response {
 		if validateKey(key) != nil {
 			return
 		}
-		if _, _, _, err := version.Decode(value); err != nil {
+		if _, _, err := version.ParseHeader(value); err != nil {
 			return // unstamped: not replica data, the Merkle pass decides
 		}
 		resp, tick := s.applyMutation(0, &wire.Request{Verb: wire.VerbSetV, Key: key, Value: []byte(value)}, nil)

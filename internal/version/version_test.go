@@ -1,6 +1,8 @@
 package version
 
 import (
+	"errors"
+	"strings"
 	"testing"
 )
 
@@ -15,34 +17,49 @@ func TestStampRoundTrip(t *testing.T) {
 		{"negative clock", Version{VV: Vector{"a": 1}, Clock: -5}},
 		{"big counter", Version{VV: Vector{"x": 1<<63 + 11}, Clock: 1}},
 		{"dashed node names", Version{VV: Vector{"node-1": 2, "node-2": 4}, Clock: 99}},
+		{"delimiter node names", Version{VV: Vector{"a:b": 2, "c@d,e": 4}, Clock: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := tc.v.Stamp()
-			got, err := ParseStamp(s)
+			raw := Encode(tc.v, "payload")
+			h, payload, err := ParseHeader(raw)
 			if err != nil {
-				t.Fatalf("ParseStamp(%q): %v", s, err)
+				t.Fatalf("ParseHeader(%q): %v", raw, err)
 			}
-			if got.Clock != tc.v.Clock || Compare(got.VV, tc.v.VV) != Equal {
-				t.Fatalf("round trip %q: got %+v want %+v", s, got, tc.v)
+			got := h.Version()
+			if payload != "payload" || got.Clock != tc.v.Clock || Compare(got.VV, tc.v.VV) != Equal {
+				t.Fatalf("round trip %q: got %+v %q, want %+v", raw, got, payload, tc.v)
 			}
-			if got.Stamp() != s {
-				t.Fatalf("re-stamp of %q gave %q", s, got.Stamp())
+			if re := Encode(got, payload); re != raw {
+				t.Fatalf("re-encode of %q gave %q", raw, re)
+			}
+			if re := EncodeVector(h.vec, h.Clock, false, payload); re != raw {
+				t.Fatalf("EncodeVector of %q's header gave %q", raw, re)
 			}
 		})
 	}
 }
 
 func TestStampCanonical(t *testing.T) {
-	// Component order is sorted regardless of map iteration order, so
-	// equal versions always render byte-identically.
-	v := Version{VV: Vector{"b": 2, "a": 1, "c": 3}, Clock: 7}
-	want := "a:1,b:2,c:3@7"
+	// Entry order is sorted regardless of map iteration order, and zero
+	// counters carry no history, so equal versions always encode
+	// byte-identically.
+	v := Version{VV: Vector{"b": 2, "a": 1, "c": 3, "z": 0}, Clock: 7}
+	want := "\x01v\x00\x00\x00\x00\x00\x00\x00\x07\x03\x01a\x01\x01b\x02\x01c\x03x"
 	for i := 0; i < 32; i++ {
-		if got := v.Stamp(); got != want {
-			t.Fatalf("Stamp() = %q, want %q", got, want)
+		if got := Encode(v, "x"); got != want {
+			t.Fatalf("Encode() = %q, want %q", got, want)
 		}
 	}
+	if got := EncodeVector(Bump(Bump(Bump(Bump(Bump(Bump("", "c"), "b"), "c"), "a"), "c"), "b"), 7, false, "x"); got != want {
+		t.Fatalf("Bump chain encodes %q, want %q", got, want)
+	}
+}
+
+// stampBytes assembles a stamp by hand from its fields, so malformed
+// encodings can be written down directly.
+func stampBytes(kind byte, rest ...string) string {
+	return string([]byte{magic, kind, 0, 0, 0, 0, 0, 0, 0, 5}) + strings.Join(rest, "")
 }
 
 func TestParseStampMalformed(t *testing.T) {
@@ -51,24 +68,30 @@ func TestParseStampMalformed(t *testing.T) {
 		stamp string
 	}{
 		{"empty", ""},
-		{"no clock", "n0:1"},
-		{"no components", "@5"},
-		{"bad clock", "n0:1@zebra"},
-		{"clock overflow", "n0:1@99999999999999999999999999"},
-		{"empty component", "n0:1,@5"},
-		{"component without counter", "n0@5"},
-		{"component without node", ":3@5"},
-		{"bad counter", "n0:x@5"},
-		{"zero counter", "n0:0@5"},
-		{"negative counter", "n0:-1@5"},
-		{"duplicate node", "n0:1,n0:2@5"},
-		{"just separators", ",,@@"},
-		{"trailing comma", "n0:1,@9"},
+		{"no clock", "\x01v"},
+		{"no components", stampBytes('v')},
+		{"bad clock", "\x01v\x00\x00\x00"},
+		{"clock overflow", stampBytes('v', "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02")},
+		{"empty component", stampBytes('v', "\x01", "\x00", "\x01")},
+		{"component without counter", stampBytes('v', "\x01", "\x02n0")},
+		{"component without node", stampBytes('v', "\x01", "\x05n0\x01")},
+		{"bad counter", stampBytes('v', "\x01", "\x02n0", "\x81\x00")},
+		{"zero counter", stampBytes('v', "\x01", "\x02n0", "\x00")},
+		{"negative counter", stampBytes('v', "\x01", "\x02n0", "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02")},
+		{"duplicate node", stampBytes('v', "\x02", "\x02n0\x01", "\x02n0\x02")},
+		{"just separators", stampBytes('v', "\x02", "\x02n1\x01", "\x02n0\x02")},
+		{"trailing comma", stampBytes('v', "\x02", "\x02n0\x01")},
+		{"overlong count", stampBytes('v', "\x81\x00", "\x02n0\x01")},
+		{"unknown kind", stampBytes('x', "\x01", "\x02n0\x01")},
+		{"tombstone with payload", stampBytes('t', "\x01", "\x02n0\x01", "payload")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if v, err := ParseStamp(tc.stamp); err == nil {
-				t.Fatalf("ParseStamp(%q) = %+v, want error", tc.stamp, v)
+			if h, _, err := ParseHeader(tc.stamp); err == nil {
+				t.Fatalf("ParseHeader(%q) = %+v, want error", tc.stamp, h)
+			}
+			if _, _, _, err := Decode(tc.stamp); err == nil {
+				t.Fatalf("Decode(%q) succeeded, want error", tc.stamp)
 			}
 		})
 	}
@@ -104,8 +127,22 @@ func TestCompare(t *testing.T) {
 			if got := Compare(tc.b, tc.a); got != inverse[tc.want] {
 				t.Fatalf("Compare(%v, %v) = %v, want %v (symmetry)", tc.b, tc.a, got, inverse[tc.want])
 			}
+			ha, hb := header(t, Version{VV: tc.a}), header(t, Version{VV: tc.b})
+			if got := ha.Compare(hb); got != tc.want {
+				t.Fatalf("Header.Compare(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
+			}
 		})
 	}
+}
+
+// header encodes v and views the result.
+func header(t testing.TB, v Version) Header {
+	t.Helper()
+	h, _, err := ParseHeader(Encode(v, ""))
+	if err != nil {
+		t.Fatalf("ParseHeader(Encode(%+v)): %v", v, err)
+	}
+	return h
 }
 
 func TestNewerTotalOrder(t *testing.T) {
@@ -138,6 +175,9 @@ func TestNewerTotalOrder(t *testing.T) {
 			if tc.want && Newer(tc.b, tc.a) {
 				t.Fatalf("both Newer(a,b) and Newer(b,a) for %+v / %+v", tc.a, tc.b)
 			}
+			if got := header(t, tc.a).Newer(header(t, tc.b)); got != tc.want {
+				t.Fatalf("Header.Newer(%+v, %+v) = %v, want %v", tc.a, tc.b, got, tc.want)
+			}
 		})
 	}
 	// Exactly one of Newer(a,b) / Newer(b,a) holds for distinct stamps.
@@ -145,6 +185,10 @@ func TestNewerTotalOrder(t *testing.T) {
 	b := Version{VV: Vector{"n1": 1}, Clock: 7}
 	if Newer(a, b) == Newer(b, a) {
 		t.Fatalf("total order must pick exactly one winner for distinct concurrent stamps")
+	}
+	// The zero Header is "never written": every stored version beats it.
+	if !header(t, a).Newer(Header{}) || (Header{}).Newer(header(t, a)) {
+		t.Fatalf("a stored version must beat the zero Header")
 	}
 }
 
@@ -177,6 +221,7 @@ func TestMerge(t *testing.T) {
 
 func TestNextDominates(t *testing.T) {
 	v := Version{}
+	vec := ""
 	for i, node := range []string{"n0", "n0", "n1", "n2", "n0"} {
 		nv := v.Next(node, int64(i+1))
 		if o := nv.Compare(v); o != Dominates {
@@ -184,6 +229,11 @@ func TestNextDominates(t *testing.T) {
 		}
 		if !Newer(nv, v) {
 			t.Fatalf("step %d: Next version not Newer than predecessor", i)
+		}
+		// Bump is Next on the encoded vector.
+		vec = Bump(vec, node)
+		if got, want := EncodeVector(vec, nv.Clock, false, ""), Encode(nv, ""); got != want {
+			t.Fatalf("step %d: Bump encodes %q, Next encodes %q", i, got, want)
 		}
 		v = nv
 	}
@@ -210,7 +260,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{"empty value", Encode(v, ""), "", false},
 		{"value with spaces", Encode(v, "a b  c"), "a b  c", false},
 		{"value resembling a tombstone", Encode(v, "t"), "t", false},
-		{"value resembling an encoding", Encode(v, v.Stamp()+" v x"), v.Stamp() + " v x", false},
+		{"value resembling an encoding", Encode(v, Encode(v, "x")), Encode(v, "x"), false},
+		{"value starting with the magic byte", Encode(v, "\x01t"), "\x01t", false},
 		{"tombstone", EncodeTombstone(v), "", true},
 	}
 	for _, tc := range cases {
@@ -239,6 +290,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeMalformed feeds Decode the text stamps and other values
+// the store held before the binary header: each must fail with
+// ErrTextStamp, never be read as a version.
 func TestDecodeMalformed(t *testing.T) {
 	cases := []struct {
 		name string
@@ -254,11 +308,16 @@ func TestDecodeMalformed(t *testing.T) {
 		{"legacy integer seq", "17 v payload"},
 		{"legacy tombstone", "17 t"},
 		{"hint wrapper", "1754550000 h n0:1@5 v payload"},
+		{"text value", "n0:3,n2:1@1754550000123456789 v payload"},
+		{"text tombstone", "n0:3@1754550000123456789 t"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if v, value, deleted, err := Decode(tc.raw); err == nil {
-				t.Fatalf("Decode(%q) = (%+v, %q, %v), want error", tc.raw, v, value, deleted)
+			if v, value, deleted, err := Decode(tc.raw); !errors.Is(err, ErrTextStamp) {
+				t.Fatalf("Decode(%q) = (%+v, %q, %v, %v), want ErrTextStamp", tc.raw, v, value, deleted, err)
+			}
+			if _, _, err := ParseHeader(tc.raw); !errors.Is(err, ErrTextStamp) {
+				t.Fatalf("ParseHeader(%q) error = %v, want ErrTextStamp", tc.raw, err)
 			}
 		})
 	}
