@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -63,6 +64,15 @@ func runAntiEntropy(keys, valueSize int, seed int64, jsonPath string) int {
 		}
 	}
 
+	// Converge before the kill. A write acks at W=2, and the quorum
+	// cancels its third-replica copy, so a few keys can be missing on one
+	// node already; repairing them here keeps the injected divergence
+	// exactly the victim's keys.
+	if _, err := syncUntilQuiet(ctx, c); err != nil {
+		fmt.Fprintln(os.Stderr, "clusterbench: pre-kill sync:", err)
+		return 1
+	}
+
 	// Kill + restart: the node is memory-only, so it returns empty.
 	victim := c.Nodes()[1]
 	if err := c.Kill(victim); err != nil {
@@ -77,21 +87,10 @@ func runAntiEntropy(keys, valueSize int, seed int64, jsonPath string) int {
 	repairedBefore := c.AntiEntropyRepaired()
 	bytesBefore := c.AntiEntropyBytes()
 	start := time.Now()
-	var rounds int64
-	for {
-		n, err := c.SyncNow(ctx)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "clusterbench: sync:", err)
-			return 1
-		}
-		if n == 0 {
-			break
-		}
-		rounds++
-		if rounds > 64 {
-			fmt.Fprintln(os.Stderr, "clusterbench: anti-entropy did not converge within 64 passes")
-			return 1
-		}
+	rounds, err := syncUntilQuiet(ctx, c)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "clusterbench: sync:", err)
+		return 1
 	}
 	elapsed := time.Since(start)
 
@@ -121,4 +120,22 @@ func runAntiEntropy(keys, valueSize int, seed int64, jsonPath string) int {
 		}
 	}
 	return 0
+}
+
+// syncUntilQuiet runs SyncNow passes until one repairs nothing and
+// returns how many passes repaired something.
+func syncUntilQuiet(ctx context.Context, c *cluster.Cluster) (int64, error) {
+	var rounds int64
+	for {
+		n, err := c.SyncNow(ctx)
+		if err != nil {
+			return rounds, err
+		}
+		if n == 0 {
+			return rounds, nil
+		}
+		if rounds++; rounds > 64 {
+			return rounds, errors.New("anti-entropy did not converge within 64 passes")
+		}
+	}
 }

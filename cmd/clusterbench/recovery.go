@@ -395,21 +395,10 @@ func runRereplicate(keys, valueSize int, seed int64, threshold float64, label st
 	repairedBefore := c.AntiEntropyRepaired()
 	bytesBefore := c.AntiEntropyBytes() + c.AntiEntropyStreamBytes()
 	start := time.Now()
-	var rounds int64
-	for {
-		n, err := c.SyncNow(ctx)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "clusterbench: sync:", err)
-			return res, false
-		}
-		if n == 0 {
-			break
-		}
-		rounds++
-		if rounds > 64 {
-			fmt.Fprintln(os.Stderr, "clusterbench: re-replication did not converge within 64 passes")
-			return res, false
-		}
+	rounds, err := syncUntilQuiet(ctx, c)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "clusterbench: re-replication sync:", err)
+		return res, false
 	}
 	elapsed := time.Since(start)
 

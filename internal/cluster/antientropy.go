@@ -8,7 +8,6 @@ import (
 	"repro/internal/merkle"
 	"repro/internal/sockets"
 	"repro/internal/sockets/wire"
-	"repro/internal/version"
 )
 
 // Anti-entropy is the background convergence path: hinted handoff and
@@ -19,8 +18,8 @@ import (
 // buckets keyed by ring position, see internal/merkle); a sync pass
 // walks every live node pair down the mismatched subtrees with TREE
 // requests, lists only the divergent buckets' keys with SCAN, and
-// repairs each differing key with a version-conditional SETV of the
-// newer side's bytes. Matching subtrees are never descended into and
+// repairs each differing key with version-conditional SETVs, so the
+// receiving replica keeps whichever copy is newer. Matching subtrees are never descended into and
 // values only move for keys that actually differ, so the traffic
 // scales with the divergence, not the keyspace.
 
@@ -97,35 +96,20 @@ func (c *Cluster) SyncNow(ctx context.Context) (int, error) {
 	return repaired, firstErr
 }
 
+// aeBatch caps how many Merkle spans one TREE request carries, and how
+// many buckets wide one SCAN batch is, during a sync pass: it bounds
+// per-request work on the remote node while keeping round trips few.
+const aeBatch = 64
+
 // syncPair converges one node pair: Merkle diff walk, then a batched
 // scan-and-repair over the divergent bucket spans.
 func (c *Cluster) syncPair(ctx context.Context, a, b *node) (int, error) {
-	// pace throttles every request after a pass's first, so a large
-	// repair cannot monopolize the nodes it is repairing. Diff calls
-	// the fetchers sequentially from this goroutine, so the shared
-	// counter needs no lock.
-	reqs := 0
-	pace := func() error {
-		reqs++
-		if reqs == 1 || c.cfg.AntiEntropyWait <= 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(c.cfg.AntiEntropyWait):
-			return nil
-		}
-	}
 	fetch := func(n *node) merkle.Fetcher {
 		return func(ranges []merkle.Range) ([]uint64, error) {
-			if err := pace(); err != nil {
-				return nil, err
-			}
 			return n.client().TreeCtx(ctx, toSpans(ranges))
 		}
 	}
-	leaves, err := merkle.Diff(fetch(a), fetch(b), c.cfg.AntiEntropyBatch)
+	leaves, err := merkle.Diff(fetch(a), fetch(b), aeBatch)
 	if err != nil {
 		return 0, err
 	}
@@ -137,7 +121,7 @@ func (c *Cluster) syncPair(ctx context.Context, a, b *node) (int, error) {
 
 	repaired := 0
 	if c.streamEligible(leaves) {
-		n, serr := c.streamSync(ctx, a, b, pace)
+		n, serr := c.streamSync(ctx, a, b)
 		repaired += n
 		if serr == nil {
 			// Re-diff after the stream: the bulk moved as raw frames, so
@@ -145,7 +129,7 @@ func (c *Cluster) syncPair(ctx context.Context, a, b *node) (int, error) {
 			// stream's source never had, frames the dump skipped, and
 			// writes that raced in. On a stream error the original leaves
 			// stand and the Merkle path repairs everything the slow way.
-			if fresh, derr := merkle.Diff(fetch(a), fetch(b), c.cfg.AntiEntropyBatch); derr == nil {
+			if fresh, derr := merkle.Diff(fetch(a), fetch(b), aeBatch); derr == nil {
 				leaves = fresh
 			}
 		}
@@ -160,10 +144,7 @@ func (c *Cluster) syncPair(ctx context.Context, a, b *node) (int, error) {
 	// round trip returns every key it covers — past ~80k keys that is
 	// a larger frame than the wire allows. Width-bounded batches keep
 	// each SCAN's reply proportional to keyspace/Buckets × batch.
-	for _, batch := range batchSpansByWidth(toSpans(merkle.Coalesce(leaves)), c.cfg.AntiEntropyBatch) {
-		if err := pace(); err != nil {
-			return repaired, err
-		}
+	for _, batch := range batchSpansByWidth(toSpans(merkle.Coalesce(leaves)), aeBatch) {
 		n, err := c.repairSpans(ctx, a, b, batch)
 		repaired += n
 		if err != nil {
@@ -207,10 +188,11 @@ func batchSpansByWidth(spans []wire.Span, budget int) [][]wire.Span {
 
 // repairSpans scans one batch of divergent bucket spans on both nodes
 // and repairs every key that differs. The scans return (key, entry
-// hash) pairs sorted by key, so a single merge-join classifies each
-// key as missing on one side or present on both with different bytes;
-// values are then fetched only for those keys and the newer version is
-// pushed to the other side.
+// hash) pairs sorted by key, so a single merge-join finds each key
+// missing on one side or present on both with different bytes. A
+// missing key is pushed to the side that lacks it; a conflicting key
+// is pushed both ways, and each receiving server's SETV compare keeps
+// the newer copy — the client picks no winner.
 func (c *Cluster) repairSpans(ctx context.Context, a, b *node, spans []wire.Span) (int, error) {
 	ea, err := a.client().ScanCtx(ctx, spans)
 	if err != nil {
@@ -221,7 +203,7 @@ func (c *Cluster) repairSpans(ctx context.Context, a, b *node, spans []wire.Span
 		return 0, err
 	}
 
-	var toB, toA, conflict []string
+	var toB, toA []string
 	i, j := 0, 0
 	for i < len(ea) || j < len(eb) {
 		switch {
@@ -233,69 +215,27 @@ func (c *Cluster) repairSpans(ctx context.Context, a, b *node, spans []wire.Span
 			j++
 		default:
 			if ea[i].Hash != eb[j].Hash {
-				conflict = append(conflict, ea[i].Key)
+				toB = append(toB, ea[i].Key)
+				toA = append(toA, eb[j].Key)
 			}
 			i++
 			j++
 		}
 	}
-	if len(toB)+len(toA)+len(conflict) == 0 {
-		return 0, nil
-	}
-
-	valsA, err := c.fetchRaw(ctx, a, append(append([]string(nil), toB...), conflict...))
-	if err != nil {
-		return 0, err
-	}
-	valsB, err := c.fetchRaw(ctx, b, append(append([]string(nil), toA...), conflict...))
-	if err != nil {
-		return 0, err
-	}
-
 	repaired := 0
-	for _, k := range toB {
-		if raw, ok := valsA[k]; ok && c.pushRepair(ctx, b, k, raw) {
-			repaired++
+	for _, push := range []struct {
+		src, dst *node
+		keys     []string
+	}{{a, b, toB}, {b, a, toA}} {
+		if len(push.keys) == 0 {
+			continue
 		}
-	}
-	for _, k := range toA {
-		if raw, ok := valsB[k]; ok && c.pushRepair(ctx, a, k, raw) {
-			repaired++
+		vals, err := c.fetchRaw(ctx, push.src, push.keys)
+		if err != nil {
+			return repaired, err
 		}
-	}
-	for _, k := range conflict {
-		ra, okA := valsA[k]
-		rb, okB := valsB[k]
-		switch {
-		case okA && okB:
-			va, _, errA := version.ParseHeader(ra)
-			vb, _, errB := version.ParseHeader(rb)
-			switch {
-			case errA != nil && errB != nil:
-				// Neither side decodes: nothing trustworthy to copy.
-			case errA != nil:
-				if c.pushRepair(ctx, a, k, rb) {
-					repaired++
-				}
-			case errB != nil:
-				if c.pushRepair(ctx, b, k, ra) {
-					repaired++
-				}
-			case va.Newer(vb):
-				if c.pushRepair(ctx, b, k, ra) {
-					repaired++
-				}
-			case vb.Newer(va):
-				if c.pushRepair(ctx, a, k, rb) {
-					repaired++
-				}
-			}
-		case okA:
-			if c.pushRepair(ctx, b, k, ra) {
-				repaired++
-			}
-		case okB:
-			if c.pushRepair(ctx, a, k, rb) {
+		for _, k := range push.keys {
+			if raw, ok := vals[k]; ok && c.pushRepair(ctx, push.dst, k, raw) {
 				repaired++
 			}
 		}
@@ -338,7 +278,7 @@ func (c *Cluster) fetchRaw(ctx context.Context, n *node, keys []string) (map[str
 // replicates — vacated copies awaiting cleanup — and those must not be
 // spread further) and the write applied.
 func (c *Cluster) pushRepair(ctx context.Context, dst *node, key, raw string) bool {
-	if strings.HasPrefix(key, hintMark) || !c.replicaFor(key, dst.name) {
+	if !c.replicaFor(key, dst.name) {
 		return false
 	}
 	code, err := dst.client().SetVCtx(ctx, key, raw)
@@ -352,8 +292,12 @@ func (c *Cluster) pushRepair(ctx context.Context, dst *node, key, raw string) bo
 
 // replicaFor reports whether the named node is one of key's replicas
 // under the placement every other path uses — the pre-change ring
-// while a migration window is open.
+// while a migration window is open. A parked hint is replica of
+// nothing: it is per-holder state, never copied between nodes.
 func (c *Cluster) replicaFor(key, name string) bool {
+	if strings.HasPrefix(key, hintMark) {
+		return false
+	}
 	c.topoMu.RLock()
 	defer c.topoMu.RUnlock()
 	ring := c.ring

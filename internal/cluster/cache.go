@@ -16,6 +16,13 @@ import (
 // network round trip).
 const cacheShards = 16
 
+// cacheSize is the cache's total entry budget across its shards, and
+// cacheWindow the admission-rate window a key's reads are counted in.
+const (
+	cacheSize   = 4096
+	cacheWindow = time.Second
+)
+
 // hotCache is the client-side hot-key read cache: a small sharded LRU
 // holding only keys whose observed read rate crossed a threshold, each
 // entry carrying a short lease. It exists for exactly one traffic

@@ -72,8 +72,6 @@ type Config struct {
 	// Deprecated: see sockets.Proto. Ignored — every inter-node pool
 	// speaks the binary protocol.
 	Proto sockets.Proto
-	// ServerShards is each node's store-stripe count (default 8).
-	ServerShards int
 	// DrainTimeout bounds how long a killed or closed node's server
 	// waits for in-flight requests before hard-closing them (default 1s;
 	// chaos tests shrink it so Kill is near-instant).
@@ -91,14 +89,10 @@ type Config struct {
 	// CacheLease is the per-entry lease and therefore the staleness
 	// bound (default 50ms).
 	CacheLease time.Duration
-	// CacheSize is the cache's total entry budget across its shards
-	// (default 4096).
-	CacheSize int
-	// CacheHotThreshold is how many quorum reads within one CacheWindow
-	// admit a key to the cache (default 4). 1 caches on first read.
+	// CacheHotThreshold is how many quorum reads within one admission
+	// window (cacheWindow) admit a key to the cache (default 4). 1
+	// caches on first read.
 	CacheHotThreshold int
-	// CacheWindow is the admission-rate window (default 1s).
-	CacheWindow time.Duration
 
 	// MaxPending is each node server's admission bound: past this many
 	// admitted-but-unanswered requests the node sheds new arrivals with
@@ -118,9 +112,6 @@ type Config struct {
 	// per node name, reused across Restart. Empty with Durable set uses
 	// a temporary directory that Close removes.
 	WALRoot string
-	// WALSnapshotEvery passes through to each node's
-	// sockets.ServerConfig (default 10000 mutations per snapshot).
-	WALSnapshotEvery int
 	// WALSegmentBytes passes through to each durable node's log segment
 	// cap (default 4 MiB). Recovery and chaos tests shrink it so sealed
 	// segments — the units scrubbing checks and SYNCWAL streams — appear
@@ -162,15 +153,6 @@ type Config struct {
 	// leaves anti-entropy manual: tests and benches call SyncNow
 	// directly so convergence is deterministic instead of slept-for.
 	AntiEntropyInterval time.Duration
-	// AntiEntropyBatch caps how many Merkle spans one TREE or SCAN
-	// request carries during a sync pass (default 64): smaller batches
-	// bound per-request work on the remote node, larger ones cut round
-	// trips.
-	AntiEntropyBatch int
-	// AntiEntropyWait is an optional pause between successive batched
-	// requests inside one sync pass (default 0) — a throttle so a large
-	// repair cannot monopolize the nodes it is repairing.
-	AntiEntropyWait time.Duration
 
 	// ServerPreHandle, when non-nil, supplies each named node's
 	// sockets.ServerConfig.PreHandle — the fault-injection surface that
@@ -413,29 +395,17 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.PoolAttempts <= 0 {
 		cfg.PoolAttempts = 2
 	}
-	if cfg.ServerShards <= 0 {
-		cfg.ServerShards = 8
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = time.Second
 	}
 	if cfg.CacheLease <= 0 {
 		cfg.CacheLease = 50 * time.Millisecond
 	}
-	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = 4096
-	}
 	if cfg.CacheHotThreshold <= 0 {
 		cfg.CacheHotThreshold = 4
 	}
-	if cfg.CacheWindow <= 0 {
-		cfg.CacheWindow = time.Second
-	}
 	if cfg.HintTTL == 0 {
 		cfg.HintTTL = 30 * time.Second
-	}
-	if cfg.AntiEntropyBatch <= 0 {
-		cfg.AntiEntropyBatch = 64
 	}
 	if cfg.SyncStreamThreshold == 0 {
 		cfg.SyncStreamThreshold = 0.25
@@ -461,7 +431,7 @@ func New(cfg Config) (*Cluster, error) {
 		sched: sched.New(cfg.Workers),
 	}
 	if cfg.HotKeyCache {
-		c.cache = newHotCache(cfg.CacheSize, cfg.CacheLease, cfg.CacheHotThreshold, cfg.CacheWindow)
+		c.cache = newHotCache(cacheSize, cfg.CacheLease, cfg.CacheHotThreshold, cacheWindow)
 	}
 	if cfg.Durable {
 		c.walRoot = cfg.WALRoot
@@ -494,11 +464,14 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
+// serverShards is each node's store-stripe count.
+const serverShards = 8
+
 // startNode boots one server plus its pooled client, consulting the
 // per-node fault hooks so an injected fault persists across Restart.
 func (c *Cluster) startNode(name string) (*node, error) {
 	scfg := sockets.ServerConfig{
-		Shards:       c.cfg.ServerShards,
+		Shards:       serverShards,
 		DrainTimeout: c.cfg.DrainTimeout,
 		MaxPending:   c.cfg.MaxPending,
 		// Hints are per-holder state, not replicated data: leaving them
@@ -510,7 +483,6 @@ func (c *Cluster) startNode(name string) (*node, error) {
 		// Per-node directory, stable across Restart: recovery replays
 		// whatever this node's previous incarnation logged there.
 		scfg.WALDir = filepath.Join(c.walRoot, name)
-		scfg.WALSnapshotEvery = c.cfg.WALSnapshotEvery
 		scfg.WALSegmentBytes = c.cfg.WALSegmentBytes
 		scfg.WALScrubInterval = c.cfg.WALScrubInterval
 		scfg.WALScrubCorrupt = func(err error) {
@@ -814,11 +786,11 @@ func (c *Cluster) writeQuorum(ctx context.Context, op, key, value string, tombst
 
 // writeReplica lands one replica's copy: directly when the node is
 // healthy, as a hinted handoff on the first live fallback when not
-// (unless hints are disabled). Direct writes go through SETV — the
-// version-conditional set — so a delayed or retried fan-out can never
-// regress a replica that already absorbed a newer version; any SETV
-// that round-trips counts as an ack, because afterwards the replica
-// provably stores a version at least as new as this write's. ctx is
+// (unless hints are disabled). Both go through SETV — the version-
+// conditional set — so a delayed or retried fan-out can never regress
+// a replica (or a parked hint) that already absorbed a newer version;
+// any SETV that round-trips counts as an ack, because afterwards the
+// copy provably holds a version at least as new as this write's. ctx is
 // the per-op fan-out context; once it is canceled (quorum reached or
 // caller gone) the remaining network attempts abort.
 func (c *Cluster) writeReplica(ctx context.Context, key, enc string, target *node, fallbacks []*node) bool {
@@ -844,16 +816,16 @@ func (c *Cluster) writeReplica(ctx context.Context, key, enc string, target *nod
 		ctx, cancel = context.WithTimeout(c.ctx, c.cfg.PoolTimeout)
 		defer cancel()
 	}
+	// The hint is the stamped bytes themselves under a holder-local key,
+	// parked with the same SETV as every other copy: an older hint that
+	// lands late cannot overwrite a newer one, and the TTL sweep ages it
+	// by the stamp's clock.
 	hk := hintKey(target.name, key)
-	// Hints carry their birth time so the TTL sweep can age them out;
-	// replay unwraps before applying. The wrapper rides a plain SET —
-	// hint keys are per-holder scratch state, not versioned data.
-	henc := hintEncode(enc)
 	for _, f := range fallbacks {
 		if f.down.Load() {
 			continue
 		}
-		if err := f.client().SetCtx(ctx, hk, henc); err == nil {
+		if _, err := f.client().SetVCtx(ctx, hk, enc); err == nil {
 			c.hintedWrites.Add(1)
 			return true
 		}

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -473,6 +475,87 @@ func TestClusterBinaryProto(t *testing.T) {
 		v, ok, err := c.Get(fmt.Sprintf("key-%d", i))
 		if err != nil || !ok || v != fmt.Sprintf("v2-%d", i) {
 			t.Fatalf("Get key-%d after lifecycle = (%q, %v, %v)", i, v, ok, err)
+		}
+	}
+}
+
+// TestVerbCensus_NoBlindReplicaWrites records every verb the servers
+// serve across puts and deletes with a replica down, a restart with
+// hint replay, a Join, a Leave and an anti-entropy pass. Every replica
+// copy — quorum write, hint, migration copy, repair — must go through a
+// version-checked verb: the cluster never sends a blind SET or MPUT.
+func TestVerbCensus_NoBlindReplicaWrites(t *testing.T) {
+	var mu sync.Mutex
+	seen := make(map[string]int)
+	cfg := testConfig(4)
+	cfg.Replicas = 3
+	cfg.ServerPreHandle = func(string) func(verb, key string) {
+		return func(verb, _ string) {
+			mu.Lock()
+			seen[verb]++
+			mu.Unlock()
+		}
+	}
+	c := startCluster(t, cfg)
+
+	const keys = 60
+	want := make(map[string]string, keys)
+	for i := 0; i < keys; i++ {
+		k := fmt.Sprintf("census-%02d", i)
+		if err := c.Put(k, "v1"); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = "v1"
+	}
+	if err := c.Kill("node1"); err != nil {
+		t.Fatal(err)
+	}
+	c.Probe()
+	for i := 0; i < keys; i++ {
+		k := fmt.Sprintf("census-%02d", i)
+		if i%3 == 0 {
+			if err := c.Del(k); err != nil {
+				t.Fatal(err)
+			}
+			delete(want, k)
+			continue
+		}
+		if err := c.Put(k, "v2"); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = "v2"
+	}
+	if err := c.Restart("node1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Join("node4"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Leave("node0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SyncNow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	census := fmt.Sprint(seen)
+	blind := seen["SET"] + seen["MPUT"]
+	premise := seen["SETV"] > 0 && seen["SYNCWAL"] > 0
+	mu.Unlock()
+	if blind != 0 {
+		t.Errorf("cluster sent %d blind SET/MPUT requests: %s", blind, census)
+	}
+	// The premise: hints, migration copies and repairs all happened.
+	if c.hintsReplayed.Load() == 0 || c.keysMigrated.Load() == 0 || !premise {
+		t.Fatalf("premise broken: replayed=%d migrated=%d census=%s",
+			c.hintsReplayed.Load(), c.keysMigrated.Load(), census)
+	}
+	for i := 0; i < keys; i++ {
+		k := fmt.Sprintf("census-%02d", i)
+		v, found, err := c.Get(k)
+		if err != nil || found != (want[k] != "") || v != want[k] {
+			t.Fatalf("Get(%s) = %q, %v, %v; want %q", k, v, found, err, want[k])
 		}
 	}
 }

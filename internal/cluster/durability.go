@@ -1,44 +1,77 @@
 package cluster
 
 import (
-	"strconv"
+	"context"
 	"strings"
 	"time"
+
+	"repro/internal/version"
 )
 
-// Hinted handoffs are stored wrapped with their creation time:
-// "<unixNanos> h <encoded value>". The "h" marker keeps a raw hint
-// from ever being mistaken for a versioned value — decode() rejects it
-// loudly — and the timestamp is what the TTL sweep ages against.
-// Without a TTL, a permanently dead destination grows the hint~
-// keyspace forever: every write that misses it parks another hint that
-// nothing will ever consume.
-func hintEncode(raw string) string {
-	return strconv.FormatInt(time.Now().UnixNano(), 10) + " h " + raw
-}
+// A hinted handoff is parked as the write's stamped bytes under
+// hint~<dest>~<key> on a fallback node. The stamp's clock is the hint's
+// birth time, which the TTL sweep ages against. Without a TTL, a
+// permanently dead destination grows the hint~ keyspace forever: every
+// write that misses it parks another hint that nothing will ever
+// consume.
 
-// hintParse splits a stored hint back into its birth time and payload.
-func hintParse(stored string) (born time.Time, raw string, ok bool) {
-	parts := strings.SplitN(stored, " ", 3)
-	if len(parts) != 3 || parts[1] != "h" {
-		return time.Time{}, "", false
-	}
-	nanos, err := strconv.ParseInt(parts[0], 10, 64)
-	if err != nil {
-		return time.Time{}, "", false
-	}
-	return time.Unix(0, nanos), parts[2], true
-}
-
-// hintExpired reports whether a hint born at the given time has
-// outlived the configured TTL (negative TTL = never).
-func (c *Cluster) hintExpired(born time.Time) bool {
-	return c.cfg.HintTTL > 0 && time.Since(born) >= c.cfg.HintTTL
+// hintExpired reports whether a hint stamped with h has outlived the
+// configured TTL (negative TTL = never).
+func (c *Cluster) hintExpired(h version.Header) bool {
+	return c.cfg.HintTTL > 0 && time.Since(time.Unix(0, h.Clock)) >= c.cfg.HintTTL
 }
 
 // HintsExpired reports how many parked hints the TTL sweep (or an
 // expiry check during replay) has dropped.
 func (c *Cluster) HintsExpired() int64 { return c.hintsExpired.Load() }
+
+// scanHints walks holder's parked hints whose keys start with prefix in
+// fetchRawChunk-sized chunks, so neither a request nor a reply outgrows
+// a wire frame however many hints are parked. Each chunk is read with
+// one MGET; visit sees every hint still present and reports whether to
+// consume it, and the chunk's consumed hints go in one MDEL. A hint
+// whose bytes carry no stamp (a hint parked in an older format, say)
+// can never replay, so it is consumed without a visit. Returns how many
+// hints were deleted. The scan stops at the first failed read or once
+// ctx is done.
+func (c *Cluster) scanHints(ctx context.Context, holder *node, prefix string, visit func(hk string, h version.Header, raw string) bool) int {
+	keys, err := holder.client().KeysCtx(ctx)
+	if err != nil {
+		return 0
+	}
+	hints := keys[:0]
+	for _, k := range keys {
+		if strings.HasPrefix(k, prefix) {
+			hints = append(hints, k)
+		}
+	}
+	deleted := 0
+	for len(hints) > 0 && ctx.Err() == nil {
+		chunk := hints[:min(len(hints), fetchRawChunk)]
+		hints = hints[len(chunk):]
+		vals, err := c.fetchRaw(ctx, holder, chunk)
+		if err != nil {
+			break
+		}
+		var consumed []string
+		for _, hk := range chunk {
+			raw, ok := vals[hk]
+			if !ok {
+				continue // consumed by a concurrent scan
+			}
+			h, _, err := version.ParseHeader(raw)
+			if err != nil || visit(hk, h, raw) {
+				consumed = append(consumed, hk)
+			}
+		}
+		if len(consumed) > 0 {
+			if _, err := holder.client().MDelCtx(ctx, consumed...); err == nil {
+				deleted += len(consumed)
+			}
+		}
+	}
+	return deleted
+}
 
 // sweepExpiredHints walks every live node's parked hints and deletes
 // the ones older than HintTTL, whatever their destination — including
@@ -51,7 +84,6 @@ func (c *Cluster) sweepExpiredHints() {
 	if c.cfg.HintTTL <= 0 {
 		return
 	}
-	ctx := c.ctx
 	c.topoMu.RLock()
 	holders := make([]*node, 0, len(c.order))
 	for _, name := range c.order {
@@ -59,55 +91,16 @@ func (c *Cluster) sweepExpiredHints() {
 	}
 	c.topoMu.RUnlock()
 
-	expired := 0
 	for _, holder := range holders {
-		if ctx.Err() != nil {
+		if c.ctx.Err() != nil {
 			break
 		}
 		if holder.down.Load() || holder.killed.Load() {
 			continue
 		}
-		keys, err := holder.client().KeysCtx(ctx)
-		if err != nil {
-			continue
-		}
-		hintKeys := keys[:0]
-		for _, hk := range keys {
-			if strings.HasPrefix(hk, hintMark) {
-				hintKeys = append(hintKeys, hk)
-			}
-		}
-		if len(hintKeys) == 0 {
-			continue
-		}
-		vals, found, err := holder.client().MGetCtx(ctx, hintKeys...)
-		if err != nil {
-			continue
-		}
-		var dead []string
-		for i, hk := range hintKeys {
-			if !found[i] {
-				continue
-			}
-			born, _, ok := hintParse(vals[i])
-			if !ok {
-				// Unparseable hint: it can never replay (applyHint would
-				// reject it too), so age it out with the rest.
-				dead = append(dead, hk)
-				continue
-			}
-			if c.hintExpired(born) {
-				dead = append(dead, hk)
-			}
-		}
-		if len(dead) == 0 {
-			continue
-		}
-		if _, err := holder.client().MDelCtx(ctx, dead...); err == nil {
-			expired += len(dead)
-		}
-	}
-	if expired > 0 {
+		expired := c.scanHints(c.ctx, holder, hintMark, func(_ string, h version.Header, _ string) bool {
+			return c.hintExpired(h)
+		})
 		c.hintsExpired.Add(int64(expired))
 	}
 }

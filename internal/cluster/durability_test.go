@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/version"
 )
 
 // durableConfig is testConfig plus per-node WALs and a fast hint TTL
@@ -211,5 +214,89 @@ func TestHintTTL_DisabledKeepsHints(t *testing.T) {
 	}
 	if got := countParkedHints(t, c); got == 0 {
 		t.Fatal("parked hints vanished with TTL disabled")
+	}
+}
+
+// hintTestCluster starts a 4-node, 3-replica cluster — so every key has
+// one fallback to park hints on — and returns it with node1 killed and
+// marked down. The heartbeat never ticks, so the only hint replay is
+// the one Restart runs, and the counters are final when it returns.
+func hintTestCluster(t *testing.T) (c *Cluster, target *node) {
+	t.Helper()
+	cfg := testConfig(4)
+	cfg.Replicas = 3
+	cfg.HeartbeatInterval = time.Hour
+	c = startCluster(t, cfg)
+	target, err := c.lookup("node1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Kill(target.name); err != nil {
+		t.Fatal(err)
+	}
+	c.Probe()
+	return c, target
+}
+
+// TestHintNeverRegresses: two writes to one key miss a down replica and
+// park their hints on the same holder, the newer one first. The older
+// hint lands second and must not overwrite the newer one, so the
+// replica comes back holding the newer write.
+func TestHintNeverRegresses(t *testing.T) {
+	c, target := hintTestCluster(t)
+	holder, err := c.lookup("node0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	older := version.Bump("", "node0")
+	now := time.Now().UnixNano()
+	encOld := version.EncodeVector(older, now, false, "old")
+	encNew := version.EncodeVector(version.Bump(older, "node0"), now, false, "new")
+	const key = "contested"
+	for _, enc := range []string{encNew, encOld} {
+		if !c.writeReplica(context.Background(), key, enc, target, []*node{holder}) {
+			t.Fatal("hint not parked")
+		}
+	}
+	if got, _, err := holder.client().Get(hintKey(target.name, key)); err != nil || got != encNew {
+		t.Fatalf("holder keeps %q (%v), want the newer hint", got, err)
+	}
+	if err := c.Restart(target.name); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := target.client().Get(key); err != nil || got != encNew {
+		t.Fatalf("replica holds %q (%v) after replay, want the newer write", got, err)
+	}
+}
+
+// TestHintReplay_MoreThanAFrame: over 1 MiB of 1 KiB hints parked on
+// one holder replay completely; the replay reads them in chunks, so no
+// reply outgrows a wire frame.
+func TestHintReplay_MoreThanAFrame(t *testing.T) {
+	c, target := hintTestCluster(t)
+	holder, err := c.lookup("node0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hints = 1200
+	value := strings.Repeat("x", 1024)
+	vec := version.Bump("", "node0")
+	for i := 0; i < hints; i++ {
+		enc := version.EncodeVector(vec, time.Now().UnixNano(), false, value)
+		if !c.writeReplica(context.Background(), fmt.Sprintf("big-%04d", i), enc, target, []*node{holder}) {
+			t.Fatalf("hint %d not parked", i)
+		}
+	}
+	if err := c.Restart(target.name); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.hintsReplayed.Load(); got != hints {
+		t.Fatalf("replayed %d hints, want %d", got, hints)
+	}
+	if n, err := target.client().Count(); err != nil || n != hints {
+		t.Fatalf("restarted replica holds %d keys (%v), want %d", n, err, hints)
+	}
+	if n := countParkedHints(t, c); n != 0 {
+		t.Fatalf("%d hints still parked after replay", n)
 	}
 }

@@ -140,7 +140,7 @@ func (c *Cluster) replayHints(ctx context.Context, dest *node) int {
 	}
 	c.topoMu.RUnlock()
 
-	applied := 0
+	applied, expired := 0, 0
 	for _, holder := range holders {
 		if ctx.Err() != nil {
 			break
@@ -148,65 +148,30 @@ func (c *Cluster) replayHints(ctx context.Context, dest *node) int {
 		if holder.down.Load() {
 			continue
 		}
-		keys, err := holder.client().KeysCtx(ctx)
-		if err != nil {
-			continue
-		}
-		hintKeys := keys[:0]
-		for _, hk := range keys {
-			if strings.HasPrefix(hk, prefix) {
-				hintKeys = append(hintKeys, hk)
-			}
-		}
-		if len(hintKeys) == 0 {
-			continue
-		}
-		// One batched fetch for the whole parked set: a single MGET PDU
-		// per chunk.
-		vals, found, err := holder.client().MGetCtx(ctx, hintKeys...)
-		if err != nil {
-			continue
-		}
-		var consumed []string
-		expired := 0
-		for i, hk := range hintKeys {
-			if !found[i] {
-				continue // consumed by a concurrent sweep
-			}
-			key := strings.TrimPrefix(hk, prefix)
-			born, raw, ok := hintParse(vals[i])
-			if !ok {
-				consumed = append(consumed, hk) // unparseable: can never replay
-				continue
-			}
-			if c.hintExpired(born) {
+		c.scanHints(ctx, holder, prefix, func(hk string, h version.Header, raw string) bool {
+			if c.hintExpired(h) {
 				// Past the TTL: the sweep would have dropped it; finding it
 				// here first changes nothing.
 				expired++
-				consumed = append(consumed, hk)
-				continue
+				return true
 			}
-			switch c.applyHint(ctx, dest, key, raw) {
+			switch c.applyHint(ctx, dest, strings.TrimPrefix(hk, prefix), raw) {
 			case hintApplied:
 				applied++
-				consumed = append(consumed, hk)
+				return true
 			case hintStale:
-				// Older than what dest already holds: dead weight,
-				// delete without applying.
-				consumed = append(consumed, hk)
-			case hintFailed:
-				// Transport failure (dest may have died again mid-
-				// replay): the hint still counts toward a past write's
-				// sloppy quorum, so it MUST survive for the next sweep —
-				// consuming it here would silently drop an acknowledged
-				// write.
+				// Older than what dest already holds: dead weight, delete
+				// without applying.
+				return true
 			}
-		}
-		if len(consumed) > 0 {
-			holder.client().MDelCtx(ctx, consumed...) //nolint:errcheck // best effort cleanup
-		}
-		c.hintsExpired.Add(int64(expired))
+			// Transport failure (dest may have died again mid-replay): the
+			// hint still counts toward a past write's sloppy quorum, so it
+			// MUST survive for the next sweep — consuming it here would
+			// silently drop an acknowledged write.
+			return false
+		})
 	}
+	c.hintsExpired.Add(int64(expired))
 	c.hintsReplayed.Add(int64(applied))
 	if applied > 0 {
 		c.emit(EventHintReplay, dest.name, strconv.Itoa(applied)+" hints")
@@ -220,7 +185,7 @@ type hintOutcome int
 const (
 	hintApplied hintOutcome = iota // written to the home node
 	hintStale                      // home node already holds a version at least as new
-	hintFailed                     // malformed or transport failure: keep the hint
+	hintFailed                     // transport failure: keep the hint
 )
 
 // applyHint replays one hinted value onto its home node with a single
@@ -235,9 +200,6 @@ const (
 // every replica, and either way the outcome is counted
 // (hints.concurrent) instead of being misread as plain staleness.
 func (c *Cluster) applyHint(ctx context.Context, dest *node, key, raw string) hintOutcome {
-	if _, _, err := version.ParseHeader(raw); err != nil {
-		return hintFailed
-	}
 	code, err := dest.client().SetVCtx(ctx, key, raw)
 	if err != nil {
 		return hintFailed

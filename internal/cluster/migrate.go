@@ -7,8 +7,8 @@ import (
 	"unicode"
 
 	"repro/internal/db"
-	"repro/internal/sockets"
 	"repro/internal/version"
+	"repro/internal/wal"
 )
 
 // Topology changes run in three phases so quorum intersection never
@@ -177,16 +177,14 @@ func (c *Cluster) cutover(moves []move, byName map[string]*node, dropNode string
 		// Keys not in moved: placement unchanged, the normal write path
 		// covered them.
 	}
+	// Version-gated like the bulk copy: that phase may have raced a
+	// double-write onto a destination, and the re-copy must never regress
+	// it to something older. A failed batch is repaired by anti-entropy.
+	copies := make(copyBatches)
 	for key, raw := range c.newestCopies(c.ctx, wants, byName) {
-		for _, dst := range subtract(moved[key].new, moved[key].old) {
-			if n := byName[dst]; n != nil && !n.down.Load() {
-				// Version-conditional: the bulk copy phase may have raced a
-				// double-write onto this destination, and the re-copy must
-				// never regress it to something older.
-				n.client().SetVCtx(c.ctx, key, raw) //nolint:errcheck // repaired again by anti-entropy at worst
-			}
-		}
+		copies.add(moved[key], raw, byName)
 	}
+	c.shipCopies(c.ctx, copies, byName)
 	c.prevRing, c.prevOrder, c.dirty = nil, nil, nil
 	if dropNode != "" {
 		delete(c.nodes, dropNode)
@@ -197,10 +195,10 @@ func (c *Cluster) cutover(moves []move, byName map[string]*node, dropNode string
 // replica list) and resolves every key's winning raw value locally —
 // causal dominance first, deterministic tiebreak for concurrent
 // histories. Consulting every live source guards against trusting a
-// copy a quorum-abort cancellation left behind; doing it with one MGET
-// per source instead of one GET per (key, source) is what keeps a
-// migration's read amplification at O(sources) round trips per chunk
-// rather than O(keys × sources). Keys with no live source or no
+// copy a quorum-abort cancellation left behind; reading each source in
+// fetchRaw's MGET chunks instead of one GET per (key, source) is what
+// keeps a migration's read amplification at O(sources) round trips per
+// chunk rather than O(keys × sources). Keys with no live source or no
 // decodable copy are simply absent from the result.
 func (c *Cluster) newestCopies(ctx context.Context, wants map[string][]string, byName map[string]*node) map[string]string {
 	keysBySrc := make(map[string][]string)
@@ -220,20 +218,17 @@ func (c *Cluster) newestCopies(ctx context.Context, wants map[string][]string, b
 		if ctx.Err() != nil {
 			break
 		}
-		vals, found, err := byName[src].client().MGetCtx(ctx, keys...)
+		vals, err := c.fetchRaw(ctx, byName[src], keys)
 		if err != nil {
 			continue // a dead source just contributes nothing
 		}
-		for i, key := range keys {
-			if !found[i] {
-				continue
-			}
-			ver, _, err := version.ParseHeader(vals[i])
+		for key, raw := range vals {
+			ver, _, err := version.ParseHeader(raw)
 			if err != nil {
 				continue
 			}
 			if b, ok := best[key]; !ok || ver.Newer(b.ver) {
-				best[key] = candidate{ver: ver, raw: vals[i]}
+				best[key] = candidate{ver: ver, raw: raw}
 			}
 		}
 	}
@@ -310,19 +305,19 @@ func subtract(a, b []string) []string {
 }
 
 // migrateChunk is how many moved keys one sched task gathers before
-// flushing: large enough that a destination receives a meaty MPUT
-// batch, small enough that big migrations still spread across workers.
+// flushing: large enough that a destination receives a meaty batch,
+// small enough that big migrations still spread across workers.
 const migrateChunk = 32
 
 // migrate copies each moved key to its new homes, in chunks fanned out
 // on the sched pool. Each copy carries the newest version across all
 // live old replicas. Within a chunk the copies are gathered per
-// destination and shipped as one MPUT batch — a single pipelined PDU
-// per destination instead of a SET round-trip per key. The fan-out rides ParallelForCtx on the cluster context:
-// Close stops seeding chunks and aborts the in-flight copies, so a
-// shutdown never waits out a large migration. Vacated copies are NOT
-// deleted here — reads still quorum on the old placement until the
-// cutover.
+// destination and shipped as one version-gated batch (see shipCopies)
+// instead of a round trip per key. The fan-out rides ParallelForCtx on
+// the cluster context: Close stops seeding chunks and aborts the
+// in-flight copies, so a shutdown never waits out a large migration.
+// Vacated copies are NOT deleted here — reads still quorum on the old
+// placement until the cutover.
 func (c *Cluster) migrate(ctx context.Context, moves []move, byName map[string]*node) error {
 	if len(moves) == 0 {
 		return nil
@@ -335,31 +330,61 @@ func (c *Cluster) migrate(ctx context.Context, moves []move, byName map[string]*
 			wants[moves[i].key] = moves[i].old
 		}
 		raws := c.newestCopies(ctx, wants, byName)
-		batches := make(map[string][]sockets.KV)
+		copies := make(copyBatches)
 		for i := lo; i < hi; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			m := moves[i]
-			raw, ok := raws[m.key]
-			if !ok {
-				continue // never written, or no live source: nothing to move
-			}
-			for _, dst := range subtract(m.new, m.old) {
-				if n := byName[dst]; n != nil && !n.down.Load() {
-					batches[dst] = append(batches[dst], sockets.KV{Key: m.key, Value: raw})
-				}
+			if raw, ok := raws[moves[i].key]; ok { // else never written, or no live source
+				copies.add(moves[i], raw, byName)
 			}
 		}
-		for dst, pairs := range batches {
-			if ctx.Err() != nil {
-				return
-			}
-			if byName[dst].client().MPutCtx(ctx, pairs) == nil {
-				c.keysMigrated.Add(int64(len(pairs)))
-			}
-		}
+		c.shipCopies(ctx, copies, byName)
 	})
+}
+
+// copyBatchBytes bounds one batch of copies, so a batch of big values
+// still fits a wire frame.
+const copyBatchBytes = 256 << 10
+
+// copyBatches gathers a topology change's copies per destination node,
+// framed as SYNCWAL stream records (the format WAL streaming ships)
+// and cut into batches of about copyBatchBytes.
+type copyBatches map[string][][]byte
+
+// add queues m's key's winning copy raw for each of m's new replicas
+// that is live and did not already replicate the key.
+func (b copyBatches) add(m move, raw string, byName map[string]*node) {
+	rec := &wal.Record{Kind: wal.KindSet, Key: m.key, Value: raw}
+	for _, dst := range subtract(m.new, m.old) {
+		if n := byName[dst]; n == nil || n.down.Load() {
+			continue
+		}
+		batches := b[dst]
+		if last := len(batches) - 1; last < 0 || len(batches[last])+len(m.key)+len(raw) > copyBatchBytes {
+			batches = append(batches, nil)
+		}
+		last := len(batches) - 1
+		batches[last] = wal.AppendStreamRecord(batches[last], rec)
+		b[dst] = batches
+	}
+}
+
+// shipCopies sends every queued batch to its destination through
+// SYNCWAL's apply mode, which runs each record through the server's
+// SETV compare: a copy no newer than what the destination holds changes
+// nothing, so migration cannot regress a key a concurrent write or
+// double-write already advanced. The receiver needs no WAL. Applied
+// copies count toward keys-migrated; a failed batch is left to
+// anti-entropy.
+func (c *Cluster) shipCopies(ctx context.Context, b copyBatches, byName map[string]*node) {
+	for dst, batches := range b {
+		for _, batch := range batches {
+			if ctx.Err() != nil {
+				return
+			}
+			if n, err := byName[dst].client().SyncWALApplyCtx(ctx, batch); err == nil {
+				c.keysMigrated.Add(int64(n))
+			}
+		}
+	}
 }
 
 // cleanupVacated bulk-deletes the copies the cutover left behind on

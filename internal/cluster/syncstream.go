@@ -42,18 +42,10 @@ func (c *Cluster) streamEligible(leaves []merkle.Range) bool {
 // chunk, filtered, and pushed to the destination. Returns how many
 // frames the destination actually applied — version-conditional, so
 // frames the destination already has (or has newer versions of) count
-// zero and convergence loops still terminate. pace is the caller's
-// per-request throttle, shared so a stream honors AntiEntropyWait like
-// any other repair traffic.
-func (c *Cluster) streamSync(ctx context.Context, a, b *node, pace func() error) (int, error) {
-	if err := pace(); err != nil {
-		return 0, err
-	}
+// zero and convergence loops still terminate.
+func (c *Cluster) streamSync(ctx context.Context, a, b *node) (int, error) {
 	na, err := a.client().CountCtx(ctx)
 	if err != nil {
-		return 0, err
-	}
-	if err := pace(); err != nil {
 		return 0, err
 	}
 	nb, err := b.client().CountCtx(ctx)
@@ -69,9 +61,6 @@ func (c *Cluster) streamSync(ctx context.Context, a, b *node, pace func() error)
 	restarted := false
 	var cur uint64
 	for {
-		if err := pace(); err != nil {
-			return applied, err
-		}
 		chunk, next, done, err := src.client().SyncWALDumpCtx(ctx, cur)
 		if err != nil {
 			// A snapshot on the source pruned a segment mid-dump: the
@@ -91,9 +80,6 @@ func (c *Cluster) streamSync(ctx context.Context, a, b *node, pace func() error)
 			return applied, err
 		}
 		if len(filtered) > 0 {
-			if err := pace(); err != nil {
-				return applied, err
-			}
 			n, err := dst.client().SyncWALApplyCtx(ctx, filtered)
 			if err != nil {
 				return applied, err
@@ -115,8 +101,7 @@ func (c *Cluster) streamSync(ctx context.Context, a, b *node, pace func() error)
 // destination should ingest: dedupe recordings (per-client retry
 // identities, replica-agnostic), and Set payloads — MPut pairs
 // flattened to single Sets — for keys the destination actually
-// replicates, skipping parked hints (per-holder scratch state) and
-// anything without a version stamp (the receiver applies via SETV,
+// replicates (parked hints replicate nowhere), skipping anything without a version stamp (the receiver applies via SETV,
 // which needs one; unstamped bytes can't be resolved against what the
 // receiver may already hold). Raw Del/MDel records are dropped too:
 // cluster deletes are versioned tombstone Sets, so a bare delete frame
@@ -131,7 +116,7 @@ func (c *Cluster) filterStream(chunk []byte, dstName string) ([]byte, error) {
 		return nil, err
 	}
 	keep := func(key, value string) bool {
-		if strings.HasPrefix(key, hintMark) || !c.replicaFor(key, dstName) {
+		if !c.replicaFor(key, dstName) {
 			return false
 		}
 		_, _, err := version.ParseHeader(value)

@@ -347,3 +347,59 @@ func TestPoolZeroTimeoutCancel(t *testing.T) {
 	}
 	once.Do(func() { close(release) })
 }
+
+// TestFrameGuard_OversizedResponseFailsOnce: a KEYS reply that would
+// encode past MaxFrame comes back as an error on its own ID, served
+// once and not retried, while a GET in flight on the same pipe at that
+// moment completes normally — the oversized frame never reaches the
+// client to tear the connection down.
+func TestFrameGuard_OversizedResponseFailsOnce(t *testing.T) {
+	s, err := NewServerConfig("127.0.0.1:0", ServerConfig{
+		PreHandle: func(verb, _ string) {
+			if verb == "GET" {
+				time.Sleep(100 * time.Millisecond) // still in flight when KEYS answers
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	p, err := NewPool(s.Addr(), PoolConfig{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	// 5,000 keys of 250 bytes: a KEYS reply of about 1.25 MiB.
+	pairs := make([]KV, 5000)
+	for i := range pairs {
+		pairs[i] = KV{Key: fmt.Sprintf("%0250d", i), Value: "v"}
+	}
+	if err := p.MPut(pairs); err != nil {
+		t.Fatal(err)
+	}
+
+	getErr := make(chan error, 1)
+	go func() {
+		v, ok, err := p.Get(pairs[0].Key)
+		if err == nil && (!ok || v != "v") {
+			err = fmt.Errorf("Get = %q, %v", v, ok)
+		}
+		getErr <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the GET reach the server first
+	retriesBefore := p.Stats().Retries
+	if _, err := p.Keys(); !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "frame limit") {
+		t.Fatalf("oversized KEYS = %v, want ErrServer naming the frame limit", err)
+	}
+	if err := <-getErr; err != nil {
+		t.Fatalf("concurrent GET on the same pool failed: %v", err)
+	}
+	if n := s.VerbLatency("KEYS").Count(); n != 1 {
+		t.Errorf("KEYS served %d times, want 1 (no retry into the same failure)", n)
+	}
+	if r := p.Stats().Retries - retriesBefore; r != 0 {
+		t.Errorf("%d retries: the pipe was torn down", r)
+	}
+}

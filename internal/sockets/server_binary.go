@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -351,9 +352,21 @@ func (s *Server) respond(fw *frameWriter, req *wire.Request, resp *wire.Response
 	return writeResponse(fw, resp)
 }
 
-// writeResponse encodes resp straight into fw's queue.
+// writeResponse encodes resp straight into fw's queue. A response that
+// would not fit one frame (KEYS or MGET over too many bytes) is
+// replaced by an error on the same ID: the client would refuse the
+// oversized frame and tear down its pipe with every request in flight
+// on it, then retry into the same failure.
 func writeResponse(fw *frameWriter, resp *wire.Response) error {
-	return fw.write(func(dst []byte) []byte { return wire.AppendResponse(dst, resp) })
+	return fw.write(func(dst []byte) []byte {
+		start := len(dst)
+		dst = wire.AppendResponse(dst, resp)
+		if n := len(dst) - start; n > MaxFrame {
+			dst = wire.AppendResponse(dst[:start], &wire.Response{Tag: wire.RespErr, ID: resp.ID,
+				Err: fmt.Sprintf("response of %d bytes exceeds the %d-byte frame limit", n, MaxFrame)})
+		}
+		return dst
+	})
 }
 
 // handleBinary interprets one decoded PDU against the sharded store.
