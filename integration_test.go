@@ -369,8 +369,13 @@ func TestKVSubstrateFaultTolerance(t *testing.T) {
 	if st.Retries == 0 {
 		t.Error("fault injection produced no observable retries")
 	}
-	// KEYS sees every write, sorted, across all shards.
-	keys, err := pool.Keys()
+	// The lab client's KEYS sees every write, sorted, across all shards.
+	lab, err := sockets.Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := lab.Keys()
+	lab.Close()
 	if err != nil {
 		t.Fatal(err)
 	}

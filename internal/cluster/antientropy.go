@@ -186,6 +186,44 @@ func batchSpansByWidth(spans []wire.Span, budget int) [][]wire.Span {
 	return batches
 }
 
+// scanKeys pages buckets [lo, hi) of every node in srcs through SCANs
+// at most width buckets wide, so no reply outgrows a wire frame, and
+// calls visit with each page's keys, each key once however many
+// sources hold it; visit returns false to end the walk. A source whose
+// SCAN fails is dropped for the rest of the walk: the others may still
+// hold its keys. Returns ctx's error if that ended the walk.
+func scanKeys(ctx context.Context, srcs []*node, lo, hi, width int, visit func(keys []string) bool) error {
+	for _, spans := range batchSpansByWidth([]wire.Span{{Lo: uint32(lo), Hi: uint32(hi)}}, width) {
+		if len(srcs) == 0 {
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		seen := make(map[string]struct{})
+		var keys []string
+		live := srcs[:0]
+		for _, n := range srcs {
+			page, err := n.client().ScanCtx(ctx, spans)
+			if err != nil {
+				continue
+			}
+			live = append(live, n)
+			for _, e := range page {
+				if _, dup := seen[e.Key]; !dup {
+					seen[e.Key] = struct{}{}
+					keys = append(keys, e.Key)
+				}
+			}
+		}
+		srcs = live
+		if len(keys) > 0 && !visit(keys) {
+			return nil
+		}
+	}
+	return ctx.Err()
+}
+
 // repairSpans scans one batch of divergent bucket spans on both nodes
 // and repairs every key that differs. The scans return (key, entry
 // hash) pairs sorted by key, so a single merge-join finds each key

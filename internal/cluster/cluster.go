@@ -18,7 +18,7 @@
 // the background (read repair), and a Merkle-tree anti-entropy loop
 // (antientropy.go) lets replicas that diverged silently — with hints
 // disabled or expired — find and exchange exactly the keys that differ.
-// The db.DHT supplies the ring geometry, and Moves() counts the tracked
+// The db.DHT supplies the ring geometry, and Moves() counts the stored
 // keys whose owner each topology change moved — the same count a
 // db.DHT holding those keys reports — certifying the minimal-movement
 // property.
@@ -274,24 +274,26 @@ func (n *node) server() *sockets.Server {
 type Cluster struct {
 	cfg Config
 
-	// topoMu guards the ring, the membership tables, and moves. Request
-	// paths, writes included, hold it shared only to compute placement;
-	// all network traffic happens outside it. Join and Leave hold it
-	// exclusively, which excludes every writer. The ring is geometry
-	// only: it stores no keys, c.keys is the one table of them.
+	// topoMu guards the ring and the membership tables. Request paths,
+	// writes included, hold it shared only to compute placement; all
+	// network traffic happens outside it. Join and Leave hold it
+	// exclusively, which excludes every writer, only to swap the ring
+	// and to open and close the migration window. The ring is geometry
+	// only: it stores no keys, and a topology change finds the keys to
+	// move by paging the nodes through SCAN.
 	//
-	// keys maps each tracked key to the vector of its last stamp — the
-	// causal history this client has stamped onto the key so far. The
-	// next write bumps the coordinator's slot in that vector under the
-	// key's stripe lock, so writes from this client to one key always
-	// dominate their predecessors; concurrent (incomparable) vectors only
-	// arise across clients or from injected divergence.
+	// keys maps each key this client wrote to the vector of its last
+	// stamp — the causal history this client has stamped onto the key so
+	// far. The next write bumps the coordinator's slot in that vector
+	// under the key's stripe lock, so writes from this client to one key
+	// always dominate their predecessors; concurrent (incomparable)
+	// vectors only arise across clients or from injected divergence.
 	topoMu sync.RWMutex
 	ring   *db.DHT
 	keys   keyTable
 	nodes  map[string]*node
-	order  []string // join order, for stable iteration and reports
-	moves  int64    // tracked keys whose owner a topology change moved
+	order  []string     // join order, for stable iteration and reports
+	moves  atomic.Int64 // stored keys whose owner a topology change moved
 
 	// Migration-window state, guarded by topoMu. While prevRing is
 	// non-nil a topology change is copying keys: quorum placement stays
@@ -558,14 +560,10 @@ func (c *Cluster) Nodes() []string {
 	return append([]string(nil), c.order...)
 }
 
-// Moves reports how many tracked keys topology changes have given a new
+// Moves reports how many stored keys topology changes have given a new
 // owner so far — the counter that certifies the ~K/n movement property,
 // equal to what db.DHT.Moves reports for the same keys and changes.
-func (c *Cluster) Moves() int64 {
-	c.topoMu.RLock()
-	defer c.topoMu.RUnlock()
-	return c.moves
-}
+func (c *Cluster) Moves() int64 { return c.moves.Load() }
 
 func (c *Cluster) validateKey(key string) error {
 	if strings.HasPrefix(key, hintMark) {

@@ -243,7 +243,7 @@ func TestClusterHintedHandoffReplaysOnRestart(t *testing.T) {
 		if h.killed.Load() || h.down.Load() {
 			continue
 		}
-		all, err := h.client().Keys()
+		all, err := labKeys(h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,6 +303,74 @@ func TestClusterMovesMatchesDHT(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(`Leave("node1")`)
+}
+
+// TestJoinMovesKeysThisClientNeverWrote: stamped copies SETV'd straight
+// to their ring replicas never pass through this client's key table.
+// A Join still finds them on the nodes: afterwards the new node holds
+// every key the new ring gives it, and Moves() counts what a db.DHT
+// holding the same keys counts.
+func TestJoinMovesKeysThisClientNeverWrote(t *testing.T) {
+	cfg := testConfig(3)
+	c := startCluster(t, cfg)
+	shadow, err := db.NewDHT(cfg.VNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Nodes() {
+		if err := shadow.AddNode(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const keys = 300
+	want := make(map[string]string, keys)
+	for i := 0; i < keys; i++ {
+		key := fmt.Sprintf("foreign-%d", i)
+		want[key] = version.EncodeVector(version.Bump("", "elsewhere"), time.Now().UnixNano(), false, "v")
+		for _, name := range c.ring.NodesFor(key, c.cfg.Replicas) {
+			n, err := c.lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := n.client().SetVCtx(context.Background(), key, want[key]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := shadow.Put(key, "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Join("node3"); err != nil {
+		t.Fatal(err)
+	}
+	if err := shadow.AddNode("node3"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Moves(), shadow.Moves(); got == 0 || got != want {
+		t.Fatalf("cluster Moves() = %d, DHT Moves() = %d", got, want)
+	}
+	fresh, err := c.lookup("node3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := 0
+	for key, enc := range want {
+		c.topoMu.RLock()
+		replicas := c.ring.NodesFor(key, c.cfg.Replicas)
+		c.topoMu.RUnlock()
+		for _, name := range replicas {
+			if name != fresh.name {
+				continue
+			}
+			held++
+			if got, ok, err := fresh.client().Get(key); err != nil || !ok || got != enc {
+				t.Fatalf("node3 holds %s = %q (%v, %v), want the stamped copy", key, got, ok, err)
+			}
+		}
+	}
+	if held == 0 {
+		t.Fatal("the new ring gives node3 none of the keys")
+	}
 }
 
 func TestClusterJoinMovesOnlyArcKeys(t *testing.T) {
@@ -484,6 +552,8 @@ func TestClusterBinaryProto(t *testing.T) {
 // hint replay, a Join, a Leave and an anti-entropy pass. Every replica
 // copy — quorum write, hint, migration copy, repair — must go through a
 // version-checked verb: the cluster never sends a blind SET or MPUT.
+// And SCAN is the one way the cluster lists a node's keys: hint
+// discovery and migration page through it, and no KEYS is served.
 func TestVerbCensus_NoBlindReplicaWrites(t *testing.T) {
 	var mu sync.Mutex
 	seen := make(map[string]int)
@@ -541,10 +611,14 @@ func TestVerbCensus_NoBlindReplicaWrites(t *testing.T) {
 	mu.Lock()
 	census := fmt.Sprint(seen)
 	blind := seen["SET"] + seen["MPUT"]
+	listed, scans := seen["KEYS"], seen["SCAN"]
 	premise := seen["SETV"] > 0 && seen["SYNCWAL"] > 0
 	mu.Unlock()
 	if blind != 0 {
 		t.Errorf("cluster sent %d blind SET/MPUT requests: %s", blind, census)
+	}
+	if listed != 0 || scans == 0 {
+		t.Errorf("cluster listed keys with %d KEYS and %d SCAN requests, want SCAN only: %s", listed, scans, census)
 	}
 	// The premise: hints, migration copies and repairs all happened.
 	if c.hintsReplayed.Load() == 0 || c.keysMigrated.Load() == 0 || !premise {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/merkle"
 	"repro/internal/version"
 )
 
@@ -25,51 +26,57 @@ func (c *Cluster) hintExpired(h version.Header) bool {
 // expiry check during replay) has dropped.
 func (c *Cluster) HintsExpired() int64 { return c.hintsExpired.Load() }
 
-// scanHints walks holder's parked hints whose keys start with prefix in
-// fetchRawChunk-sized chunks, so neither a request nor a reply outgrows
-// a wire frame however many hints are parked. Each chunk is read with
-// one MGET; visit sees every hint still present and reports whether to
-// consume it, and the chunk's consumed hints go in one MDEL. A hint
-// whose bytes carry no stamp (a hint parked in an older format, say)
-// can never replay, so it is consumed without a visit. Returns how many
-// hints were deleted. The scan stops at the first failed read or once
-// ctx is done.
+// hintScanWidth is how many buckets one hint-discovery SCAN covers:
+// the hint half of a holder's bucket space is paged in four SCANs. A
+// page lists only hints, however many other keys the holder stores.
+const hintScanWidth = merkle.Buckets / 4
+
+// scanHints walks holder's parked hints whose keys start with prefix.
+// The holder's server files hints in SCAN buckets [merkle.Buckets,
+// 2·merkle.Buckets), so paging that range lists exactly its hints. Each
+// page is read in fetchRawChunk-sized chunks, so neither a request nor
+// a reply outgrows a wire frame however many hints are parked. Each
+// chunk is read with one MGET; visit sees every hint still present and
+// reports whether to consume it, and the chunk's consumed hints go in
+// one MDEL. A hint whose bytes carry no stamp (a hint parked in an
+// older format, say) can never replay, so it is consumed without a
+// visit. Returns how many hints were deleted. The scan stops at the
+// first failed SCAN or read, or once ctx is done.
 func (c *Cluster) scanHints(ctx context.Context, holder *node, prefix string, visit func(hk string, h version.Header, raw string) bool) int {
-	keys, err := holder.client().KeysCtx(ctx)
-	if err != nil {
-		return 0
-	}
-	hints := keys[:0]
-	for _, k := range keys {
-		if strings.HasPrefix(k, prefix) {
-			hints = append(hints, k)
-		}
-	}
 	deleted := 0
-	for len(hints) > 0 && ctx.Err() == nil {
-		chunk := hints[:min(len(hints), fetchRawChunk)]
-		hints = hints[len(chunk):]
-		vals, err := c.fetchRaw(ctx, holder, chunk)
-		if err != nil {
-			break
-		}
-		var consumed []string
-		for _, hk := range chunk {
-			raw, ok := vals[hk]
-			if !ok {
-				continue // consumed by a concurrent scan
-			}
-			h, _, err := version.ParseHeader(raw)
-			if err != nil || visit(hk, h, raw) {
-				consumed = append(consumed, hk)
+	scanKeys(ctx, []*node{holder}, merkle.Buckets, 2*merkle.Buckets, hintScanWidth, func(keys []string) bool { //nolint:errcheck // a stopped scan leaves the rest parked for the next sweep
+		hints := keys[:0]
+		for _, k := range keys {
+			if strings.HasPrefix(k, prefix) {
+				hints = append(hints, k)
 			}
 		}
-		if len(consumed) > 0 {
-			if _, err := holder.client().MDelCtx(ctx, consumed...); err == nil {
-				deleted += len(consumed)
+		for len(hints) > 0 && ctx.Err() == nil {
+			chunk := hints[:min(len(hints), fetchRawChunk)]
+			hints = hints[len(chunk):]
+			vals, err := c.fetchRaw(ctx, holder, chunk)
+			if err != nil {
+				return false
+			}
+			var consumed []string
+			for _, hk := range chunk {
+				raw, ok := vals[hk]
+				if !ok {
+					continue // consumed by a concurrent scan
+				}
+				h, _, err := version.ParseHeader(raw)
+				if err != nil || visit(hk, h, raw) {
+					consumed = append(consumed, hk)
+				}
+			}
+			if len(consumed) > 0 {
+				if _, err := holder.client().MDelCtx(ctx, consumed...); err == nil {
+					deleted += len(consumed)
+				}
 			}
 		}
-	}
+		return true
+	})
 	return deleted
 }
 

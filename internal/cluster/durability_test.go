@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sockets"
 	"repro/internal/version"
 )
 
@@ -175,7 +176,7 @@ func countParkedHints(t *testing.T, c *Cluster) int {
 		if n.killed.Load() {
 			continue
 		}
-		keys, err := n.client().Keys()
+		keys, err := labKeys(n)
 		if err != nil {
 			continue
 		}
@@ -186,6 +187,16 @@ func countParkedHints(t *testing.T, c *Cluster) int {
 		}
 	}
 	return total
+}
+
+// labKeys lists every key n stores with the lab Client's text KEYS.
+func labKeys(n *node) ([]string, error) {
+	lab, err := sockets.Dial(n.address())
+	if err != nil {
+		return nil, err
+	}
+	defer lab.Close()
+	return lab.Keys()
 }
 
 // TestHintTTL_DisabledKeepsHints: a negative TTL turns expiry off —
@@ -298,5 +309,45 @@ func TestHintReplay_MoreThanAFrame(t *testing.T) {
 	}
 	if n := countParkedHints(t, c); n != 0 {
 		t.Fatalf("%d hints still parked after replay", n)
+	}
+}
+
+// TestHintReplay_HolderPastAFrameOfKeys: the holder of the parked hints
+// also stores more than 1 MiB of key names. Listing all of them in one
+// reply would outgrow a wire frame; hint discovery pages only the
+// holder's hints, so restart still replays every one.
+func TestHintReplay_HolderPastAFrameOfKeys(t *testing.T) {
+	c, target := hintTestCluster(t)
+	holder, err := c.lookup("node0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	filler := make([]sockets.KV, 5000) // 250-byte names: about 1.25 MiB
+	for i := range filler {
+		filler[i] = sockets.KV{Key: fmt.Sprintf("filler-%0243d", i), Value: "v"}
+	}
+	if err := holder.client().MPut(filler); err != nil {
+		t.Fatal(err)
+	}
+	const hints = 50
+	vec := version.Bump("", "node0")
+	want := make(map[string]string, hints)
+	for i := 0; i < hints; i++ {
+		key := fmt.Sprintf("parked-%02d", i)
+		want[key] = version.EncodeVector(vec, time.Now().UnixNano(), false, "v")
+		if !c.writeReplica(context.Background(), key, want[key], target, []*node{holder}) {
+			t.Fatalf("hint %d not parked", i)
+		}
+	}
+	if err := c.Restart(target.name); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.hintsReplayed.Load(); got != hints {
+		t.Fatalf("replayed %d hints, want %d", got, hints)
+	}
+	for key, enc := range want {
+		if got, ok, err := target.client().Get(key); err != nil || !ok || got != enc {
+			t.Fatalf("replica holds %s = %q (%v, %v) after replay", key, got, ok, err)
+		}
 	}
 }

@@ -22,7 +22,7 @@ func (c *Cluster) heartbeatLoop() {
 	defer t.Stop()
 	// The hint-TTL sweep rides the same loop on a slower ticker: often
 	// enough that an expired hint outlives its TTL by at most ~TTL/4,
-	// rare enough that the KEYS scans cost the steady state nothing.
+	// rare enough that the hint SCANs cost the steady state nothing.
 	var sweep <-chan time.Time
 	if c.cfg.HintTTL > 0 {
 		ivl := c.cfg.HintTTL / 4

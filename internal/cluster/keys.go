@@ -13,9 +13,9 @@ const keyStripes = 16
 // keyTable is the client's per-key version table: each key this client
 // has written maps to the vector section of its last stamp (from
 // version.Bump) — a few bytes per key, not a map. Writes bump a key
-// under its stripe's mutex while holding topoMu shared; the whole-table
-// walks run under topoMu held exclusively, so no write is adding keys
-// meanwhile.
+// under its stripe's mutex while holding topoMu shared. Nothing walks
+// the table: the nodes, paged through SCAN, are where the cluster finds
+// its keys.
 type keyTable [keyStripes]keyStripe
 
 type keyStripe struct {
@@ -35,28 +35,6 @@ func (t *keyTable) bump(key, coord string) string {
 	vec := version.Bump(s.m[key], coord)
 	s.m[key] = vec
 	return vec
-}
-
-// len reports how many keys the table tracks.
-func (t *keyTable) len() int {
-	n := 0
-	for i := range t {
-		t[i].mu.Lock()
-		n += len(t[i].m)
-		t[i].mu.Unlock()
-	}
-	return n
-}
-
-// each calls fn for every tracked key.
-func (t *keyTable) each(fn func(key string)) {
-	for i := range t {
-		t[i].mu.Lock()
-		for key := range t[i].m {
-			fn(key)
-		}
-		t[i].mu.Unlock()
-	}
 }
 
 // stripeOf hashes key (FNV-1a) onto one of n stripes without

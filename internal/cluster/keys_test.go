@@ -33,8 +33,12 @@ func TestClientKeyTableBytes(t *testing.T) {
 	perKey := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
 	runtime.KeepAlive(&table)
 	t.Logf("key table: %.1f B per tracked key over %d keys", perKey, n)
-	if got := table.len(); got != n {
-		t.Fatalf("table tracks %d keys, want %d", got, n)
+	tracked := 0
+	for i := range table {
+		tracked += len(table[i].m)
+	}
+	if tracked != n {
+		t.Fatalf("table tracks %d keys, want %d", tracked, n)
 	}
 	if perKey >= 100 {
 		t.Fatalf("key table costs %.1f B per tracked key, want < 100", perKey)

@@ -7,6 +7,7 @@ import (
 	"unicode"
 
 	"repro/internal/db"
+	"repro/internal/merkle"
 	"repro/internal/version"
 	"repro/internal/wal"
 )
@@ -17,15 +18,19 @@ import (
 //  1. Window open (under topoMu): the pre-change ring is snapshotted
 //     into prevRing and placement keeps quorums on it; concurrent
 //     writes double-write to the new ring's replicas and mark their
-//     keys dirty.
-//  2. Copy (concurrent with traffic): every moved key's newest version
-//     — the winning version vector across all live old replicas, so a
-//     quorum-aborted laggard can never be mistaken for the truth — is
-//     copied to its new homes.
-//  3. Cutover (under topoMu, in-flight ops drained): keys written
-//     during the copy are re-copied, then the window drops and
-//     placement flips to the new ring atomically. Only now are vacated
-//     copies deleted and (for Leave) the departing node shut down.
+//     keys dirty. Nothing per key runs here.
+//  2. Discover and copy (concurrent with traffic): the old ring's live
+//     nodes are paged through SCAN to find every stored key whose
+//     replica set changed, whoever wrote it. Each moved key's newest
+//     version — the winning version vector across all live old
+//     replicas, so a quorum-aborted laggard can never be mistaken for
+//     the truth — is copied to its new homes. A write that lands after
+//     the scan passed its key is dirty, so phase 3 covers it.
+//  3. Cutover (under topoMu, in-flight ops drained): every dirty key
+//     whose replica set differs between prevRing and the new ring is
+//     re-copied, then the window drops and placement flips to the new
+//     ring atomically. Only now are vacated copies deleted and (for
+//     Leave) the departing node shut down.
 //
 // The write pause in phase 3 lasts only as long as the dirty re-copy —
 // the price of reads staying quorum-consistent through the change.
@@ -70,18 +75,14 @@ func (c *Cluster) Join(name string) error {
 		return err
 	}
 	prevOrder := append([]string(nil), c.order...)
-	before := c.replicaSetsLocked()
 	c.ring.AddNode(name) //nolint:errcheck // uniqueness checked above
 	c.nodes[name] = fresh
 	c.order = append(c.order, name)
 	c.prevRing, c.prevOrder, c.dirty = prev, prevOrder, make(map[string]struct{})
-	moves := c.movesSinceLocked(before)
 	byName := c.nodeSnapshotLocked()
 	c.topoMu.Unlock()
 
-	err = c.migrate(c.ctx, moves, byName)
-	c.cutover(moves, byName, "")
-	c.cleanupVacated(moves, byName)
+	moves, err := c.relocate(prev, prevOrder, byName, "")
 	c.emit(EventJoin, name, fmt.Sprintf("%d keys moved", len(moves)))
 	return err
 }
@@ -112,7 +113,6 @@ func (c *Cluster) Leave(name string) error {
 		return err
 	}
 	prevOrder := append([]string(nil), c.order...)
-	before := c.replicaSetsLocked()
 	if err := c.ring.RemoveNode(name); err != nil {
 		c.topoMu.Unlock()
 		return err
@@ -127,13 +127,10 @@ func (c *Cluster) Leave(name string) error {
 		}
 	}
 	c.prevRing, c.prevOrder, c.dirty = prev, prevOrder, make(map[string]struct{})
-	moves := c.movesSinceLocked(before)
 	byName := c.nodeSnapshotLocked() // includes the leaving node as a source
 	c.topoMu.Unlock()
 
-	err = c.migrate(c.ctx, moves, byName)
-	c.cutover(moves, byName, name)
-	c.cleanupVacated(moves, byName)
+	moves, err := c.relocate(prev, prevOrder, byName, name)
 	leaving.client().Close()
 	leaving.server().Close()
 	c.emit(EventLeave, name, fmt.Sprintf("%d keys moved", len(moves)))
@@ -155,40 +152,82 @@ func (c *Cluster) snapshotRingLocked() (*db.DHT, error) {
 	return prev, nil
 }
 
-// cutover closes the migration window. Under the exclusive topology
-// lock new operations block; the in-flight ones are drained, the keys
-// written during the copy phase are re-copied from their old replicas
-// (newest version across all live sources), and placement flips to the
-// new ring. dropNode, when non-empty, is the leaving member to remove
-// from the node table inside the same critical section.
-func (c *Cluster) cutover(moves []move, byName map[string]*node, dropNode string) {
-	moved := make(map[string]move, len(moves))
-	for _, m := range moves {
-		moved[m.key] = m
+// relocate runs phases 2 and 3 of an open migration window: it finds
+// the moved keys, copies them, cuts over, and deletes the vacated
+// copies. It returns the moved keys the scan found.
+func (c *Cluster) relocate(prev *db.DHT, prevOrder []string, byName map[string]*node, dropNode string) ([]move, error) {
+	moves, err := c.findMoves(c.ctx, prev, prevOrder, byName)
+	if merr := c.migrate(c.ctx, moves, byName); err == nil {
+		err = merr
 	}
+	late := c.cutover(byName, dropNode)
+	c.cleanupVacated(append(moves, late...), byName)
+	return moves, err
+}
+
+// findMoves pages the old ring's live nodes through SCAN and returns
+// every stored key whose replica set the change altered, adding the
+// ones whose owner (first replica) changed to c.moves. Parked hints sit
+// above the scanned range and never move.
+func (c *Cluster) findMoves(ctx context.Context, prev *db.DHT, prevOrder []string, byName map[string]*node) ([]move, error) {
+	var srcs []*node
+	for _, name := range prevOrder {
+		if n := byName[name]; n != nil && !n.down.Load() {
+			srcs = append(srcs, n)
+		}
+	}
+	var out []move
+	err := scanKeys(ctx, srcs, 0, merkle.Buckets, aeBatch, func(keys []string) bool {
+		for _, key := range keys {
+			if m, ok := c.moveOf(prev, key); ok {
+				out = append(out, m)
+				if m.old[0] != m.new[0] {
+					c.moves.Add(1)
+				}
+			}
+		}
+		return true
+	})
+	return out, err
+}
+
+// moveOf reports key's replica sets under prev and under the current
+// ring, and whether they differ. Only the goroutine running the
+// topology change calls it, and the ring changes only under that
+// change, so it reads the ring without topoMu.
+func (c *Cluster) moveOf(prev *db.DHT, key string) (move, bool) {
+	m := move{key: key, old: prev.NodesFor(key, c.cfg.Replicas), new: c.ring.NodesFor(key, c.cfg.Replicas)}
+	return m, !sameNodes(m.old, m.new)
+}
+
+// cutover closes the migration window. Under the exclusive topology
+// lock new operations block; the in-flight ones are drained, every
+// dirty key that moved is re-copied from its old replicas (newest
+// version across all live sources), and placement flips to the new
+// ring. dropNode, when non-empty, is the leaving member to remove from
+// the node table inside the same critical section. It returns the
+// dirty keys that moved, so their vacated copies can go too.
+func (c *Cluster) cutover(byName map[string]*node, dropNode string) []move {
 	c.topoMu.Lock()
 	defer c.topoMu.Unlock()
 	c.inflight.Wait()
-	wants := make(map[string][]string)
+	var late []move
 	for key := range c.dirty {
-		if m, ok := moved[key]; ok {
-			wants[key] = m.old
+		if m, ok := c.moveOf(c.prevRing, key); ok {
+			late = append(late, m)
 		}
-		// Keys not in moved: placement unchanged, the normal write path
+		// Keys whose replica set did not change: the normal write path
 		// covered them.
 	}
 	// Version-gated like the bulk copy: that phase may have raced a
 	// double-write onto a destination, and the re-copy must never regress
 	// it to something older. A failed batch is repaired by anti-entropy.
-	copies := make(copyBatches)
-	for key, raw := range c.newestCopies(c.ctx, wants, byName) {
-		copies.add(moved[key], raw, byName)
-	}
-	c.shipCopies(c.ctx, copies, byName)
+	c.copyMoves(c.ctx, late, byName)
 	c.prevRing, c.prevOrder, c.dirty = nil, nil, nil
 	if dropNode != "" {
 		delete(c.nodes, dropNode)
 	}
+	return late
 }
 
 // newestCopies bulk-reads a set of keys (each with its own source
@@ -235,32 +274,6 @@ func (c *Cluster) newestCopies(ctx context.Context, wants map[string][]string, b
 	out := make(map[string]string, len(best))
 	for key, b := range best {
 		out[key] = b.raw
-	}
-	return out
-}
-
-// replicaSetsLocked snapshots every tracked key's replica set. The
-// caller holds topoMu exclusively, so no write is adding keys.
-func (c *Cluster) replicaSetsLocked() map[string][]string {
-	out := make(map[string][]string, c.keys.len())
-	c.keys.each(func(key string) {
-		out[key] = c.ring.NodesFor(key, c.cfg.Replicas)
-	})
-	return out
-}
-
-// movesSinceLocked diffs the current placement against a snapshot, and
-// adds the keys whose owner (first replica) changed to c.moves.
-func (c *Cluster) movesSinceLocked(before map[string][]string) []move {
-	var out []move
-	for key, old := range before {
-		now := c.ring.NodesFor(key, c.cfg.Replicas)
-		if !sameNodes(old, now) {
-			out = append(out, move{key: key, old: old, new: now})
-			if old[0] != now[0] {
-				c.moves++
-			}
-		}
 	}
 	return out
 }
@@ -323,21 +336,26 @@ func (c *Cluster) migrate(ctx context.Context, moves []move, byName map[string]*
 		return nil
 	}
 	return c.sched.ParallelForCtx(ctx, len(moves), migrateChunk, func(lo, hi int) {
-		// One bulk read per live source covers the whole chunk; the
-		// winning version per key is resolved locally from the answers.
-		wants := make(map[string][]string, hi-lo)
-		for i := lo; i < hi; i++ {
-			wants[moves[i].key] = moves[i].old
-		}
-		raws := c.newestCopies(ctx, wants, byName)
-		copies := make(copyBatches)
-		for i := lo; i < hi; i++ {
-			if raw, ok := raws[moves[i].key]; ok { // else never written, or no live source
-				copies.add(moves[i], raw, byName)
-			}
-		}
-		c.shipCopies(ctx, copies, byName)
+		c.copyMoves(ctx, moves[lo:hi], byName)
 	})
+}
+
+// copyMoves copies each move's key, at its newest version, to its new
+// homes. One bulk read per live source covers all the moves; the
+// winning version per key is resolved locally from the answers.
+func (c *Cluster) copyMoves(ctx context.Context, moves []move, byName map[string]*node) {
+	wants := make(map[string][]string, len(moves))
+	for _, m := range moves {
+		wants[m.key] = m.old
+	}
+	raws := c.newestCopies(ctx, wants, byName)
+	copies := make(copyBatches)
+	for _, m := range moves {
+		if raw, ok := raws[m.key]; ok { // else never written, or no live source
+			copies.add(m, raw, byName)
+		}
+	}
+	c.shipCopies(ctx, copies, byName)
 }
 
 // copyBatchBytes bounds one batch of copies, so a batch of big values

@@ -98,10 +98,9 @@ func (c *Cluster) streamSync(ctx context.Context, a, b *node) (int, error) {
 }
 
 // filterStream decodes one dump chunk and re-frames only what the
-// destination should ingest: dedupe recordings (per-client retry
-// identities, replica-agnostic), and Set payloads — MPut pairs
-// flattened to single Sets — for keys the destination actually
-// replicates (parked hints replicate nowhere), skipping anything without a version stamp (the receiver applies via SETV,
+// destination should ingest: Set payloads — MPut pairs flattened to
+// single Sets — for keys the destination actually replicates (parked
+// hints replicate nowhere), skipping anything without a version stamp (the receiver applies via SETV,
 // which needs one; unstamped bytes can't be resolved against what the
 // receiver may already hold). Raw Del/MDel records are dropped too:
 // cluster deletes are versioned tombstone Sets, so a bare delete frame
@@ -111,7 +110,7 @@ func (c *Cluster) filterStream(chunk []byte, dstName string) ([]byte, error) {
 	if len(chunk) == 0 {
 		return nil, nil
 	}
-	items, err := wal.DecodeStream(chunk)
+	recs, err := wal.DecodeStream(chunk)
 	if err != nil {
 		return nil, err
 	}
@@ -123,16 +122,14 @@ func (c *Cluster) filterStream(chunk []byte, dstName string) ([]byte, error) {
 		return err == nil
 	}
 	var out []byte
-	for _, it := range items {
-		switch {
-		case it.Dedupe != nil:
-			out = wal.AppendStreamDedupe(out, *it.Dedupe)
-		case it.Rec.Kind == wal.KindSet:
-			if keep(it.Rec.Key, it.Rec.Value) {
-				out = wal.AppendStreamRecord(out, it.Rec)
+	for _, rec := range recs {
+		switch rec.Kind {
+		case wal.KindSet:
+			if keep(rec.Key, rec.Value) {
+				out = wal.AppendStreamRecord(out, rec)
 			}
-		case it.Rec.Kind == wal.KindMPut:
-			for _, kv := range it.Rec.Pairs {
+		case wal.KindMPut:
+			for _, kv := range rec.Pairs {
 				if keep(kv.Key, kv.Value) {
 					out = wal.AppendStreamRecord(out, &wal.Record{Kind: wal.KindSet, Key: kv.Key, Value: kv.Value})
 				}

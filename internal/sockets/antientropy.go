@@ -94,22 +94,26 @@ func (s *Server) applyTree(r *wire.Request) *wire.Response {
 	return resp
 }
 
-// applyScan answers SCAN: every stored (key, entry hash) whose Merkle
-// bucket falls inside any requested span, sorted by key. Values never
-// leave the node here — the driver compares entry hashes and fetches
-// only the keys that actually differ. Shards are read-locked one at a
-// time (point-in-time per stripe, like COUNT); anti-entropy tolerates
-// the skew — a transiently wrong hash just re-scans next round.
+// applyScan answers SCAN: every stored (key, entry hash) whose bucket
+// falls inside any requested span, sorted by key. A key's bucket is its
+// Merkle bucket, plus merkle.Buckets for a key kept out of the digest,
+// so those keys (the cluster's parked hints) list on their own and no
+// TREE-guided scan, whose spans all lie below merkle.Buckets, meets
+// them. Values never leave the node here — the cluster compares entry
+// hashes and fetches only the keys it needs. Shards are read-locked one
+// at a time (point-in-time per stripe, like COUNT); anti-entropy
+// tolerates the skew — a transiently wrong hash just re-scans next
+// round.
 func (s *Server) applyScan(r *wire.Request) *wire.Response {
 	resp := &wire.Response{Tag: wire.RespScan, ID: r.ID}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.lock.RLock()
 		for k, v := range sh.store {
-			if s.syncExclude != "" && strings.HasPrefix(k, s.syncExclude) {
-				continue
-			}
 			b := uint32(merkle.BucketOf(k))
+			if s.syncExclude != "" && strings.HasPrefix(k, s.syncExclude) {
+				b += merkle.Buckets
+			}
 			for _, sp := range r.Spans {
 				if b >= sp.Lo && b < sp.Hi {
 					resp.Scan = append(resp.Scan, wire.ScanEntry{Key: k, Hash: merkle.EntryHash(k, v)})

@@ -85,9 +85,9 @@ func TestBinaryNegotiationSharedStore(t *testing.T) {
 	if v, ok, err := c.Get("from-binary"); err != nil || !ok || v != "b" {
 		t.Fatalf("text read of binary write = %q %v %v", v, ok, err)
 	}
-	keys, err := p.Keys()
+	keys, err := c.Keys()
 	if err != nil || len(keys) != 2 {
-		t.Fatalf("binary KEYS = %v %v, want both protocols' keys", keys, err)
+		t.Fatalf("text KEYS = %v %v, want both protocols' keys", keys, err)
 	}
 	if n, err := c.Count(); err != nil || n != 2 {
 		t.Fatalf("text COUNT = %d %v", n, err)

@@ -21,14 +21,10 @@ const defaultSnapshotEvery = 10000
 // its response leaves the server. Runs before the accept loop starts,
 // so recovery never races live traffic.
 func (s *Server) openWAL(cfg ServerConfig) error {
-	workers := cfg.WALReplayWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	l, err := wal.Open(wal.Config{
 		Dir:           cfg.WALDir,
 		SegmentBytes:  cfg.WALSegmentBytes,
-		ReplayWorkers: workers,
+		ReplayWorkers: runtime.GOMAXPROCS(0),
 		OnSnapshot: func(snap *wal.Snapshot) error {
 			for _, kv := range snap.Pairs {
 				sh := s.shardFor(kv.Key)

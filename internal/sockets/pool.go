@@ -435,9 +435,11 @@ func (p *Pool) TreeCtx(ctx context.Context, spans []wire.Span) ([]uint64, error)
 }
 
 // ScanCtx lists the node's (key, entry hash) pairs for the given Merkle
-// bucket spans — the leaf step of an anti-entropy diff walk. Values are
-// not transferred; the caller compares hashes and fetches only the keys
-// that differ.
+// bucket spans — the leaf step of an anti-entropy diff walk, and the
+// cluster's one way to find the keys a node holds. Buckets at and above
+// merkle.Buckets hold the keys the server keeps out of its digest (see
+// ServerConfig.SyncExcludePrefix). Values are not transferred; the
+// caller compares hashes and fetches only the keys it needs.
 func (p *Pool) ScanCtx(ctx context.Context, spans []wire.Span) ([]wire.ScanEntry, error) {
 	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbScan, Spans: spans})
 	if err != nil {
@@ -462,19 +464,4 @@ func (p *Pool) CountCtx(ctx context.Context) (int, error) {
 		return 0, respErr(resp)
 	}
 	return int(resp.N), nil
-}
-
-// Keys returns all stored keys in sorted order.
-func (p *Pool) Keys() ([]string, error) { return p.KeysCtx(context.Background()) }
-
-// KeysCtx returns all stored keys in sorted order under ctx.
-func (p *Pool) KeysCtx(ctx context.Context) ([]string, error) {
-	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbKeys})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Tag != wire.RespKeys {
-		return nil, respErr(resp)
-	}
-	return resp.Keys, nil
 }

@@ -8,6 +8,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/merkle"
+	"repro/internal/sockets/wire"
 )
 
 func TestPoolBasics(t *testing.T) {
@@ -348,7 +351,7 @@ func TestPoolZeroTimeoutCancel(t *testing.T) {
 	once.Do(func() { close(release) })
 }
 
-// TestFrameGuard_OversizedResponseFailsOnce: a KEYS reply that would
+// TestFrameGuard_OversizedResponseFailsOnce: a SCAN reply that would
 // encode past MaxFrame comes back as an error on its own ID, served
 // once and not retried, while a GET in flight on the same pipe at that
 // moment completes normally — the oversized frame never reaches the
@@ -357,7 +360,7 @@ func TestFrameGuard_OversizedResponseFailsOnce(t *testing.T) {
 	s, err := NewServerConfig("127.0.0.1:0", ServerConfig{
 		PreHandle: func(verb, _ string) {
 			if verb == "GET" {
-				time.Sleep(100 * time.Millisecond) // still in flight when KEYS answers
+				time.Sleep(100 * time.Millisecond) // still in flight when SCAN answers
 			}
 		},
 	})
@@ -371,7 +374,8 @@ func TestFrameGuard_OversizedResponseFailsOnce(t *testing.T) {
 	}
 	defer p.Close()
 
-	// 5,000 keys of 250 bytes: a KEYS reply of about 1.25 MiB.
+	// 5,000 keys of 250 bytes: a SCAN reply over every bucket of about
+	// 1.3 MiB.
 	pairs := make([]KV, 5000)
 	for i := range pairs {
 		pairs[i] = KV{Key: fmt.Sprintf("%0250d", i), Value: "v"}
@@ -390,14 +394,15 @@ func TestFrameGuard_OversizedResponseFailsOnce(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond) // let the GET reach the server first
 	retriesBefore := p.Stats().Retries
-	if _, err := p.Keys(); !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "frame limit") {
-		t.Fatalf("oversized KEYS = %v, want ErrServer naming the frame limit", err)
+	all := []wire.Span{{Lo: 0, Hi: merkle.Buckets}}
+	if _, err := p.ScanCtx(context.Background(), all); !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "frame limit") {
+		t.Fatalf("oversized SCAN = %v, want ErrServer naming the frame limit", err)
 	}
 	if err := <-getErr; err != nil {
 		t.Fatalf("concurrent GET on the same pool failed: %v", err)
 	}
-	if n := s.VerbLatency("KEYS").Count(); n != 1 {
-		t.Errorf("KEYS served %d times, want 1 (no retry into the same failure)", n)
+	if n := s.VerbLatency("SCAN").Count(); n != 1 {
+		t.Errorf("SCAN served %d times, want 1 (no retry into the same failure)", n)
 	}
 	if r := p.Stats().Retries - retriesBefore; r != 0 {
 		t.Errorf("%d retries: the pipe was torn down", r)

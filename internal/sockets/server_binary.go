@@ -304,27 +304,17 @@ func (s *Server) serveBinary(cs *connState, br *bufio.Reader) {
 
 // inlineVerb reports whether the read loop serves a request with this
 // verb itself, straight off the connection's read buffer, instead of on
-// a goroutine of its own. Single-key verbs and the cheap aggregates run
-// inline, skipping a goroutine spawn per request. Reads cannot block at
-// all (no dedupe bookkeeping, shard RLocks only). An inline SET/DEL can
-// wait on a dedupe entry only when it is a retried duplicate racing its
-// original — and the wait graph always points at a strictly older entry
-// whose owner never waits in turn, so the loop can stall briefly but
-// never deadlock. What keeps its own goroutine: batch verbs and KEYS
-// (big enough to convoy the pipeline behind them), and every verb once a
-// PreHandle stall hook is installed — those are the cases out-of-order
-// completion exists for.
+// a goroutine of its own. PING, GET and COUNT run inline, skipping a
+// goroutine spawn per request: they take shard RLocks only and never
+// wait on a dedupe entry or an fsync. Every other verb keeps its own
+// goroutine, and so does every verb once a PreHandle stall hook is
+// installed — those are the cases out-of-order completion exists for.
 //
 // MaxPending also forces the goroutine path: inline handling is
 // self-limiting (one request per connection in service at a time), so a
 // bounded pending queue is only meaningful when pipelined ingestion is
 // decoupled from service — the handler goroutine set IS the pending
-// queue admission control bounds. A durable server routes mutations to
-// the goroutine path even when they would qualify for the fast path: an
-// inline SET/DEL would hold the connection's read loop through its
-// fsync wait, serializing the group commit to one record per connection
-// per flush — the goroutine path is what lets pipelined mutations from
-// one connection share a batch.
+// queue admission control bounds.
 func (s *Server) inlineVerb(verb byte) bool {
 	if s.preHandle != nil || s.maxPending > 0 {
 		return false
@@ -332,8 +322,6 @@ func (s *Server) inlineVerb(verb byte) bool {
 	switch verb {
 	case wire.VerbPing, wire.VerbGet, wire.VerbCount:
 		return true
-	case wire.VerbSet, wire.VerbDel:
-		return s.wal == nil
 	}
 	return false
 }
@@ -353,7 +341,7 @@ func (s *Server) respond(fw *frameWriter, req *wire.Request, resp *wire.Response
 }
 
 // writeResponse encodes resp straight into fw's queue. A response that
-// would not fit one frame (KEYS or MGET over too many bytes) is
+// would not fit one frame (SCAN or MGET over too many bytes) is
 // replaced by an error on the same ID: the client would refuse the
 // oversized frame and tear down its pipe with every request in flight
 // on it, then retry into the same failure.
@@ -374,7 +362,7 @@ func writeResponse(fw *frameWriter, resp *wire.Response) error {
 // ID is answered from the recording instead of applied twice.
 func (s *Server) handleBinary(clientID uint64, r *wire.Request) *wire.Response {
 	switch r.Verb {
-	case wire.VerbPing, wire.VerbGet, wire.VerbCount, wire.VerbKeys, wire.VerbMGet,
+	case wire.VerbPing, wire.VerbGet, wire.VerbCount, wire.VerbMGet,
 		wire.VerbTree, wire.VerbScan:
 		return s.applyBinary(r) // reads: idempotent, no dedupe bookkeeping
 	case wire.VerbSetV:
@@ -644,9 +632,6 @@ func (s *Server) applyBinary(r *wire.Request) *wire.Response {
 			sh.lock.RUnlock()
 		}
 		return &wire.Response{Tag: wire.RespCount, ID: r.ID, N: n}
-	case wire.VerbKeys:
-		keys := s.sortedKeys()
-		return &wire.Response{Tag: wire.RespKeys, ID: r.ID, Keys: keys}
 	}
 	return errResp("unknown verb " + wire.VerbName(r.Verb))
 }

@@ -144,11 +144,6 @@ type ServerConfig struct {
 	// the server compacts a snapshot and truncates old segments.
 	// Default 10000.
 	WALSnapshotEvery int
-	// WALReplayWorkers sets startup recovery's replay fan-out: 0 defaults
-	// to the machine's CPU count (records partitioned by key stripe,
-	// per-key order preserved — see wal.Config.ReplayWorkers), 1 forces
-	// the serial replay path.
-	WALReplayWorkers int
 	// WALScrubInterval, when positive on a durable server, runs a
 	// background scrub pass every interval: sealed segments and the
 	// snapshot are re-read and their CRCs re-checked, so at-rest
@@ -160,10 +155,11 @@ type ServerConfig struct {
 	// failure. The cluster wires it to its event tap.
 	WALScrubCorrupt func(error)
 	// SyncExcludePrefix, when non-empty, keeps keys with this prefix out
-	// of the anti-entropy Merkle digest and SCAN responses. The cluster
-	// sets it to its hint-key prefix: parked hints are per-holder state
-	// by design, and folding them into the digest would make healthy
-	// replicas look permanently divergent.
+	// of the anti-entropy Merkle digest, and SCAN files them in buckets
+	// [merkle.Buckets, 2·merkle.Buckets), above every span TREE covers.
+	// The cluster sets it to its hint-key prefix: parked hints are
+	// per-holder state by design, and folding them into the digest would
+	// make healthy replicas look permanently divergent.
 	SyncExcludePrefix string
 }
 

@@ -58,14 +58,14 @@ func (s *Server) syncWALDump(r *wire.Request) *wire.Response {
 // version-conditional compare SETV uses, under the shard locks, with the
 // winners logged to this node's own WAL — so a stale stream record can
 // never clobber a newer local write, and re-applying a chunk (a retry
-// after a lost response) changes nothing. Dedupe recordings ride along
-// via preload. Everything else in the stream (deletes, hint bookkeeping,
-// unstamped values) is skipped: the anti-entropy Merkle pass owns those.
+// after a lost response) changes nothing. Everything else in the stream
+// (deletes, hint bookkeeping, unstamped values) is skipped: the
+// anti-entropy Merkle pass owns those.
 // All durability tickets are reserved first and waited at the end, so a
 // chunk's records share group-commit fsyncs instead of syncing one by
 // one.
 func (s *Server) syncWALApply(r *wire.Request) *wire.Response {
-	items, err := wal.DecodeStream(r.Value)
+	recs, err := wal.DecodeStream(r.Value)
 	if err != nil {
 		return &wire.Response{Tag: wire.RespErr, ID: r.ID, Err: "syncwal: " + err.Error()}
 	}
@@ -86,18 +86,13 @@ func (s *Server) syncWALApply(r *wire.Request) *wire.Response {
 			applied++
 		}
 	}
-	for _, it := range items {
-		switch {
-		case it.Dedupe != nil:
-			s.dedupe.preload(dedupeKey{client: it.Dedupe.Client, id: it.Dedupe.ID}, it.Dedupe.Resp)
-		case it.Rec != nil:
-			switch it.Rec.Kind {
-			case wal.KindSet:
-				put(it.Rec.Key, it.Rec.Value)
-			case wal.KindMPut:
-				for _, kv := range it.Rec.Pairs {
-					put(kv.Key, kv.Value)
-				}
+	for _, rec := range recs {
+		switch rec.Kind {
+		case wal.KindSet:
+			put(rec.Key, rec.Value)
+		case wal.KindMPut:
+			for _, kv := range rec.Pairs {
+				put(kv.Key, kv.Value)
 			}
 		}
 	}

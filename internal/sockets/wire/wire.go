@@ -24,7 +24,7 @@
 // element count followed by that many elements.
 //
 //	request  := verb:1 id:uvarint body
-//	  VerbPing | VerbCount | VerbKeys:  (empty body)
+//	  VerbPing | VerbCount:             (empty body)
 //	  VerbGet | VerbDel:                key:bytes
 //	  VerbSet:                          key:bytes value:bytes
 //	  VerbMDel | VerbMGet:              n:uvarint key:bytes ×n
@@ -37,7 +37,6 @@
 //	  RespOK | RespNotFound | RespOverload:  (empty body)
 //	  RespValue:              value:bytes
 //	  RespCount:              n:uvarint            (COUNT, MDEL's deleted-count, SETV's outcome)
-//	  RespKeys:               n:uvarint key:bytes ×n
 //	  RespMulti:              n:uvarint (found:1 value:bytes) ×n   (MGET, in request key order)
 //	  RespHashes:             n:uvarint hash:8 ×n                  (TREE, one per requested span)
 //	  RespScan:               n:uvarint (key:bytes hash:8) ×n      (SCAN, sorted by key)
@@ -75,7 +74,6 @@ const (
 	VerbDel   byte = 0x04
 	VerbMDel  byte = 0x05
 	VerbCount byte = 0x06
-	VerbKeys  byte = 0x07
 	VerbMGet  byte = 0x08
 	VerbMPut  byte = 0x09
 	// Anti-entropy verbs: SETV is a version-conditional set (the server
@@ -106,7 +104,6 @@ const (
 	RespValue    byte = 0x82
 	RespNotFound byte = 0x83
 	RespCount    byte = 0x84
-	RespKeys     byte = 0x85
 	RespMulti    byte = 0x86
 	RespOverload byte = 0x87
 	RespHashes   byte = 0x88
@@ -168,7 +165,6 @@ type Response struct {
 	ID     uint64
 	Value  []byte
 	N      uint64
-	Keys   []string
 	Found  []bool      // MGET results, parallel with Values
 	Values [][]byte    // MGET results, in request key order
 	Hashes []uint64    // TREE results, one per requested span
@@ -194,8 +190,6 @@ func verbName(v byte) string {
 		return "MDEL"
 	case VerbCount:
 		return "COUNT"
-	case VerbKeys:
-		return "KEYS"
 	case VerbMGet:
 		return "MGET"
 	case VerbMPut:
@@ -273,11 +267,6 @@ func AppendResponse(dst []byte, r *Response) []byte {
 		dst = appendBytes(dst, r.Value)
 	case RespCount:
 		dst = binary.AppendUvarint(dst, r.N)
-	case RespKeys:
-		dst = binary.AppendUvarint(dst, uint64(len(r.Keys)))
-		for _, k := range r.Keys {
-			dst = appendString(dst, k)
-		}
 	case RespMulti:
 		dst = binary.AppendUvarint(dst, uint64(len(r.Values)))
 		for i, v := range r.Values {
@@ -437,7 +426,7 @@ func DecodeRequest(p []byte) (*Request, error) {
 	}
 	r := &Request{Verb: verb, ID: id}
 	switch verb {
-	case VerbPing, VerbCount, VerbKeys:
+	case VerbPing, VerbCount:
 		// empty body
 	case VerbGet, VerbDel:
 		if r.Key, err = c.key("key"); err != nil {
@@ -537,21 +526,6 @@ func DecodeResponse(p []byte) (*Response, error) {
 	case RespCount:
 		if r.N, err = c.uvarint("count"); err != nil {
 			return r, err
-		}
-	case RespKeys:
-		n, err := c.count("key count", 1)
-		if err != nil {
-			return r, err
-		}
-		r.Keys = make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			// A KEYS response may legitimately carry keys the text
-			// protocol could not (defensive: reject zero-length anyway).
-			k, err := c.key(fmt.Sprintf("key %d", i))
-			if err != nil {
-				return r, err
-			}
-			r.Keys = append(r.Keys, k)
 		}
 	case RespMulti:
 		n, err := c.count("entry count", 2)

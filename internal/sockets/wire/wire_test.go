@@ -26,7 +26,7 @@ func TestDecodeRequestRoundTrip(t *testing.T) {
 	}{
 		{"ping", &Request{Verb: VerbPing, ID: 1}},
 		{"count", &Request{Verb: VerbCount, ID: 7}},
-		{"keys", &Request{Verb: VerbKeys, ID: 1 << 40}},
+		{"ping big id", &Request{Verb: VerbPing, ID: 1 << 40}},
 		{"get", &Request{Verb: VerbGet, ID: 2, Key: "k"}},
 		{"del", &Request{Verb: VerbDel, ID: 3, Key: "a-long-key-name"}},
 		{"set", &Request{Verb: VerbSet, ID: 4, Key: "k", Value: []byte("v")}},
@@ -96,7 +96,6 @@ func TestDecodeResponseTruncatedEveryBoundary(t *testing.T) {
 		{Tag: RespOK, ID: 300},
 		{Tag: RespValue, ID: 1, Value: []byte("value")},
 		{Tag: RespCount, ID: 1, N: 1 << 20},
-		{Tag: RespKeys, ID: 1, Keys: []string{"aa", "bb"}},
 		{Tag: RespMulti, ID: 1, Found: []bool{true, false}, Values: [][]byte{[]byte("v"), nil}},
 		{Tag: RespOverload, ID: 500},
 		{Tag: RespHashes, ID: 1, Hashes: []uint64{0xdeadbeef, 1 << 63}},
@@ -226,7 +225,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		AppendRequest(nil, &Request{Verb: VerbMPut, ID: 6, Pairs: []KV{{"k", []byte("v")}}}),
 		AppendResponse(nil, &Response{Tag: RespOK, ID: 1}),
 		AppendResponse(nil, &Response{Tag: RespValue, ID: 2, Value: []byte("v")}),
-		AppendResponse(nil, &Response{Tag: RespKeys, ID: 3, Keys: []string{"a", "b"}}),
+		AppendResponse(nil, &Response{Tag: RespCount, ID: 3, N: 42}),
 		AppendResponse(nil, &Response{Tag: RespMulti, ID: 4, Found: []bool{true}, Values: [][]byte{[]byte("v")}}),
 		AppendResponse(nil, &Response{Tag: RespErr, ID: 5, Err: "usage"}),
 		AppendResponse(nil, &Response{Tag: RespOverload, ID: 6}),

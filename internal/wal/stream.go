@@ -5,25 +5,18 @@
 // frames the segment files use. Record frames are copied out of sealed
 // segments verbatim — same payload bytes, same checksum, no re-encode —
 // so the receiver re-verifies the exact bits that were fsynced at the
-// source. Snapshot contents are synthesized into KindSet record frames,
-// and dedupe entries ride in the same framing under a reserved kind
-// byte that no Record can carry, so the retry-dedupe identities of
-// acked mutations survive re-replication too.
+// source. Snapshot contents are synthesized into KindSet record frames.
+// A snapshot's retry-dedupe entries stay behind: they are keyed by the
+// client that dialed this node, and no client retries against a
+// different node than the one it sent the original to.
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 )
-
-// streamDedupeKind is the payload tag for a dedupe entry inside a
-// stream frame. Record kinds occupy 1..4; this sits far outside any
-// value decodeRecord will ever accept, so a frame's first payload byte
-// unambiguously routes it.
-const streamDedupeKind = 0xFA
 
 // ErrStaleCursor means a DumpChunk cursor named a segment that has
 // since been compacted into a snapshot: the chunks already shipped may
@@ -31,33 +24,17 @@ const streamDedupeKind = 0xFA
 // dump from zero.
 var ErrStaleCursor = errors.New("wal: stale dump cursor")
 
-// StreamItem is one decoded stream frame: exactly one of Rec or Dedupe
-// is set.
-type StreamItem struct {
-	Rec    *Record
-	Dedupe *DedupeEntry
-}
-
 // AppendStreamRecord frames one record onto dst.
 func AppendStreamRecord(dst []byte, r *Record) []byte {
 	return appendFrame(dst, r.encode(nil))
-}
-
-// AppendStreamDedupe frames one dedupe entry onto dst.
-func AppendStreamDedupe(dst []byte, e DedupeEntry) []byte {
-	p := []byte{streamDedupeKind}
-	p = binary.AppendUvarint(p, e.Client)
-	p = binary.AppendUvarint(p, e.ID)
-	p = appendString(p, string(e.Resp))
-	return appendFrame(dst, p)
 }
 
 // DecodeStream walks a stream chunk and decodes every frame. Unlike
 // segment replay there is no tolerable tear: the bytes arrived over a
 // connection that delivered them whole, so anything short or mismatched
 // is ErrCorrupt and the caller must discard the chunk.
-func DecodeStream(data []byte) ([]StreamItem, error) {
-	var items []StreamItem
+func DecodeStream(data []byte) ([]*Record, error) {
+	var recs []*Record
 	off := 0
 	for off < len(data) {
 		payload, n, err := readFrame(data[off:])
@@ -67,34 +44,14 @@ func DecodeStream(data []byte) ([]StreamItem, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w at stream offset %d", err, off)
 		}
-		if payload[0] == streamDedupeKind {
-			c := &cursor{buf: payload[1:]}
-			var e DedupeEntry
-			if e.Client, err = c.uvarint(); err != nil {
-				return nil, err
-			}
-			if e.ID, err = c.uvarint(); err != nil {
-				return nil, err
-			}
-			s, err := c.str()
-			if err != nil {
-				return nil, err
-			}
-			if len(c.buf) != 0 {
-				return nil, fmt.Errorf("%w: %d trailing dedupe bytes", ErrCorrupt, len(c.buf))
-			}
-			e.Resp = []byte(s)
-			items = append(items, StreamItem{Dedupe: &e})
-		} else {
-			rec, err := decodeRecord(payload)
-			if err != nil {
-				return nil, err
-			}
-			items = append(items, StreamItem{Rec: rec})
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return nil, err
 		}
+		recs = append(recs, rec)
 		off += n
 	}
-	return items, nil
+	return recs, nil
 }
 
 // DumpChunk produces the next chunk of a full-log dump: the snapshot
@@ -174,9 +131,9 @@ func (l *Log) DumpChunk(cur uint64, maxBytes int) (blob []byte, next uint64, don
 	return blob, 0, true, skipped, nil
 }
 
-// dumpSnapshot emits snapshot contents from item index off: pairs
-// first, then dedupe entries. When the snapshot is exhausted (or
-// absent) the cursor advances to the first segment.
+// dumpSnapshot emits the snapshot's pairs from index off. When the
+// snapshot is exhausted (or absent) the cursor advances to the first
+// segment.
 func (l *Log) dumpSnapshot(off, maxBytes int, sealed []uint64, act uint64) (blob []byte, next uint64, skipped int, err error) {
 	_, snap, err := loadSnapshotFile(filepath.Join(l.dir, snapName))
 	if err != nil {
@@ -186,15 +143,10 @@ func (l *Log) dumpSnapshot(off, maxBytes int, sealed []uint64, act uint64) (blob
 	if snap == nil {
 		return nil, first << 32, 0, nil
 	}
-	total := len(snap.Pairs) + len(snap.Dedupe)
 	var frame []byte
-	for ; off < total; off++ {
-		if off < len(snap.Pairs) {
-			kv := snap.Pairs[off]
-			frame = AppendStreamRecord(frame[:0], &Record{Kind: KindSet, Key: kv.Key, Value: kv.Value})
-		} else {
-			frame = AppendStreamDedupe(frame[:0], snap.Dedupe[off-len(snap.Pairs)])
-		}
+	for ; off < len(snap.Pairs); off++ {
+		kv := snap.Pairs[off]
+		frame = AppendStreamRecord(frame[:0], &Record{Kind: KindSet, Key: kv.Key, Value: kv.Value})
 		if len(blob)+len(frame) > maxBytes {
 			if len(frame) > maxBytes {
 				skipped++

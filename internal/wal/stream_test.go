@@ -10,8 +10,9 @@ import (
 // TestSyncWAL_DumpStreamsEverything drives DumpChunk over a live log —
 // snapshot, sealed segments, and the active segment's synced prefix —
 // with a chunk budget small enough to force many cursor round-trips,
-// and checks the decoded stream folds to exactly the log owner's state,
-// dedupe entries included.
+// and checks the decoded stream folds to exactly the log owner's state.
+// The snapshot's dedupe entries stay behind: they are keyed to clients
+// of this node only.
 func TestSyncWAL_DumpStreamsEverything(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(Config{Dir: dir})
@@ -53,7 +54,6 @@ func TestSyncWAL_DumpStreamsEverything(t *testing.T) {
 	}
 
 	got := map[string]string{}
-	var gotDedupe []DedupeEntry
 	cur, chunks := uint64(0), 0
 	for {
 		blob, next, done, skipped, err := l.DumpChunk(cur, 128)
@@ -63,19 +63,15 @@ func TestSyncWAL_DumpStreamsEverything(t *testing.T) {
 		if skipped != 0 {
 			t.Fatalf("no frame here exceeds the budget, yet %d skipped", skipped)
 		}
-		items, err := DecodeStream(blob)
+		recs, err := DecodeStream(blob)
 		if err != nil {
 			t.Fatalf("DecodeStream: %v", err)
 		}
-		for _, it := range items {
-			switch {
-			case it.Dedupe != nil:
-				gotDedupe = append(gotDedupe, *it.Dedupe)
-			case it.Rec.Kind == KindSet:
-				got[it.Rec.Key] = it.Rec.Value
-			default:
-				t.Fatalf("unexpected record kind %d in dump", it.Rec.Kind)
+		for _, rec := range recs {
+			if rec.Kind != KindSet {
+				t.Fatalf("unexpected record kind %d in dump", rec.Kind)
 			}
+			got[rec.Key] = rec.Value
 		}
 		chunks++
 		if done {
@@ -96,9 +92,6 @@ func TestSyncWAL_DumpStreamsEverything(t *testing.T) {
 		if got[k] != v {
 			t.Fatalf("key %q = %q, want %q", k, got[k], v)
 		}
-	}
-	if len(gotDedupe) != 1 || gotDedupe[0].Client != 7 || gotDedupe[0].ID != 99 || !bytes.Equal(gotDedupe[0].Resp, []byte("OK")) {
-		t.Fatalf("dedupe entries did not ride along: %+v", gotDedupe)
 	}
 }
 
@@ -139,11 +132,10 @@ func TestSyncWAL_StaleCursorAfterPrune(t *testing.T) {
 func TestSyncWAL_StreamCodecRejectsCorruption(t *testing.T) {
 	var blob []byte
 	blob = AppendStreamRecord(blob, &Record{Kind: KindSet, Client: 1, ID: 2, Key: "k", Value: "v"})
-	blob = AppendStreamDedupe(blob, DedupeEntry{Client: 3, ID: 4, Resp: []byte("OK 1")})
 	blob = AppendStreamRecord(blob, &Record{Kind: KindMDel, Keys: []string{"a", "b"}})
 
-	if items, err := DecodeStream(blob); err != nil || len(items) != 3 {
-		t.Fatalf("clean stream: items=%d err=%v", len(items), err)
+	if recs, err := DecodeStream(blob); err != nil || len(recs) != 2 {
+		t.Fatalf("clean stream: records=%d err=%v", len(recs), err)
 	}
 	t.Run("truncated", func(t *testing.T) {
 		if _, err := DecodeStream(blob[:len(blob)-1]); !errors.Is(err, ErrCorrupt) {
@@ -171,7 +163,7 @@ func TestSyncWAL_StreamCodecRejectsCorruption(t *testing.T) {
 func FuzzSyncWALFrame(f *testing.F) {
 	var seed []byte
 	seed = AppendStreamRecord(seed, &Record{Kind: KindSet, Client: 9, ID: 1, Key: "key", Value: "value"})
-	seed = AppendStreamDedupe(seed, DedupeEntry{Client: 2, ID: 7, Resp: []byte("OK 3")})
+	seed = AppendStreamRecord(seed, &Record{Kind: KindMDel, Keys: []string{"a", "b"}})
 	f.Add(seed)
 	f.Add(AppendStreamRecord(nil, &Record{Kind: KindMPut, Pairs: []KV{{Key: "a", Value: "1"}, {Key: "b", Value: "2"}}}))
 	f.Add(AppendStreamRecord(nil, &Record{Kind: KindDel, Key: "gone"}))
@@ -179,35 +171,28 @@ func FuzzSyncWALFrame(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		items, err := DecodeStream(data)
+		recs, err := DecodeStream(data)
 		if err != nil {
 			return
 		}
-		reencode := func(items []StreamItem) []byte {
+		reencode := func(recs []*Record) []byte {
 			var re []byte
-			for _, it := range items {
-				switch {
-				case it.Rec != nil:
-					re = AppendStreamRecord(re, it.Rec)
-				case it.Dedupe != nil:
-					re = AppendStreamDedupe(re, *it.Dedupe)
-				default:
-					t.Fatal("item with neither record nor dedupe entry")
-				}
+			for _, rec := range recs {
+				re = AppendStreamRecord(re, rec)
 			}
 			return re
 		}
 		// The encoder's output must be a fixed point: whatever the
 		// decoder accepted, encoding it and decoding again yields the
-		// same items and the same bytes. (The input itself may be a
+		// same records and the same bytes. (The input itself may be a
 		// non-minimal varint spelling, so it is not compared directly.)
-		re := reencode(items)
-		items2, err := DecodeStream(re)
+		re := reencode(recs)
+		recs2, err := DecodeStream(re)
 		if err != nil {
 			t.Fatalf("re-encoded stream failed to decode: %v", err)
 		}
-		if !bytes.Equal(re, reencode(items2)) {
-			t.Fatalf("codec is not a fixed point:\n in: %x\nout: %x", re, reencode(items2))
+		if !bytes.Equal(re, reencode(recs2)) {
+			t.Fatalf("codec is not a fixed point:\n in: %x\nout: %x", re, reencode(recs2))
 		}
 	})
 }
