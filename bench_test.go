@@ -7,8 +7,10 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,6 +42,7 @@ import (
 	"repro/internal/shell"
 	"repro/internal/simd"
 	"repro/internal/sockets"
+	"repro/internal/version"
 )
 
 // --- Table I: the CS31 labs ---
@@ -514,12 +517,27 @@ func BenchmarkCS87_KVServerSharding(b *testing.B) {
 	}
 }
 
-// BenchmarkKVProto is the E14 wire-protocol study: the same SET/GET
-// workload over four lab Clients on the text protocol (worker w uses
-// client w%4, whose mutex admits one request per connection turn, so
-// 64 workers queue behind 4 conns) and over one Pool on the binary
-// protocol (every worker's request pipelined onto one shared
-// connection, responses matched by correlation ID). The in-flight axis
+// setvPool gives the binary arm of BenchmarkKVProto a Set: the Pool's
+// one single-key write is SETV, so each write carries a fresh stamp.
+type setvPool struct {
+	*sockets.Pool
+	seq atomic.Int64
+}
+
+func (p *setvPool) Set(key, value string) error {
+	n := p.seq.Add(1)
+	_, err := p.SetVCtx(context.Background(), key,
+		version.Encode(version.Version{VV: version.Vector{"bench": uint64(n)}, Clock: n}, value))
+	return err
+}
+
+// BenchmarkKVProto is the E14 wire-protocol study: the same 50/50
+// write/GET workload over four lab Clients on the text protocol (SET;
+// worker w uses client w%4, whose mutex admits one request per
+// connection turn, so 64 workers queue behind 4 conns) and over one
+// Pool on the binary protocol (stamped SETV; every worker's request
+// pipelined onto one shared connection, responses matched by
+// correlation ID). The in-flight axis
 // is the point: at 1 the protocols differ only in framing cost; at 64
 // pipelining should dominate — the acceptance bar is >=2x text
 // throughput at 64 in-flight ops.
@@ -552,7 +570,7 @@ func BenchmarkKVProto(b *testing.B) {
 						b.Fatal(err)
 					}
 					defer p.Close()
-					conns = append(conns, p)
+					conns = append(conns, &setvPool{Pool: p})
 				}
 				per := b.N/inflight + 1
 				b.ResetTimer()

@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/psort"
 	"repro/internal/sockets"
 	"repro/internal/testutil"
+	"repro/internal/version"
 )
 
 // TestCompilerToPipelineFlow drives MiniC -> SWAT32 -> CPU -> pipeline,
@@ -344,12 +346,13 @@ func TestKVSubstrateFaultTolerance(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				key := fmt.Sprintf("w%d-i%d", w, i)
-				if err := pool.Set(key, fmt.Sprintf("v%d", i)); err != nil {
-					errs <- fmt.Errorf("set %s: %w", key, err)
+				want := version.Encode(version.Version{VV: version.Vector{"t": 1}, Clock: 1}, fmt.Sprintf("v%d", i))
+				if _, err := pool.SetVCtx(context.Background(), key, want); err != nil {
+					errs <- fmt.Errorf("setv %s: %w", key, err)
 					return
 				}
 				v, found, err := pool.Get(key)
-				if err != nil || !found || v != fmt.Sprintf("v%d", i) {
+				if err != nil || !found || v != want {
 					errs <- fmt.Errorf("get %s = %q %v %v", key, v, found, err)
 					return
 				}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sockets"
 	"repro/internal/version"
 )
 
@@ -47,11 +48,11 @@ func TestAntiEntropy_RepairsDeletedCopies(t *testing.T) {
 	}
 	victim, _ := c.lookup("node1")
 	witness, _ := c.lookup("node0")
-	var lost []string
+	var lost []sockets.KV
 	for i := 0; i < 50; i++ {
-		lost = append(lost, fmt.Sprintf("key-%d", i))
+		lost = append(lost, sockets.KV{Key: fmt.Sprintf("key-%d", i)})
 	}
-	if _, err := victim.client().MDelCtx(context.Background(), lost...); err != nil {
+	if _, err := victim.client().MDelCtx(context.Background(), lost); err != nil {
 		t.Fatal(err)
 	}
 
@@ -59,7 +60,8 @@ func TestAntiEntropy_RepairsDeletedCopies(t *testing.T) {
 	if repaired != len(lost) {
 		t.Errorf("repaired %d copies, want exactly %d (sync must move only the divergence)", repaired, len(lost))
 	}
-	for _, key := range lost {
+	for _, del := range lost {
+		key := del.Key
 		want, ok1, err1 := witness.client().GetCtx(context.Background(), key)
 		got, ok2, err2 := victim.client().GetCtx(context.Background(), key)
 		if err1 != nil || err2 != nil || !ok1 || !ok2 {
@@ -185,7 +187,7 @@ func TestReadRepair_RewritesStaleReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim, _ := c.lookup("node1")
-	if _, err := victim.client().DelCtx(context.Background(), "k"); err != nil {
+	if _, err := victim.client().MDelCtx(context.Background(), []sockets.KV{{Key: "k"}}); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok, err := c.Get("k"); err != nil || !ok || v != "v" {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/merkle"
+	"repro/internal/sockets"
 	"repro/internal/version"
 )
 
@@ -26,6 +27,10 @@ func (c *Cluster) hintExpired(h version.Header) bool {
 // expiry check during replay) has dropped.
 func (c *Cluster) HintsExpired() int64 { return c.hintsExpired.Load() }
 
+// zeroStamp is the stamp of no write at all: every stamped value is
+// newer, and an unstamped one is not.
+var zeroStamp = version.Encode(version.Version{}, "")
+
 // hintScanWidth is how many buckets one hint-discovery SCAN covers:
 // the hint half of a holder's bucket space is paged in four SCANs. A
 // page lists only hints, however many other keys the holder stores.
@@ -38,10 +43,13 @@ const hintScanWidth = merkle.Buckets / 4
 // a reply outgrows a wire frame however many hints are parked. Each
 // chunk is read with one MGET; visit sees every hint still present and
 // reports whether to consume it, and the chunk's consumed hints go in
-// one MDEL. A hint whose bytes carry no stamp (a hint parked in an
-// older format, say) can never replay, so it is consumed without a
-// visit. Returns how many hints were deleted. The scan stops at the
-// first failed SCAN or read, or once ctx is done.
+// one MDEL. Each consumed hint is deleted with the stamp just read, so
+// a newer hint parked under the same key between the read and the
+// delete survives for the next sweep. A hint whose bytes carry no stamp
+// (a hint parked in an older format, say) can never replay, so it is
+// consumed without a visit, with the zero stamp that every stamped hint
+// is newer than. Returns how many hints were deleted. The scan stops at
+// the first failed SCAN or read, or once ctx is done.
 func (c *Cluster) scanHints(ctx context.Context, holder *node, prefix string, visit func(hk string, h version.Header, raw string) bool) int {
 	deleted := 0
 	scanKeys(ctx, []*node{holder}, merkle.Buckets, 2*merkle.Buckets, hintScanWidth, func(keys []string) bool { //nolint:errcheck // a stopped scan leaves the rest parked for the next sweep
@@ -58,20 +66,22 @@ func (c *Cluster) scanHints(ctx context.Context, holder *node, prefix string, vi
 			if err != nil {
 				return false
 			}
-			var consumed []string
+			var consumed []sockets.KV
 			for _, hk := range chunk {
 				raw, ok := vals[hk]
 				if !ok {
 					continue // consumed by a concurrent scan
 				}
-				h, _, err := version.ParseHeader(raw)
-				if err != nil || visit(hk, h, raw) {
-					consumed = append(consumed, hk)
+				h, payload, err := version.ParseHeader(raw)
+				if err != nil {
+					consumed = append(consumed, sockets.KV{Key: hk, Value: zeroStamp})
+				} else if visit(hk, h, raw) {
+					consumed = append(consumed, sockets.KV{Key: hk, Value: raw[:len(raw)-len(payload)]})
 				}
 			}
 			if len(consumed) > 0 {
-				if _, err := holder.client().MDelCtx(ctx, consumed...); err == nil {
-					deleted += len(consumed)
+				if n, err := holder.client().MDelCtx(ctx, consumed); err == nil {
+					deleted += n
 				}
 			}
 		}

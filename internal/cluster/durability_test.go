@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -323,8 +324,9 @@ func TestHintReplay_HolderPastAFrameOfKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	filler := make([]sockets.KV, 5000) // 250-byte names: about 1.25 MiB
+	stamped := version.Encode(version.Version{VV: version.Vector{"node0": 1}, Clock: 1}, "v")
 	for i := range filler {
-		filler[i] = sockets.KV{Key: fmt.Sprintf("filler-%0243d", i), Value: "v"}
+		filler[i] = sockets.KV{Key: fmt.Sprintf("filler-%0243d", i), Value: stamped}
 	}
 	if err := holder.client().MPut(filler); err != nil {
 		t.Fatal(err)
@@ -349,5 +351,72 @@ func TestHintReplay_HolderPastAFrameOfKeys(t *testing.T) {
 		if got, ok, err := target.client().Get(key); err != nil || !ok || got != enc {
 			t.Fatalf("replica holds %s = %q (%v, %v) after replay", key, got, ok, err)
 		}
+	}
+}
+
+// TestHintReplay_ReparkSurvives: a newer hint parked for the same key
+// between a replay's read of the older hint and the replay's delete of
+// it must survive. The holder's MDEL is held until the newer hint is in
+// place; the delete carries the stamp the replay read, so it leaves the
+// newer hint parked, and the next replay delivers it.
+func TestHintReplay_ReparkSurvives(t *testing.T) {
+	var armed atomic.Bool
+	stalled, release := make(chan struct{}), make(chan struct{})
+	cfg := testConfig(3)
+	cfg.HeartbeatInterval = time.Hour // no probe or sweep races the replays below
+	cfg.ServerPreHandle = func(string) func(verb, key string) {
+		return func(verb, _ string) {
+			if verb == "MDEL" && armed.CompareAndSwap(true, false) {
+				close(stalled)
+				<-release
+			}
+		}
+	}
+	c := startCluster(t, cfg)
+	holder, err := c.lookup("node0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dest, err := c.lookup("node1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const key = "reparked"
+	hk := hintKey(dest.name, key)
+	now := time.Now().UnixNano()
+	older := version.Encode(version.Version{VV: version.Vector{"node2": 1}, Clock: now}, "v1")
+	newer := version.Encode(version.Version{VV: version.Vector{"node2": 2}, Clock: now + 1}, "v2")
+	if _, err := holder.client().SetVCtx(ctx, hk, older); err != nil {
+		t.Fatal(err)
+	}
+
+	armed.Store(true)
+	replayed := make(chan int)
+	go func() { replayed <- c.replayHints(ctx, dest) }()
+	select {
+	case <-stalled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the replay never reached its MDEL")
+	}
+	if code, err := holder.client().SetVCtx(ctx, hk, newer); err != nil || !sockets.SetVAppliedCode(code) {
+		t.Fatalf("parking the newer hint = %d, %v", code, err)
+	}
+	close(release)
+	if n := <-replayed; n != 1 {
+		t.Fatalf("first replay applied %d hints, want 1", n)
+	}
+	if v, ok, err := holder.client().GetCtx(ctx, hk); err != nil || !ok || v != newer {
+		t.Fatalf("parked hint after the first replay = %q, %v, %v; want the newer hint", v, ok, err)
+	}
+
+	if n := c.replayHints(ctx, dest); n != 1 {
+		t.Fatalf("second replay applied %d hints, want 1", n)
+	}
+	if v, ok, err := dest.client().GetCtx(ctx, key); err != nil || !ok || v != newer {
+		t.Fatalf("replica holds %q, %v, %v; want the newer hint's write", v, ok, err)
+	}
+	if _, ok, err := holder.client().GetCtx(ctx, hk); err != nil || ok {
+		t.Fatalf("replayed hint still parked (%v, %v)", ok, err)
 	}
 }

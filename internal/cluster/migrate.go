@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/merkle"
+	"repro/internal/sockets"
 	"repro/internal/version"
 	"repro/internal/wal"
 )
@@ -406,17 +407,19 @@ func (c *Cluster) shipCopies(ctx context.Context, b copyBatches, byName map[stri
 }
 
 // cleanupVacated bulk-deletes the copies the cutover left behind on
-// nodes that no longer replicate a key, one MDEL per node.
+// nodes that no longer replicate a key, one MDEL per node. The deletes
+// carry no stamp: the node is no longer a replica of the key, so any
+// copy there is garbage, however new.
 func (c *Cluster) cleanupVacated(moves []move, byName map[string]*node) {
-	dels := make(map[string][]string)
+	dels := make(map[string][]sockets.KV)
 	for _, m := range moves {
 		for _, g := range subtract(m.old, m.new) {
-			dels[g] = append(dels[g], m.key)
+			dels[g] = append(dels[g], sockets.KV{Key: m.key})
 		}
 	}
 	for name, keys := range dels {
 		if n := byName[name]; n != nil && !n.down.Load() {
-			n.client().MDelCtx(c.ctx, keys...) //nolint:errcheck // vacated copies; best effort
+			n.client().MDelCtx(c.ctx, keys) //nolint:errcheck // vacated copies; best effort
 		}
 	}
 }

@@ -18,11 +18,11 @@ import (
 // already CRC-framed on disk) ships as a few big SYNCWAL chunks, the
 // coordinator filters each chunk down to the frames the receiver should
 // own, and the receiver folds them in through the same version-
-// conditional SETV apply path every repair uses. Version stamps,
-// tombstones, and dedupe recordings all ride along because they are
-// simply bytes in the log. The follow-up Merkle pass then covers
-// whatever the stream could not: keys only the thinner node had,
-// oversized frames the dump skipped, and writes that raced the stream.
+// conditional SETV apply path every repair uses. Version stamps and
+// tombstones ride along because they are simply bytes in the log. The
+// follow-up Merkle pass then covers whatever the stream could not: keys
+// only the thinner node had, oversized frames the dump skipped, and
+// writes that raced the stream.
 
 // streamEligible reports whether a pair sync should re-replicate by
 // streaming the WAL instead of span-repairing key by key: the

@@ -1,12 +1,11 @@
 // End-to-end tests for the binary protocol: negotiation against live
-// text clients, pipelined out-of-order completion, retry dedupe by
-// correlation ID, batch PDUs, and cancellation — all over real loopback
-// sockets (package sockets_test so testutil.StartKV is usable).
+// text clients, pipelined out-of-order completion, retried correlation
+// IDs that change nothing, batch PDUs, and cancellation — all over real
+// loopback sockets (package sockets_test so testutil.StartKV is usable).
 package sockets_test
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
@@ -17,7 +16,22 @@ import (
 	"repro/internal/sockets"
 	"repro/internal/sockets/wire"
 	"repro/internal/testutil"
+	"repro/internal/version"
 )
+
+// stamped encodes value under the one-entry version {t: n}: the shape of
+// every value a Pool writes.
+func stamped(n uint64, value string) string {
+	return version.Encode(version.Version{VV: version.Vector{"t": n}, Clock: int64(n)}, value)
+}
+
+// setv writes key = stamped(1, value) through p.
+func setv(t *testing.T, p *sockets.Pool, key, value string) {
+	t.Helper()
+	if _, err := p.SetVCtx(context.Background(), key, stamped(1, value)); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // binPool opens a binary-protocol pool against s.
 func binPool(t *testing.T, s *sockets.Server, cfg sockets.PoolConfig) *sockets.Pool {
@@ -31,14 +45,11 @@ func binPool(t *testing.T, s *sockets.Server, cfg sockets.PoolConfig) *sockets.P
 }
 
 // rawBinaryConn dials the server and performs the binary handshake by
-// hand, for driving deliberate PDUs (dedupe probes, malformed frames).
-func rawBinaryConn(t *testing.T, addr string, clientID uint64) net.Conn {
+// hand, for driving deliberate PDUs (retried IDs, malformed frames).
+func rawBinaryConn(t *testing.T, addr string) net.Conn {
 	t.Helper()
 	conn := rawConn(t, addr)
-	hs := make([]byte, 9)
-	hs[0] = wire.Magic
-	binary.BigEndian.PutUint64(hs[1:], clientID)
-	if _, err := conn.Write(hs); err != nil {
+	if _, err := conn.Write([]byte{wire.Magic}); err != nil {
 		t.Fatal(err)
 	}
 	return conn
@@ -76,13 +87,11 @@ func TestBinaryNegotiationSharedStore(t *testing.T) {
 	if err := c.Set("from-text", "t"); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Set("from-binary", "b"); err != nil {
-		t.Fatal(err)
-	}
+	setv(t, p, "from-binary", "b")
 	if v, ok, err := p.Get("from-text"); err != nil || !ok || v != "t" {
 		t.Fatalf("binary read of text write = %q %v %v", v, ok, err)
 	}
-	if v, ok, err := c.Get("from-binary"); err != nil || !ok || v != "b" {
+	if v, ok, err := c.Get("from-binary"); err != nil || !ok || v != stamped(1, "b") {
 		t.Fatalf("text read of binary write = %q %v %v", v, ok, err)
 	}
 	keys, err := c.Keys()
@@ -108,19 +117,15 @@ func TestBinaryPipeliningOutOfOrder(t *testing.T) {
 		},
 	})
 	p := binPool(t, s, sockets.PoolConfig{Timeout: 5 * time.Second})
-	if err := p.Set("slow", "s"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Set("fast", "f"); err != nil {
-		t.Fatal(err)
-	}
+	setv(t, p, "slow", "s")
+	setv(t, p, "fast", "f")
 
 	var slowDone, fastDone atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if v, ok, err := p.Get("slow"); err != nil || !ok || v != "s" {
+		if v, ok, err := p.Get("slow"); err != nil || !ok || v != stamped(1, "s") {
 			t.Errorf("slow GET = %q %v %v", v, ok, err)
 		}
 		slowDone.Store(time.Now().UnixNano())
@@ -128,7 +133,7 @@ func TestBinaryPipeliningOutOfOrder(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // let the slow GET hit the wire first
 	start := time.Now()
 	for i := 0; i < 16; i++ {
-		if v, ok, err := p.Get("fast"); err != nil || !ok || v != "f" {
+		if v, ok, err := p.Get("fast"); err != nil || !ok || v != stamped(1, "f") {
 			t.Fatalf("fast GET = %q %v %v", v, ok, err)
 		}
 	}
@@ -144,40 +149,72 @@ func TestBinaryPipeliningOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestBinaryDedupeRetriedID: re-sending a mutation under an
-// already-answered correlation ID — what the Pool does when a response
-// is lost in transit — must replay the recorded response, not apply a
-// second time. The probe sends a DIFFERENT op under the same ID so an
-// accidental re-apply is visible in the store.
-func TestBinaryDedupeRetriedID(t *testing.T) {
+// TestBinaryRetriedIDIdempotentByVersion: re-sending a mutation under
+// an already-answered correlation ID — what the Pool does when a
+// response is lost in transit — applies it a second time, and the
+// version compare makes that second application change nothing. A
+// stale MPUT or a stale-stamped MDEL arriving after a newer write leaves
+// the newer write in place.
+func TestBinaryRetriedIDIdempotentByVersion(t *testing.T) {
 	s := testutil.StartKV(t, sockets.ServerConfig{})
-	conn := rawBinaryConn(t, s.Addr(), 71)
-
-	set := &wire.Request{Verb: wire.VerbSet, ID: 7, Key: "k", Value: []byte("v1")}
-	if resp := sendPDU(t, conn, set); resp.Tag != wire.RespOK {
-		t.Fatalf("first SET: tag 0x%02x", resp.Tag)
-	}
-	// "Retry" the same ID, but as a DEL: a deduping server answers from
-	// the recording (RespOK from the SET) and leaves the store alone.
-	del := &wire.Request{Verb: wire.VerbDel, ID: 7, Key: "k"}
-	if resp := sendPDU(t, conn, del); resp.Tag != wire.RespOK {
-		t.Fatalf("replayed ID: tag 0x%02x", resp.Tag)
-	}
-	if resp := sendPDU(t, conn, &wire.Request{Verb: wire.VerbGet, ID: 8, Key: "k"}); resp.Tag != wire.RespValue || string(resp.Value) != "v1" {
-		t.Fatalf("key mutated by deduped retry: tag 0x%02x value %q", resp.Tag, resp.Value)
-	}
-	if got := s.DedupeHits(); got != 1 {
-		t.Errorf("DedupeHits = %d, want 1", got)
+	conn := rawBinaryConn(t, s.Addr())
+	v1, v2 := stamped(1, "v1"), stamped(2, "v2")
+	get := func(id uint64) string {
+		t.Helper()
+		resp := sendPDU(t, conn, &wire.Request{Verb: wire.VerbGet, ID: id, Key: "k"})
+		if resp.Tag == wire.RespNotFound {
+			return ""
+		}
+		return string(resp.Value)
 	}
 
-	// A different client reusing the same correlation ID is NOT a
-	// retry: dedupe keys on (client ID, correlation ID).
-	other := rawBinaryConn(t, s.Addr(), 72)
-	if resp := sendPDU(t, other, &wire.Request{Verb: wire.VerbDel, ID: 7, Key: "k"}); resp.Tag != wire.RespOK {
-		t.Fatalf("other client's DEL: tag 0x%02x", resp.Tag)
+	mput := &wire.Request{Verb: wire.VerbMPut, ID: 7, Pairs: []wire.KV{{Key: "k", Value: []byte(v1)}}}
+	if resp := sendPDU(t, conn, mput); resp.Tag != wire.RespCount || resp.N != 1 {
+		t.Fatalf("first MPUT: %+v, want 1 applied", resp)
 	}
-	if resp := sendPDU(t, conn, &wire.Request{Verb: wire.VerbGet, ID: 9, Key: "k"}); resp.Tag != wire.RespNotFound {
-		t.Fatalf("other client's DEL did not apply: tag 0x%02x", resp.Tag)
+	if resp := sendPDU(t, conn, mput); resp.Tag != wire.RespCount || resp.N != 0 {
+		t.Fatalf("retried MPUT: %+v, want 0 applied", resp)
+	}
+	if got := get(8); got != v1 {
+		t.Fatalf("after retried MPUT: %q, want %q", got, v1)
+	}
+
+	// A newer SETV lands, then a late delivery of the old MPUT and an
+	// MDEL carrying the old stamp: neither may touch the newer value.
+	if resp := sendPDU(t, conn, &wire.Request{Verb: wire.VerbSetV, ID: 9, Key: "k", Value: []byte(v2)}); resp.Tag != wire.RespCount || resp.N != sockets.SetVApplied {
+		t.Fatalf("SETV v2: %+v", resp)
+	}
+	if resp := sendPDU(t, conn, mput); resp.Tag != wire.RespCount || resp.N != 0 {
+		t.Fatalf("late MPUT: %+v, want 0 applied", resp)
+	}
+	mdelOld := &wire.Request{Verb: wire.VerbMDel, ID: 10, Pairs: []wire.KV{{Key: "k", Value: []byte(stamped(1, ""))}}}
+	if resp := sendPDU(t, conn, mdelOld); resp.Tag != wire.RespCount || resp.N != 0 {
+		t.Fatalf("MDEL with an older stamp: %+v, want 0 deleted", resp)
+	}
+	if got := get(11); got != v2 {
+		t.Fatalf("newer value lost: %q, want %q", got, v2)
+	}
+
+	// The MDEL carrying the stored stamp deletes, and its retry finds
+	// nothing left to delete.
+	mdel := &wire.Request{Verb: wire.VerbMDel, ID: 12, Pairs: []wire.KV{{Key: "k", Value: []byte(stamped(2, ""))}}}
+	if resp := sendPDU(t, conn, mdel); resp.Tag != wire.RespCount || resp.N != 1 {
+		t.Fatalf("MDEL with the stored stamp: %+v, want 1 deleted", resp)
+	}
+	if resp := sendPDU(t, conn, mdel); resp.Tag != wire.RespCount || resp.N != 0 {
+		t.Fatalf("retried MDEL: %+v, want 0 deleted", resp)
+	}
+	if got := get(13); got != "" {
+		t.Fatalf("after MDEL: %q, want no key", got)
+	}
+
+	// Unstamped MPUT pairs are refused before any pair applies.
+	bad := &wire.Request{Verb: wire.VerbMPut, ID: 14, Pairs: []wire.KV{{Key: "a", Value: []byte(v1)}, {Key: "b", Value: []byte("raw")}}}
+	if resp := sendPDU(t, conn, bad); resp.Tag != wire.RespErr {
+		t.Fatalf("MPUT with an unstamped pair: %+v, want RespErr", resp)
+	}
+	if resp := sendPDU(t, conn, &wire.Request{Verb: wire.VerbCount, ID: 15}); resp.N != 0 {
+		t.Fatalf("refused MPUT applied %d keys", resp.N)
 	}
 }
 
@@ -198,10 +235,10 @@ func TestBinaryPoolRetryAfterConnKill(t *testing.T) {
 			return false
 		},
 	})
-	if err := p.Set("k", "v"); err != nil {
-		t.Fatalf("SET through injected kill: %v", err)
+	if _, err := p.SetVCtx(context.Background(), "k", stamped(1, "v")); err != nil {
+		t.Fatalf("SETV through injected kill: %v", err)
 	}
-	if v, ok, err := p.Get("k"); err != nil || !ok || v != "v" {
+	if v, ok, err := p.Get("k"); err != nil || !ok || v != stamped(1, "v") {
 		t.Fatalf("GET after recovery = %q %v %v", v, ok, err)
 	}
 	cs := p.Counters()
@@ -218,7 +255,7 @@ func TestBinaryBatchOps(t *testing.T) {
 	s := testutil.StartKV(t, sockets.ServerConfig{})
 	bp := binPool(t, s, sockets.PoolConfig{})
 
-	pairs := []sockets.KV{{Key: "a", Value: "1"}, {Key: "b", Value: "2 with spaces"}, {Key: "c", Value: "3"}}
+	pairs := []sockets.KV{{Key: "a", Value: stamped(1, "1")}, {Key: "b", Value: stamped(1, "2 with spaces")}, {Key: "c", Value: stamped(1, "3")}}
 	if err := bp.MPut(pairs); err != nil {
 		t.Fatal(err)
 	}
@@ -230,14 +267,15 @@ func TestBinaryBatchOps(t *testing.T) {
 	if s.Stats().Requests != reqsBefore+1 {
 		t.Errorf("MGET of 4 keys cost %d requests, want 1 PDU", s.Stats().Requests-reqsBefore)
 	}
-	wantV := []string{"1", "2 with spaces", "", "3"}
+	wantV := []string{pairs[0].Value, pairs[1].Value, "", pairs[2].Value}
 	wantF := []bool{true, true, false, true}
 	for i := range wantV {
 		if values[i] != wantV[i] || found[i] != wantF[i] {
 			t.Errorf("MGET[%d] = %q/%v, want %q/%v", i, values[i], found[i], wantV[i], wantF[i])
 		}
 	}
-	if n, err := bp.MDel("a", "b", "missing", "c"); err != nil || n != 3 {
+	dels := []sockets.KV{{Key: "a"}, {Key: "b", Value: stamped(1, "")}, {Key: "missing"}, {Key: "c", Value: stamped(1, "")}}
+	if n, err := bp.MDel(dels); err != nil || n != 3 {
 		t.Fatalf("MDel = %d %v, want 3", n, err)
 	}
 	if n, err := bp.Count(); err != nil || n != 0 {
@@ -252,11 +290,11 @@ func TestBinaryBatchOps(t *testing.T) {
 func TestBinaryKeyRulesShared(t *testing.T) {
 	s := testutil.StartKV(t, sockets.ServerConfig{})
 	p := binPool(t, s, sockets.PoolConfig{})
-	if err := p.Set("bad key", "v"); !errors.Is(err, sockets.ErrBadKey) {
-		t.Fatalf("binary SET with spacey key: %v, want ErrBadKey", err)
+	if _, err := p.SetVCtx(context.Background(), "bad key", stamped(1, "v")); !errors.Is(err, sockets.ErrBadKey) {
+		t.Fatalf("binary SETV with spacey key: %v, want ErrBadKey", err)
 	}
-	conn := rawBinaryConn(t, s.Addr(), 99)
-	resp := sendPDU(t, conn, &wire.Request{Verb: wire.VerbSet, ID: 1, Key: "bad key", Value: []byte("v")})
+	conn := rawBinaryConn(t, s.Addr())
+	resp := sendPDU(t, conn, &wire.Request{Verb: wire.VerbSetV, ID: 1, Key: "bad key", Value: []byte(stamped(1, "v"))})
 	if resp.Tag != wire.RespErr {
 		t.Fatalf("server accepted spacey key over raw binary: tag 0x%02x", resp.Tag)
 	}
@@ -267,7 +305,7 @@ func TestBinaryKeyRulesShared(t *testing.T) {
 // connection, mirroring the text path's ERR-and-continue.
 func TestBinaryMalformedPDUSurvives(t *testing.T) {
 	s := testutil.StartKV(t, sockets.ServerConfig{})
-	conn := rawBinaryConn(t, s.Addr(), 5)
+	conn := rawBinaryConn(t, s.Addr())
 	if err := sockets.WriteFrame(conn, []byte{0x7E, 0x01, 0xFF}); err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +337,7 @@ func TestBinaryPoolCancelMidRequest(t *testing.T) {
 		},
 	})
 	p := binPool(t, s, sockets.PoolConfig{Timeout: 5 * time.Second})
-	if err := p.Set("stuck", "s"); err != nil {
-		t.Fatal(err)
-	}
+	setv(t, p, "stuck", "s")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)

@@ -5,7 +5,9 @@
 package sockets_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +17,7 @@ import (
 
 	"repro/internal/sockets"
 	"repro/internal/sockets/wire"
+	"repro/internal/version"
 )
 
 // startDurable starts a server logging into dir. No t.Cleanup close:
@@ -51,7 +54,7 @@ func TestCrashRecovery_SnapshotTail100k(t *testing.T) {
 		pairs := make([]sockets.KV, 0, perBatch)
 		for i := 0; i < perBatch; i++ {
 			k := fmt.Sprintf("key-%05d", b*perBatch+i)
-			pairs = append(pairs, sockets.KV{Key: k, Value: "v-" + k})
+			pairs = append(pairs, sockets.KV{Key: k, Value: stamped(1, "v-"+k)})
 		}
 		if err := p.MPut(pairs); err != nil {
 			t.Fatalf("MPut batch %d: %v", b, err)
@@ -86,7 +89,7 @@ func TestCrashRecovery_SnapshotTail100k(t *testing.T) {
 	for _, probe := range []int{0, 1, perBatch, batches*perBatch/2 + 7, batches*perBatch - 1} {
 		k := fmt.Sprintf("key-%05d", probe)
 		v, found, err := c.Get(k)
-		if err != nil || !found || v != "v-"+k {
+		if err != nil || !found || v != stamped(1, "v-"+k) {
 			t.Fatalf("Get(%s) = %q, %v, %v; want recovered value", k, v, found, err)
 		}
 	}
@@ -137,21 +140,23 @@ func TestCrashRecovery_AckedWritesSurvive(t *testing.T) {
 	}
 }
 
-// TestCrashRecovery_DedupeSurvivesRestart: a mutation acked just before
-// the crash must stay exactly-once when its retry (same client ID, same
-// correlation ID) arrives after the restart.
-func TestCrashRecovery_DedupeSurvivesRestart(t *testing.T) {
+// TestCrashRecovery_RetriedMPutAfterRestart: a mutation acked just
+// before the crash may be retried after the restart. The version
+// compare needs nothing but the recovered store, so the retry changes
+// nothing, even for a key a newer write has since advanced.
+func TestCrashRecovery_RetriedMPutAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	s := startDurable(t, dir, sockets.ServerConfig{})
-
-	conn := rawBinaryConn(t, s.Addr(), 42)
-	if resp := sendPDU(t, conn, &wire.Request{Verb: wire.VerbSet, ID: 1, Key: "k", Value: []byte("v")}); resp.Tag != wire.RespOK {
-		t.Fatalf("SET tag = %d", resp.Tag)
+	conn := rawBinaryConn(t, s.Addr())
+	mput := &wire.Request{Verb: wire.VerbMPut, ID: 1, Pairs: []wire.KV{
+		{Key: "a", Value: []byte(stamped(1, "a1"))},
+		{Key: "b", Value: []byte(stamped(1, "b1"))},
+	}}
+	if resp := sendPDU(t, conn, mput); resp.Tag != wire.RespCount || resp.N != 2 {
+		t.Fatalf("MPUT: %+v, want 2 applied", resp)
 	}
-	// DEL k: the first application reports OK (existed). A re-applied
-	// duplicate would report NOTFOUND — the recorded response is the tell.
-	if resp := sendPDU(t, conn, &wire.Request{Verb: wire.VerbDel, ID: 2, Key: "k"}); resp.Tag != wire.RespOK {
-		t.Fatalf("DEL tag = %d, want OK", resp.Tag)
+	if resp := sendPDU(t, conn, &wire.Request{Verb: wire.VerbSetV, ID: 2, Key: "a", Value: []byte(stamped(2, "a2"))}); resp.Tag != wire.RespCount || resp.N != sockets.SetVApplied {
+		t.Fatalf("SETV: %+v", resp)
 	}
 	conn.Close()
 	if err := s.Crash(); err != nil {
@@ -160,48 +165,57 @@ func TestCrashRecovery_DedupeSurvivesRestart(t *testing.T) {
 
 	s2 := startDurable(t, dir, sockets.ServerConfig{})
 	defer s2.Close()
-	conn2 := rawBinaryConn(t, s2.Addr(), 42)
-	// Retry of correlation ID 2 from client 42: must replay the
-	// recorded OK, not re-apply (the key is gone now).
-	if resp := sendPDU(t, conn2, &wire.Request{Verb: wire.VerbDel, ID: 2, Key: "k"}); resp.Tag != wire.RespOK {
-		t.Fatalf("retried DEL tag = %d: re-applied after restart instead of replaying the recording — exactly-once broken", resp.Tag)
+	conn2 := rawBinaryConn(t, s2.Addr())
+	defer conn2.Close()
+	if resp := sendPDU(t, conn2, mput); resp.Tag != wire.RespCount || resp.N != 0 {
+		t.Fatalf("retried MPUT after restart: %+v, want 0 applied", resp)
 	}
-	if s2.DedupeHits() == 0 {
-		t.Fatal("retry not answered from the recovered dedupe table")
+	for key, want := range map[string]string{"a": stamped(2, "a2"), "b": stamped(1, "b1")} {
+		resp := sendPDU(t, conn2, &wire.Request{Verb: wire.VerbGet, ID: 3, Key: key})
+		if resp.Tag != wire.RespValue || string(resp.Value) != want {
+			t.Fatalf("GET %s after retried MPUT: %+v, want %q", key, resp, want)
+		}
 	}
 }
 
 // TestCrashRecovery_LogOrderMatchesApplyOrder: concurrent writers
-// hammering one key must recover to exactly the value the live server
-// last served. The WAL enqueue is reserved under the same shard lock as
-// the store write — were it enqueued after unlock, two racing SETs
-// could apply in one order and log in the other, and replay would
-// resurrect the stale value (an acked write silently lost).
+// hammering one key with blind lab SETs must recover to exactly the
+// value the live server last served. The WAL enqueue is reserved under
+// the same shard lock as the store write — were it enqueued after
+// unlock, two racing SETs could apply in one order and log in the
+// other, and replay would resurrect the stale value (an acked write
+// silently lost).
 func TestCrashRecovery_LogOrderMatchesApplyOrder(t *testing.T) {
 	const rounds, writers = 12, 8
 	for round := 0; round < rounds; round++ {
 		dir := t.TempDir()
 		s := startDurable(t, dir, sockets.ServerConfig{})
-		p, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{})
-		if err != nil {
-			t.Fatalf("NewPool: %v", err)
+		clients := make([]*sockets.Client, writers)
+		for w := range clients {
+			c, err := sockets.Dial(s.Addr())
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			clients[w] = c
 		}
 		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
+		for w, c := range clients {
 			wg.Add(1)
-			go func(w int) {
+			go func(w int, c *sockets.Client) {
 				defer wg.Done()
-				if err := p.Set("contested", fmt.Sprintf("writer-%d-round-%d", w, round)); err != nil {
+				if err := c.Set("contested", fmt.Sprintf("writer-%d-round-%d", w, round)); err != nil {
 					t.Errorf("Set: %v", err)
 				}
-			}(w)
+			}(w, c)
 		}
 		wg.Wait()
-		live, found, err := p.Get("contested")
+		live, found, err := clients[0].Get("contested")
 		if err != nil || !found {
 			t.Fatalf("Get live = %q, %v, %v", live, found, err)
 		}
-		p.Close()
+		for _, c := range clients {
+			c.Close()
+		}
 		if err := s.Crash(); err != nil {
 			t.Fatalf("Crash: %v", err)
 		}
@@ -222,39 +236,91 @@ func TestCrashRecovery_LogOrderMatchesApplyOrder(t *testing.T) {
 	}
 }
 
-// TestCrashRecovery_DedupeSurvivesSnapshotPrune: with a snapshot after
-// every mutation, each record's segment is pruned almost immediately —
-// the recorded response must already be in the snapshot when its record
-// is. (The recording is published before the WAL enqueue, under the
-// shard lock; were it published only after the fsync wait, a rotation
-// racing in between would prune the record while the snapshot misses
-// the recording, and the retried DEL below would re-apply and answer
-// NOTFOUND.)
-func TestCrashRecovery_DedupeSurvivesSnapshotPrune(t *testing.T) {
+// legacyString appends a uvarint length and the bytes, the WAL's string
+// encoding.
+func legacyString(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+// legacyCRC is the checksum segment frames and snapshots carry: CRC32C
+// (Castagnoli) of the payload, big-endian.
+func legacyCRC(payload []byte) []byte {
+	return binary.BigEndian.AppendUint32(nil, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// TestCrashRecovery_ParentFormatLog: a WAL directory written while the
+// server kept a retry-dedupe table — a snapshot whose trailing section
+// holds dedupe entries, and a segment whose records carry nonzero client
+// and correlation IDs — recovers through the one decoder to exactly the
+// store those writes describe, byte for byte. It includes an MPUT record
+// with an unstamped pair, which MPUT accepted then: replay applies what
+// the log says, with no version logic.
+func TestCrashRecovery_ParentFormatLog(t *testing.T) {
 	dir := t.TempDir()
-	s := startDurable(t, dir, sockets.ServerConfig{WALSnapshotEvery: 1})
-	conn := rawBinaryConn(t, s.Addr(), 77)
-	const n = 60
-	for i := uint64(0); i < n; i++ {
-		k := fmt.Sprintf("k%02d", i)
-		if resp := sendPDU(t, conn, &wire.Request{Verb: wire.VerbSet, ID: 2 * i, Key: k, Value: []byte("v")}); resp.Tag != wire.RespOK {
-			t.Fatalf("SET %s tag = %d", k, resp.Tag)
-		}
-		if resp := sendPDU(t, conn, &wire.Request{Verb: wire.VerbDel, ID: 2*i + 1, Key: k}); resp.Tag != wire.RespOK {
-			t.Fatalf("DEL %s tag = %d, want OK", k, resp.Tag)
-		}
+	stampA := version.Encode(version.Version{VV: version.Vector{"n0": 1}, Clock: 1}, "a1")
+	stampC1 := version.Encode(version.Version{VV: version.Vector{"n0": 1}, Clock: 1}, "c1")
+	stampC2 := version.Encode(version.Version{VV: version.Vector{"n0": 2}, Clock: 2}, "c2")
+	stampD := version.Encode(version.Version{VV: version.Vector{"n1": 1}, Clock: 3}, "d1")
+
+	// Snapshot: tail segment 2, three pairs, two dedupe entries.
+	snap := binary.AppendUvarint(nil, 2)
+	snap = binary.AppendUvarint(snap, 3)
+	for _, kv := range [][2]string{{"a", stampA}, {"b", "raw-b"}, {"c", stampC1}} {
+		snap = legacyString(legacyString(snap, kv[0]), kv[1])
 	}
-	conn.Close()
-	if err := s.Crash(); err != nil {
-		t.Fatalf("Crash: %v", err)
+	snap = binary.AppendUvarint(snap, 2)
+	for id := uint64(7); id <= 8; id++ {
+		snap = binary.AppendUvarint(snap, 0xC0FFEE)
+		snap = binary.AppendUvarint(snap, id)
+		snap = legacyString(snap, string(wire.AppendResponse(nil, &wire.Response{Tag: wire.RespOK, ID: id})))
 	}
-	s2 := startDurable(t, dir, sockets.ServerConfig{WALSnapshotEvery: 1})
-	defer s2.Close()
-	conn2 := rawBinaryConn(t, s2.Addr(), 77)
-	defer conn2.Close()
-	for i := uint64(0); i < n; i++ {
-		if resp := sendPDU(t, conn2, &wire.Request{Verb: wire.VerbDel, ID: 2*i + 1, Key: fmt.Sprintf("k%02d", i)}); resp.Tag != wire.RespOK {
-			t.Fatalf("retried DEL id %d tag = %d: recording lost across snapshot prune — exactly-once broken", 2*i+1, resp.Tag)
+	snapFile := append(append([]byte("walsnp01"), snap...), legacyCRC(snap)...)
+	if err := os.WriteFile(filepath.Join(dir, "snapshot"), snapFile, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Segment 2: kind byte, client ID, correlation ID, then the body.
+	var seg []byte
+	record := func(kind byte, client, id uint64, body []byte) {
+		payload := binary.AppendUvarint([]byte{kind}, client)
+		payload = append(binary.AppendUvarint(payload, id), body...)
+		seg = append(binary.AppendUvarint(seg, uint64(len(payload))), legacyCRC(payload)...)
+		seg = append(seg, payload...)
+	}
+	const set, del, mput, mdel = 1, 2, 3, 4
+	record(set, 0xC0FFEE, 9, legacyString(legacyString(nil, "c"), stampC2))
+	mputBody := binary.AppendUvarint(nil, 2)
+	mputBody = legacyString(legacyString(mputBody, "d"), stampD)
+	mputBody = legacyString(legacyString(mputBody, "e"), "unstamped-e")
+	record(mput, 0xC0FFEE, 10, mputBody)
+	record(del, 0, 0, legacyString(nil, "a"))
+	mdelBody := binary.AppendUvarint(nil, 2)
+	mdelBody = legacyString(legacyString(mdelBody, "b"), "missing")
+	record(mdel, 0xC0FFEE, 11, mdelBody)
+	record(set, 0, 0, legacyString(legacyString(nil, "f"), "text-f"))
+	if err := os.WriteFile(filepath.Join(dir, "00000002.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := startDurable(t, dir, sockets.ServerConfig{})
+	defer s.Close()
+	want := map[string]string{"c": stampC2, "d": stampD, "e": "unstamped-e", "f": "text-f"}
+	if got := s.RecoveredKeys(); got != len(want) {
+		t.Fatalf("RecoveredKeys = %d, want %d", got, len(want))
+	}
+	c, err := sockets.Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	keys, err := c.Keys()
+	if err != nil || len(keys) != len(want) {
+		t.Fatalf("KEYS = %v, %v; want the %d keys %v", keys, err, len(want), want)
+	}
+	for _, k := range keys {
+		v, found, err := c.Get(k)
+		if err != nil || !found || v != want[k] {
+			t.Fatalf("recovered %s = %q (%v, %v), want %q", k, v, found, err, want[k])
 		}
 	}
 }

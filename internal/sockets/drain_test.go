@@ -4,7 +4,6 @@
 package sockets
 
 import (
-	"encoding/binary"
 	"net"
 	"testing"
 	"time"
@@ -31,10 +30,7 @@ func TestBinaryInlineDrainOnGracefulClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hs := make([]byte, 9)
-	hs[0] = wire.Magic
-	binary.BigEndian.PutUint64(hs[1:], 0xD1A1)
-	if _, err := conn.Write(hs); err != nil {
+	if _, err := conn.Write([]byte{wire.Magic}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -3,9 +3,7 @@ package sockets
 import (
 	"fmt"
 	"runtime"
-	"time"
 
-	"repro/internal/sockets/wire"
 	"repro/internal/wal"
 )
 
@@ -14,12 +12,11 @@ import (
 const defaultSnapshotEvery = 10000
 
 // openWAL wires the write-ahead log into a starting server: recovery
-// first (snapshot pairs straight into the shards, dedupe recordings
-// preloaded, then the log tail replayed through the same applyBinary
-// every live mutation uses), then the log is live and every mutating
-// request is appended — and fsynced, via the group committer — before
-// its response leaves the server. Runs before the accept loop starts,
-// so recovery never races live traffic.
+// first (snapshot pairs straight into the shards, then the log tail
+// replayed as the plain writes it records), then the log is live and
+// every mutating request is appended — and fsynced, via the group
+// committer — before its response leaves the server. Runs before the
+// accept loop starts, so recovery never races live traffic.
 func (s *Server) openWAL(cfg ServerConfig) error {
 	l, err := wal.Open(wal.Config{
 		Dir:           cfg.WALDir,
@@ -34,28 +31,9 @@ func (s *Server) openWAL(cfg ServerConfig) error {
 				// through the live path and tracks itself.
 				s.digestApply(kv.Key, "", kv.Value, false, true)
 			}
-			for _, e := range snap.Dedupe {
-				s.dedupe.preload(dedupeKey{client: e.Client, id: e.ID}, e.Resp)
-			}
 			return nil
 		},
-		OnRecord: func(rec *wal.Record) error {
-			req, err := recordRequest(rec)
-			if err != nil {
-				return err
-			}
-			// Replay through the live apply path: the store ends in the
-			// exact state the pre-crash sequence produced, and the
-			// recomputed response is byte-identical to the one acked
-			// (same state sequence, deterministic verbs) — so preloading
-			// it keeps retried pre-crash mutations exactly-once.
-			resp := s.applyBinary(req)
-			if rec.Client != 0 {
-				s.dedupe.preload(dedupeKey{client: rec.Client, id: rec.ID},
-					wire.AppendResponse(nil, resp))
-			}
-			return nil
-		},
+		OnRecord: s.replay,
 	})
 	if err != nil {
 		return err
@@ -120,17 +98,16 @@ func (s *Server) maybeSnapshot() {
 		defer s.snapInFlight.Store(false)
 		// Rotation orders the capture: every record enqueued before this
 		// point lands in a sealed pre-tail segment, and — because every
-		// mutation is applied to the store, its dedupe recording
-		// published, and its record enqueued all under the same shard
-		// lock(s) — the capture below sees the effects AND the dedupe
-		// recording of every such record. Records that race in after the
-		// rotation land at or past tail and replay over the snapshot,
-		// which is idempotent (same values, log order).
+		// mutation is applied to the store and its record enqueued under
+		// the same shard lock(s) — the capture below sees the effects of
+		// every such record. Records that race in after the rotation land
+		// at or past tail and replay over the snapshot, which is
+		// idempotent (same values, log order).
 		tail, err := s.wal.Rotate()
 		if err != nil {
 			return // closed, crashed, or a latched I/O error: not our problem to report
 		}
-		snap := &wal.Snapshot{Dedupe: s.dedupe.snapshotEntries()}
+		snap := &wal.Snapshot{}
 		for i := range s.shards {
 			sh := &s.shards[i]
 			sh.lock.RLock()
@@ -173,99 +150,48 @@ func (s *Server) Crash() error {
 	return err
 }
 
-// requestRecord maps one applied mutating request onto its log record.
-// value is the string a SET or SETV stored: the record shares it rather
-// than copying the request's bytes again. client is 0 for text-protocol
-// mutations — the text protocol has no dedupe identity, so replay
-// restores state but records no response.
-func requestRecord(client uint64, r *wire.Request, value string) *wal.Record {
-	rec := &wal.Record{Client: client, ID: r.ID, Key: r.Key}
-	switch r.Verb {
-	case wire.VerbSet:
-		rec.Kind = wal.KindSet
-		rec.Value = value
-	case wire.VerbSetV:
-		// An applied SETV logs as a plain set: the version compare already
-		// ran (only winners are logged), so replay just restores the bytes
-		// — the store ends byte-identical without any version logic in the
-		// replay path.
-		rec.Kind = wal.KindSet
-		rec.Value = value
-	case wire.VerbDel:
-		rec.Kind = wal.KindDel
-	case wire.VerbMDel:
-		rec.Kind = wal.KindMDel
-		rec.Keys = r.Keys
-	case wire.VerbMPut:
-		rec.Kind = wal.KindMPut
-		rec.Pairs = make([]wal.KV, 0, len(r.Pairs))
-		for _, kv := range r.Pairs {
-			rec.Pairs = append(rec.Pairs, wal.KV{Key: kv.Key, Value: string(kv.Value)})
-		}
-	}
-	return rec
-}
-
-// recordRequest maps a replayed record back onto the request shape
-// applyBinary consumes — the inverse of requestRecord.
-func recordRequest(rec *wal.Record) (*wire.Request, error) {
-	r := &wire.Request{ID: rec.ID, Key: rec.Key}
+// replay applies one logged mutation during recovery as the plain
+// write it records: the live path already ran any version compare and
+// logged only what changed the store. Logs written before MPUT compared
+// stamps, which may hold unstamped MPUT pairs, replay the same way.
+// Parallel replay applies every record of one key on one worker, in log
+// order, and a record spanning several stripes alone, so each key's
+// shard lock is all the locking replay needs.
+func (s *Server) replay(rec *wal.Record) error {
 	switch rec.Kind {
 	case wal.KindSet:
-		r.Verb = wire.VerbSet
-		r.Value = []byte(rec.Value)
-	case wal.KindDel:
-		r.Verb = wire.VerbDel
-	case wal.KindMDel:
-		r.Verb = wire.VerbMDel
-		r.Keys = rec.Keys
+		s.replaySet(rec.Key, rec.Value)
 	case wal.KindMPut:
-		r.Verb = wire.VerbMPut
-		r.Pairs = make([]wire.KV, 0, len(rec.Pairs))
 		for _, kv := range rec.Pairs {
-			r.Pairs = append(r.Pairs, wire.KV{Key: kv.Key, Value: []byte(kv.Value)})
+			s.replaySet(kv.Key, kv.Value)
+		}
+	case wal.KindDel:
+		s.replayDel(rec.Key)
+	case wal.KindMDel:
+		for _, k := range rec.Keys {
+			s.replayDel(k)
 		}
 	default:
-		return nil, fmt.Errorf("wal replay: record kind %d has no verb", rec.Kind)
+		return fmt.Errorf("wal replay: record kind %d has no verb", rec.Kind)
 	}
-	return r, nil
+	return nil
 }
 
-// preload inserts an already-completed recording during WAL recovery,
-// so a client retrying a mutation it sent (and we acked) just before
-// the crash replays the recorded response instead of applying twice.
-func (t *dedupeTable) preload(k dedupeKey, resp []byte) {
-	d := t.stripe(k)
-	d.mu.Lock()
-	if _, ok := d.entries[k]; !ok {
-		e := &dedupeEntry{done: make(chan struct{}), resp: resp, doneAt: time.Now()}
-		close(e.done)
-		d.entries[k] = e
-		d.order = append(d.order, k)
-	}
-	d.mu.Unlock()
+func (s *Server) replaySet(key, value string) {
+	sh := s.shardFor(key)
+	sh.lock.Lock()
+	old, had := sh.store[key]
+	sh.store[key] = value
+	s.digestApply(key, old, value, had, true)
+	sh.lock.Unlock()
 }
 
-// snapshotEntries captures the recorded responses still inside the
-// retry horizon, for inclusion in a WAL snapshot. Entries with no
-// recording yet are skipped — safely: a recording is published (under
-// the shard lock) before its WAL record is even enqueued, so any record
-// this snapshot's tail covers already has its recording visible here,
-// and a skipped entry's mutation either raced in after the rotation
-// (its record replays from the log tail, re-deriving the recording) or
-// was never applied at all.
-func (t *dedupeTable) snapshotEntries() []wal.DedupeEntry {
-	now := time.Now()
-	var out []wal.DedupeEntry
-	for i := range t.stripes {
-		d := &t.stripes[i]
-		d.mu.Lock()
-		for k, e := range d.entries {
-			if e.resp != nil && now.Sub(e.doneAt) < t.horizon {
-				out = append(out, wal.DedupeEntry{Client: k.client, ID: k.id, Resp: e.resp})
-			}
-		}
-		d.mu.Unlock()
+func (s *Server) replayDel(key string) {
+	sh := s.shardFor(key)
+	sh.lock.Lock()
+	if old, ok := sh.store[key]; ok {
+		delete(sh.store, key)
+		s.digestApply(key, old, "", true, false)
 	}
-	return out
+	sh.lock.Unlock()
 }

@@ -141,11 +141,9 @@ func TestFramingEmbeddedCRLF(t *testing.T) {
 	defer p.Close()
 	for i, val := range append(crlfValues, "  spaces  ", "nul\x00s", "") {
 		key := "bin-" + string(rune('a'+i))
-		if err := p.Set(key, val); err != nil {
-			t.Fatalf("binary SET %q: %v", val, err)
-		}
+		setv(t, p, key, val)
 		got, found, err := p.Get(key)
-		if err != nil || !found || got != val {
+		if err != nil || !found || got != stamped(1, val) {
 			t.Errorf("binary value corrupted: sent %q, got %q (found=%v err=%v)", val, got, found, err)
 		}
 	}

@@ -7,6 +7,7 @@
 package sockets_test
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -111,10 +112,10 @@ func testPoolOverloadBinary(t *testing.T) {
 			t.Errorf("wedged request %d failed: %v", i, werr)
 		}
 	}
-	if err := probePool.Set("other", "v"); err != nil {
+	if _, err := probePool.SetVCtx(context.Background(), "other", stamped(1, "v")); err != nil {
 		t.Fatalf("request after drain failed: %v", err)
 	}
-	if v, ok, err := probePool.Get("other"); err != nil || !ok || v != "v" {
+	if v, ok, err := probePool.Get("other"); err != nil || !ok || v != stamped(1, "v") {
 		t.Fatalf("read after drain = %q, %v, %v", v, ok, err)
 	}
 	if pending := srv.Pending(); pending != 0 {

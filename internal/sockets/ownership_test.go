@@ -138,8 +138,8 @@ func TestPoolRoundTripAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	val := strings.Repeat("x", 1024)
-	if err := p.Set("k", val); err != nil {
+	val := ownedValue(0, 0, 1)
+	if _, err := p.SetVCtx(context.Background(), "k", val); err != nil {
 		t.Fatal(err)
 	}
 	get := func() {
@@ -193,7 +193,8 @@ func BenchmarkPoolRoundTrip(b *testing.B) {
 				for i := range keys {
 					keys[i] = fmt.Sprintf("key-%d", i)
 				}
-				if err := p.Set(keys[0], payload); err != nil {
+				stored := version.Encode(version.Version{VV: version.Vector{"b": 1}, Clock: 1}, payload)
+				if _, err := p.SetVCtx(ctx, keys[0], stored); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()

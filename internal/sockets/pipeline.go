@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -15,32 +13,6 @@ import (
 
 	"repro/internal/sockets/wire"
 )
-
-// pipeClientSeq only disambiguates the entropy-failure fallback in
-// newClientID; the normal path never touches it.
-var pipeClientSeq atomic.Uint64
-
-// newClientID draws the 8-byte binary-handshake client ID from
-// crypto/rand. The server keys its retry-dedupe table on (client ID,
-// correlation ID), and correlation IDs restart at 1 in every pipe — a
-// sequential client ID would repeat the same (1, 1) pair in every
-// process (and in every restart of the same process), so the server
-// would mistake a fresh mutation for a retry of some other client's op
-// and replay the recorded response without applying the write. 64
-// random bits make that collision vanishingly unlikely across any
-// number of client processes. The fallback only runs if the system
-// entropy source is broken: it mixes wall time with a process-local
-// counter, which still never repeats within a process and is
-// time-separated across them.
-func newClientID() uint64 {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err == nil {
-		if id := binary.BigEndian.Uint64(b[:]); id != 0 {
-			return id
-		}
-	}
-	return uint64(time.Now().UnixNano()) ^ pipeClientSeq.Add(1)<<56
-}
 
 // pipeResult is one settled response future.
 type pipeResult struct {
@@ -62,8 +34,7 @@ type pipeFuture struct {
 // so responses return in whatever order the server finishes them and
 // one connection carries any number of in-flight operations.
 type pipe struct {
-	p        *Pool
-	clientID uint64
+	p *Pool
 
 	mu       sync.Mutex // guards conn, fw, gen, pending
 	conn     net.Conn
@@ -75,9 +46,8 @@ type pipe struct {
 
 func newPipe(p *Pool) *pipe {
 	return &pipe{
-		p:        p,
-		clientID: newClientID(),
-		pending:  make(map[uint64]pipeFuture),
+		p:       p,
+		pending: make(map[uint64]pipeFuture),
 	}
 }
 
@@ -95,12 +65,9 @@ func (pp *pipe) ensure(ctx context.Context) (net.Conn, *frameWriter, uint64, err
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	// Handshake: magic byte, then the 8-byte client ID.
-	var hs [9]byte
-	hs[0] = wire.Magic
-	binary.BigEndian.PutUint64(hs[1:], pp.clientID)
+	// Handshake: the magic byte.
 	conn.SetWriteDeadline(time.Now().Add(timeout))
-	if _, err := conn.Write(hs[:]); err != nil {
+	if _, err := conn.Write([]byte{wire.Magic}); err != nil {
 		conn.Close()
 		return nil, nil, 0, err
 	}
@@ -222,8 +189,9 @@ func (pp *pipe) unregister(id uint64, f pipeFuture) {
 // fails fast, before any dial or write; cancellation mid-attempt or in
 // backoff returns at once with an error wrapping ctx.Err(). The
 // correlation ID is assigned once per logical request and reused across
-// retries — that reuse is what lets the server dedupe a retried
-// mutation whose first response was lost in transit.
+// retries. A retry may reach the server after the first delivery did:
+// every mutating verb is idempotent by version, so applying it again
+// changes nothing the first delivery did not.
 func (p *Pool) do(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	if p.closed.Load() {
 		return nil, ErrPoolClosed
@@ -252,9 +220,7 @@ func (p *Pool) do(ctx context.Context, req *wire.Request) (*wire.Response, error
 			}
 			// Shed at admission. The pipelined connection stays up — the
 			// server answered, it just refused the work — so take the
-			// stiffened backoff rung and retry on the same conn. The
-			// reused correlation ID is safe: a shed attempt never touched
-			// the dedupe table.
+			// stiffened backoff rung and retry on the same conn.
 			p.errSeen.Add(1)
 			p.overloadSeen.Add(1)
 			lastErr = ErrOverload
@@ -405,8 +371,21 @@ func chunkKeys(keys []string) [][]string {
 	return out
 }
 
-// chunkPairs splits an MPUT batch by payload bytes, keys and values
-// both counted.
+// wirePairs checks an MPUT or MDEL batch's keys and views each pair's
+// value (a stamped value, or a stamp) as wire bytes without copying it.
+func wirePairs(pairs []KV) ([]wire.KV, error) {
+	out := make([]wire.KV, len(pairs))
+	for i, kv := range pairs {
+		if err := validateKey(kv.Key); err != nil {
+			return nil, err
+		}
+		out[i] = wire.KV{Key: kv.Key, Value: readOnlyBytes(kv.Value)}
+	}
+	return out, nil
+}
+
+// chunkPairs splits an MPUT or MDEL batch by payload bytes, keys and
+// values both counted.
 func chunkPairs(pairs []wire.KV) [][]wire.KV {
 	var out [][]wire.KV
 	for len(pairs) > 0 {

@@ -76,11 +76,11 @@ var ErrPoolClosed = errors.New("sockets: pool closed")
 // Client grows into: one pipelined binary-protocol connection that
 // multiplexes any number of in-flight requests, with per-request
 // deadlines and bounded retry with exponential backoff plus jitter on
-// dial and transport errors. Retried mutations reuse their correlation
-// ID, so the server's dedupe table makes them exactly-once. Safe for
+// dial and transport errors. Every mutation it sends is idempotent by
+// version, so a retry after an ambiguous failure is safe. Safe for
 // concurrent use.
 //
-// Every operation has a context-first core (GetCtx, SetCtx, ...): the
+// Every operation has a context-first core (GetCtx, SetVCtx, ...): the
 // context bounds the whole request — dial, write, read, and retry
 // backoff — and a canceled or expired context surfaces as an error
 // wrapping context.Canceled or context.DeadlineExceeded, distinct from
@@ -252,25 +252,6 @@ func (p *Pool) PingCtx(ctx context.Context) error {
 	return nil
 }
 
-// Set stores key = value (keys with whitespace rejected via ErrBadKey;
-// values are opaque bytes).
-func (p *Pool) Set(key, value string) error { return p.SetCtx(context.Background(), key, value) }
-
-// SetCtx stores key = value under ctx.
-func (p *Pool) SetCtx(ctx context.Context, key, value string) error {
-	if err := validateKey(key); err != nil {
-		return err
-	}
-	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbSet, Key: key, Value: readOnlyBytes(value)})
-	if err != nil {
-		return err
-	}
-	if resp.Tag != wire.RespOK {
-		return respErr(resp)
-	}
-	return nil
-}
-
 // Get fetches a value; found is false for missing keys.
 func (p *Pool) Get(key string) (value string, found bool, err error) {
 	return p.GetCtx(context.Background(), key)
@@ -294,42 +275,25 @@ func (p *Pool) GetCtx(ctx context.Context, key string) (value string, found bool
 	return "", false, respErr(resp)
 }
 
-// Del removes a key, reporting whether it existed.
-func (p *Pool) Del(key string) (bool, error) { return p.DelCtx(context.Background(), key) }
+// MDel bulk-deletes keys by stamp. See MDelCtx.
+func (p *Pool) MDel(dels []KV) (int, error) { return p.MDelCtx(context.Background(), dels) }
 
-// DelCtx removes a key under ctx, reporting whether it existed.
-func (p *Pool) DelCtx(ctx context.Context, key string) (bool, error) {
-	if err := validateKey(key); err != nil {
-		return false, err
-	}
-	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbDel, Key: key})
+// MDelCtx bulk-deletes keys under ctx, one MDEL PDU per chunk, and
+// returns how many it deleted. Each KV names a key and, as its Value,
+// the stamp the caller read for it: the encoded version header, without
+// the payload. The server deletes a key only if its stored copy is not
+// newer than that stamp, so a retried or late MDEL never removes a
+// write the caller did not see. An empty stamp deletes whatever is
+// stored. A cancellation between chunks returns the deletions applied
+// so far alongside the wrapped ctx error.
+func (p *Pool) MDelCtx(ctx context.Context, dels []KV) (int, error) {
+	wkv, err := wirePairs(dels)
 	if err != nil {
-		return false, err
-	}
-	switch resp.Tag {
-	case wire.RespOK:
-		return true, nil
-	case wire.RespNotFound:
-		return false, nil
-	}
-	return false, respErr(resp)
-}
-
-// MDel bulk-deletes keys (chunked under the frame limit), returning how
-// many existed.
-func (p *Pool) MDel(keys ...string) (int, error) { return p.MDelCtx(context.Background(), keys...) }
-
-// MDelCtx bulk-deletes keys under ctx; a cancellation between chunks
-// returns the deletions applied so far alongside the wrapped ctx error.
-func (p *Pool) MDelCtx(ctx context.Context, keys ...string) (int, error) {
-	for _, k := range keys {
-		if err := validateKey(k); err != nil {
-			return 0, err
-		}
+		return 0, err
 	}
 	deleted := 0
-	for _, chunk := range chunkKeys(keys) {
-		resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbMDel, Keys: chunk})
+	for _, chunk := range chunkPairs(wkv) {
+		resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbMDel, Pairs: chunk})
 		if err != nil {
 			return deleted, err
 		}
@@ -376,18 +340,15 @@ func (p *Pool) MGetCtx(ctx context.Context, keys ...string) ([]string, []bool, e
 // MPut stores many pairs at once. See MPutCtx.
 func (p *Pool) MPut(pairs []KV) error { return p.MPutCtx(context.Background(), pairs) }
 
-// MPutCtx stores many pairs. The batch rides one MPUT PDU per chunk —
-// what cluster migration uses to land a moved arc's keys without a
-// round trip per key.
+// MPutCtx stores many version-stamped pairs, one MPUT PDU per chunk.
+// The server applies each pair only if its stamp wins against what it
+// stores, the SETV rule, so a retried or late MPUT never regresses a
+// key. A pair without a stamp fails its whole chunk before any of it
+// is applied.
 func (p *Pool) MPutCtx(ctx context.Context, pairs []KV) error {
-	for _, kv := range pairs {
-		if err := validateKey(kv.Key); err != nil {
-			return err
-		}
-	}
-	wkv := make([]wire.KV, len(pairs))
-	for i, kv := range pairs {
-		wkv[i] = wire.KV{Key: kv.Key, Value: readOnlyBytes(kv.Value)}
+	wkv, err := wirePairs(pairs)
+	if err != nil {
+		return err
 	}
 	for _, chunk := range chunkPairs(wkv) {
 		resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbMPut, Pairs: chunk})
@@ -403,10 +364,9 @@ func (p *Pool) MPutCtx(ctx context.Context, pairs []KV) error {
 
 // SetVCtx stores key = value only if value's embedded version stamp
 // wins the total order against whatever the node already stores,
-// returning the SetV* outcome code. This is the write the anti-entropy
-// machinery uses everywhere it copies data between replicas: unlike a
-// blind SetCtx, a delayed or retried SETV can never regress a replica
-// to an older version.
+// returning the SetV* outcome code. This is the write the cluster uses
+// everywhere it copies data to a replica: a delayed or retried SETV can
+// never regress a replica to an older version.
 func (p *Pool) SetVCtx(ctx context.Context, key, value string) (uint64, error) {
 	if err := validateKey(key); err != nil {
 		return 0, err

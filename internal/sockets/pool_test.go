@@ -11,7 +11,20 @@ import (
 
 	"repro/internal/merkle"
 	"repro/internal/sockets/wire"
+	"repro/internal/version"
 )
+
+// stamped encodes value under the one-entry version {t: n}: the shape of
+// every value a Pool writes.
+func stamped(n uint64, value string) string {
+	return version.Encode(version.Version{VV: version.Vector{"t": n}, Clock: int64(n)}, value)
+}
+
+// setv writes key = stamped(1, value) through p.
+func setv(p *Pool, key, value string) error {
+	_, err := p.SetVCtx(context.Background(), key, stamped(1, value))
+	return err
+}
 
 func TestPoolBasics(t *testing.T) {
 	s := startServer(t)
@@ -23,18 +36,18 @@ func TestPoolBasics(t *testing.T) {
 	if err := p.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Set("k", "v with spaces"); err != nil {
+	if err := setv(p, "k", "v with spaces"); err != nil {
 		t.Fatal(err)
 	}
 	v, found, err := p.Get("k")
-	if err != nil || !found || v != "v with spaces" {
+	if err != nil || !found || v != stamped(1, "v with spaces") {
 		t.Errorf("Get = %q %v %v", v, found, err)
 	}
-	if ok, err := p.Del("k"); err != nil || !ok {
-		t.Errorf("Del = %v %v", ok, err)
+	if n, err := p.MDel([]KV{{Key: "k"}}); err != nil || n != 1 {
+		t.Errorf("MDel = %v %v", n, err)
 	}
-	if err := p.Set("bad key", "v"); !errors.Is(err, ErrBadKey) {
-		t.Errorf("Set with space = %v, want ErrBadKey", err)
+	if err := setv(p, "bad key", "v"); !errors.Is(err, ErrBadKey) {
+		t.Errorf("SETV with space = %v, want ErrBadKey", err)
 	}
 	st := p.Stats()
 	if st.Requests != 4 { // the rejected key never became a request
@@ -61,7 +74,7 @@ func TestPoolConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				key := fmt.Sprintf("w%d-i%d", w, i)
-				if err := p.Set(key, "v"); err != nil {
+				if err := setv(p, key, "v"); err != nil {
 					errs <- err
 					return
 				}
@@ -98,8 +111,8 @@ func TestPoolRetriesThroughInjectedFaults(t *testing.T) {
 	const n = 20
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if err := p.Set(key, "v"); err != nil {
-			t.Fatalf("Set %s: %v", key, err)
+		if err := setv(p, key, "v"); err != nil {
+			t.Fatalf("SETV %s: %v", key, err)
 		}
 		if _, found, err := p.Get(key); err != nil || !found {
 			t.Fatalf("Get %s: found=%v err=%v", key, found, err)
@@ -128,8 +141,8 @@ func TestPoolExhaustsRetryBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if err := p.Set("k", "v"); err == nil {
-		t.Fatal("Set should fail when every attempt is killed")
+	if err := setv(p, "k", "v"); err == nil {
+		t.Fatal("SETV should fail when every attempt is killed")
 	}
 	st := p.Stats()
 	if st.Retries != 1 || st.Errors != 2 {
@@ -200,7 +213,7 @@ func TestPoolCounterSet(t *testing.T) {
 	defer p.Close()
 	const n = 10
 	for i := 0; i < n; i++ {
-		if err := p.Set(fmt.Sprintf("k%d", i), "v"); err != nil {
+		if err := setv(p, fmt.Sprintf("k%d", i), "v"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,7 +260,7 @@ func TestPoolPreAttemptHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if err := p.Set("k", "v"); err != nil {
+	if err := setv(p, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -272,8 +285,8 @@ func TestPoolPreAttemptLatencyEatsCtxBudget(t *testing.T) {
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 	defer cancel()
-	if err := p.SetCtx(ctx, "k", "v"); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("SetCtx under a spiked attempt = %v, want wrapped DeadlineExceeded", err)
+	if _, err := p.SetVCtx(ctx, "k", stamped(1, "v")); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("SetVCtx under a spiked attempt = %v, want wrapped DeadlineExceeded", err)
 	}
 }
 
@@ -378,7 +391,7 @@ func TestFrameGuard_OversizedResponseFailsOnce(t *testing.T) {
 	// 1.3 MiB.
 	pairs := make([]KV, 5000)
 	for i := range pairs {
-		pairs[i] = KV{Key: fmt.Sprintf("%0250d", i), Value: "v"}
+		pairs[i] = KV{Key: fmt.Sprintf("%0250d", i), Value: stamped(1, "v")}
 	}
 	if err := p.MPut(pairs); err != nil {
 		t.Fatal(err)
@@ -387,7 +400,7 @@ func TestFrameGuard_OversizedResponseFailsOnce(t *testing.T) {
 	getErr := make(chan error, 1)
 	go func() {
 		v, ok, err := p.Get(pairs[0].Key)
-		if err == nil && (!ok || v != "v") {
+		if err == nil && (!ok || v != stamped(1, "v")) {
 			err = fmt.Errorf("Get = %q, %v", v, ok)
 		}
 		getErr <- err

@@ -135,8 +135,8 @@ type ServerConfig struct {
 	// is appended to a write-ahead log in this directory — and fsynced,
 	// through the group committer — before its response is released, and
 	// startup replays whatever a previous incarnation logged there
-	// (snapshot plus log tail, retry-dedupe recordings included). Empty
-	// keeps the original memory-only server.
+	// (snapshot plus log tail). Empty keeps the original memory-only
+	// server.
 	WALDir string
 	// WALSegmentBytes overrides the log's segment size (wal.Config).
 	WALSegmentBytes int64
@@ -204,7 +204,6 @@ type Server struct {
 	connSeen atomic.Int64
 	reqSeen  atomic.Int64
 	errSeen  atomic.Int64
-	dedupHit atomic.Int64
 	latency  *metrics.Histogram
 
 	// Admission control: pending counts admitted-but-unanswered requests
@@ -216,11 +215,6 @@ type Server struct {
 	pendingPeak atomic.Int64
 	shedSeen    atomic.Int64
 	verbLat     map[string]*metrics.Histogram
-
-	// dedupe remembers recent mutating binary PDUs by (client ID,
-	// correlation ID) so a retry of an op whose response was lost in
-	// transit replays the recorded answer instead of applying twice.
-	dedupe *dedupeTable
 
 	// Durability (nil wal = memory-only). walSince counts mutations
 	// logged since the last snapshot; snapInFlight single-flights the
@@ -275,7 +269,6 @@ func NewServerConfig(addr string, cfg ServerConfig) (*Server, error) {
 		drain:       cfg.DrainTimeout,
 		active:      make(map[*connState]struct{}),
 		latency:     metrics.NewHistogram(),
-		dedupe:      newDedupeTable(dedupeCap, dedupeRetryHorizon),
 		preHandle:   cfg.PreHandle,
 		maxPending:  cfg.MaxPending,
 		syncExclude: cfg.SyncExcludePrefix,
@@ -539,11 +532,10 @@ func (s *Server) handle(req string) string {
 		}
 		// applyMutation applies and reserves the log position under the
 		// shard lock (log order = apply order), then the fsync wait runs
-		// here, before the ack leaves. Client 0 marks a text-protocol
-		// mutation, which carries no dedupe identity. Key validation now
-		// also guards the log: "SET  v" (empty key) used to store a key
-		// replay refuses to decode.
-		resp, tick := s.applyMutation(0, &wire.Request{Verb: wire.VerbSet, Key: parts[1], Value: []byte(parts[2])}, nil)
+		// here, before the ack leaves. Key validation also guards the
+		// log: "SET  v" (empty key) would store a key replay refuses to
+		// decode.
+		resp, tick := s.applyMutation(&wire.Request{Verb: wire.VerbSet, Key: parts[1], Value: []byte(parts[2])})
 		if resp.Tag == wire.RespErr {
 			return "ERR " + resp.Err
 		}
@@ -567,12 +559,9 @@ func (s *Server) handle(req string) string {
 		if len(parts) != 2 {
 			return "ERR usage: DEL key"
 		}
-		// NOTFOUND deletes are logged too: replay must walk the same
-		// state sequence the live run did, not a guess at which deletes
-		// mattered. (A DEL of an invalid key — "DEL " — changes nothing,
-		// answers NOTFOUND, and is not logged: its record would poison
-		// replay.)
-		resp, tick := s.applyMutation(0, &wire.Request{Verb: wire.VerbDel, Key: parts[1]}, nil)
+		// Only a DEL that removed a key is logged: a NOTFOUND delete
+		// changes nothing replay must walk through.
+		resp, tick := s.applyMutation(&wire.Request{Verb: wire.VerbDel, Key: parts[1]})
 		if err := s.walWait(tick); err != nil {
 			return "ERR durability: " + err.Error()
 		}
@@ -581,13 +570,17 @@ func (s *Server) handle(req string) string {
 		}
 		return "OK"
 	case "MDEL":
-		// Bulk delete, one frame for many keys — what cluster migration
-		// uses to clear moved arcs without a round trip per key.
+		// Bulk delete, one frame for many keys. The lab verb carries no
+		// stamps, so every key is deleted unconditionally.
 		keys := strings.Fields(req)[1:]
 		if len(keys) == 0 {
 			return "ERR usage: MDEL key [key ...]"
 		}
-		resp, tick := s.applyMutation(0, &wire.Request{Verb: wire.VerbMDel, Keys: keys}, nil)
+		pairs := make([]wire.KV, len(keys))
+		for i, k := range keys {
+			pairs[i].Key = k
+		}
+		resp, tick := s.applyMutation(&wire.Request{Verb: wire.VerbMDel, Pairs: pairs})
 		if resp.Tag == wire.RespErr {
 			return "ERR " + resp.Err
 		}

@@ -497,8 +497,8 @@ func TestTextServesLabVerbsOnly(t *testing.T) {
 	}
 }
 
-// TestPreHandleVerbAndKey: the PreHandle hook sees the same verb and key
-// for a single-key request whichever protocol carried it, so fault
+// TestPreHandleVerbAndKey: the PreHandle hook sees the command word and
+// key of a single-key request whichever protocol carried it, so fault
 // hooks match on the verb without caring about the transport.
 func TestPreHandleVerbAndKey(t *testing.T) {
 	type call struct{ verb, key string }
@@ -522,12 +522,11 @@ func TestPreHandleVerbAndKey(t *testing.T) {
 	defer p.Close()
 	for _, tc := range []struct {
 		text string
-		bin  wire.Request
 		want call
 	}{
-		{"SET k v w", wire.Request{Verb: wire.VerbSet, Key: "k", Value: []byte("v w")}, call{"SET", "k"}},
-		{"GET k", wire.Request{Verb: wire.VerbGet, Key: "k"}, call{"GET", "k"}},
-		{"DEL k", wire.Request{Verb: wire.VerbDel, Key: "k"}, call{"DEL", "k"}},
+		{"SET k v w", call{"SET", "k"}},
+		{"GET k", call{"GET", "k"}},
+		{"DEL k", call{"DEL", "k"}},
 	} {
 		if _, err := c.roundTrip(tc.text); err != nil {
 			t.Fatal(err)
@@ -535,6 +534,14 @@ func TestPreHandleVerbAndKey(t *testing.T) {
 		if got := <-seen; got != tc.want {
 			t.Errorf("text %q: PreHandle saw %+v, want %+v", tc.text, got, tc.want)
 		}
+	}
+	for _, tc := range []struct {
+		bin  wire.Request
+		want call
+	}{
+		{wire.Request{Verb: wire.VerbSetV, Key: "k", Value: []byte(stamped(1, "v w"))}, call{"SETV", "k"}},
+		{wire.Request{Verb: wire.VerbGet, Key: "k"}, call{"GET", "k"}},
+	} {
 		if _, err := p.do(context.Background(), &tc.bin); err != nil {
 			t.Fatal(err)
 		}

@@ -22,8 +22,8 @@ const syncWALChunkBytes = MaxFrame - 4096
 // CRC-framed chunks; apply mode folds such a chunk into this node's
 // store through the version-conditional SETV path, so streaming is
 // idempotent and can never regress a key the receiver already saw a
-// newer write for. Neither mode touches the dedupe table's begin path:
-// dumps are reads, and applies are naturally idempotent, like SETV.
+// newer write for. Both modes are safe to retry: dumps are reads, and
+// applies are idempotent by version, like SETV.
 func (s *Server) applySyncWAL(r *wire.Request) *wire.Response {
 	switch r.Mode {
 	case wire.SyncWALDump:
@@ -78,7 +78,7 @@ func (s *Server) syncWALApply(r *wire.Request) *wire.Response {
 		if _, _, err := version.ParseHeader(value); err != nil {
 			return // unstamped: not replica data, the Merkle pass decides
 		}
-		resp, tick := s.applyMutation(0, &wire.Request{Verb: wire.VerbSetV, Key: key, Value: []byte(value)}, nil)
+		resp, tick := s.applyMutation(&wire.Request{Verb: wire.VerbSetV, Key: key, Value: []byte(value)})
 		if tick != nil {
 			ticks = append(ticks, tick)
 		}

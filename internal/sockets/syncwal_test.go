@@ -188,9 +188,7 @@ func TestSyncWAL_DumpApply_ByteIdenticalReplica(t *testing.T) {
 // TestSyncWAL_ApplyIsVersionSafe: the receiver folds stream records
 // through the version compare, so a stream from a stale source can
 // never regress keys the receiver already holds newer writes for — and
-// unstamped payloads (not replica data) are skipped outright. Dedupe
-// recordings in the source's snapshot stay there: they are keyed to a
-// client of the source, which never retries against the receiver.
+// unstamped payloads (not replica data) are skipped outright.
 func TestSyncWAL_ApplyIsVersionSafe(t *testing.T) {
 	ctx := context.Background()
 	src, srcPool := syncWALServer(t, t.TempDir(), ServerConfig{})
@@ -203,12 +201,17 @@ func TestSyncWAL_ApplyIsVersionSafe(t *testing.T) {
 	if _, err := srcPool.SetVCtx(ctx, "contested", old); err != nil {
 		t.Fatal(err)
 	}
-	// A plain SET's payload carries no stamp: the stream must not let it
+	// A lab SET's payload carries no stamp: the stream must not let it
 	// onto the receiver (blind bytes could clobber anything there).
-	if err := srcPool.SetCtx(ctx, "unstamped", "raw"); err != nil {
+	lab, err := Dial(src.Addr())
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Snapshot so the dedupe recording of the SET is in what the dump reads.
+	defer lab.Close()
+	if err := lab.Set("unstamped", "raw"); err != nil {
+		t.Fatal(err)
+	}
+	// Snapshot so the dump reads both writes from the snapshot.
 	src.maybeSnapshot()
 	src.walWG.Wait()
 	if _, err := dstPool.SetVCtx(ctx, "contested", newer); err != nil {
@@ -226,10 +229,6 @@ func TestSyncWAL_ApplyIsVersionSafe(t *testing.T) {
 	}
 	if _, found, _ := dstPool.GetCtx(ctx, "unstamped"); found {
 		t.Fatal("unstamped payload crossed the stream")
-	}
-	k := dedupeKey{client: srcPool.pipe.clientID, id: 2} // SET was the source pool's 2nd request
-	if _, dup := dst.dedupe.begin(k); dup {
-		t.Fatal("the source's dedupe recording crossed the stream")
 	}
 }
 
@@ -297,7 +296,7 @@ func TestServerScrub_SurfacesCorruption(t *testing.T) {
 	ctx := context.Background()
 	val := strings.Repeat("x", 100)
 	for i := 0; i < 60; i++ { // ~6 KiB of records: several sealed segments
-		if err := p.SetCtx(ctx, fmt.Sprintf("k%02d", i), val); err != nil {
+		if _, err := p.SetVCtx(ctx, fmt.Sprintf("k%02d", i), stamped(1, val)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,10 +8,10 @@ import "unsafe"
 
 // readOnlyBytes views an immutable string as bytes for the wire encoder
 // to read: a stored value going into a GET or MGET response, or a
-// caller's value going into a SET, SETV or MPUT request. Go strings are
-// never written, and the view is only ever read — by AppendResponse or
-// AppendRequest, which copy it onto the wire — so no write can reach the
-// string through it.
+// caller's value or stamp going into a SETV, MPUT or MDEL request. Go
+// strings are never written, and the view is only ever read — by
+// AppendResponse or AppendRequest, which copy it onto the wire — so no
+// write can reach the string through it.
 func readOnlyBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
 // ownedString hands a response value to the caller as a string without

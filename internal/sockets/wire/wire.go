@@ -11,10 +11,9 @@
 // protocol. Text-protocol frames always begin with the high byte of a
 // u32 big-endian length, and since MaxFrame is far below 2^24 that byte
 // is always 0x00 — so any non-zero magic is unambiguous. A binary
-// client opens with Magic (0xB1), then 8 bytes of client ID (big
-// endian, used to key server-side retry dedupe), then length-prefixed
-// frames. A text client just starts writing frames; the server peeks
-// one byte and serves whichever protocol it sees.
+// client opens with Magic (0xB1), then length-prefixed frames. A text
+// client just starts writing frames; the server peeks one byte and
+// serves whichever protocol it sees.
 //
 // # Frame payload layout
 //
@@ -25,10 +24,10 @@
 //
 //	request  := verb:1 id:uvarint body
 //	  VerbPing | VerbCount:             (empty body)
-//	  VerbGet | VerbDel:                key:bytes
-//	  VerbSet:                          key:bytes value:bytes
-//	  VerbMDel | VerbMGet:              n:uvarint key:bytes ×n
+//	  VerbGet:                          key:bytes
+//	  VerbMGet:                         n:uvarint key:bytes ×n
 //	  VerbMPut:                         n:uvarint (key:bytes value:bytes) ×n
+//	  VerbMDel:                         n:uvarint (key:bytes stamp:bytes) ×n
 //	  VerbSetV:                         key:bytes value:bytes
 //	  VerbTree | VerbScan:              n:uvarint (lo:uvarint hi:uvarint) ×n
 //	  VerbSyncWAL:                      mode:1 cursor:uvarint chunk:bytes
@@ -36,12 +35,20 @@
 //	response := tag:1 id:uvarint body
 //	  RespOK | RespNotFound | RespOverload:  (empty body)
 //	  RespValue:              value:bytes
-//	  RespCount:              n:uvarint            (COUNT, MDEL's deleted-count, SETV's outcome)
+//	  RespCount:              n:uvarint            (COUNT, MPUT's applied and MDEL's deleted count, SETV's outcome)
 //	  RespMulti:              n:uvarint (found:1 value:bytes) ×n   (MGET, in request key order)
 //	  RespHashes:             n:uvarint hash:8 ×n                  (TREE, one per requested span)
 //	  RespScan:               n:uvarint (key:bytes hash:8) ×n      (SCAN, sorted by key)
 //	  RespSyncWAL:            next:uvarint done:1 chunk:bytes      (SYNCWAL dump)
 //	  RespErr:                message:bytes
+//
+// Every binary mutation is idempotent by version, so a retried PDU is
+// safe without server-side bookkeeping. SETV and each MPUT pair carry a
+// stamped value and apply only if the stamp wins. Each MDEL pair carries
+// the stamp (the encoded version header, without a payload) the caller
+// read, and deletes only a stored copy that is not newer; an empty
+// stamp deletes unconditionally. VerbSet and VerbDel are not on the
+// wire: they name the text protocol's SET and DEL inside the server.
 //
 // Values are opaque bytes — the length prefix lifts the text protocol's
 // no-CR/LF restriction entirely. Keys stay under the text protocol's
@@ -66,7 +73,9 @@ const Magic byte = 0xB1
 // length fields no well-formed frame could carry, before allocating.
 const MaxFrame = 1 << 20
 
-// Request verbs.
+// Request verbs. VerbSet and VerbDel never travel: the decoder refuses
+// them, and the server uses them as the request shape of the text
+// protocol's SET and DEL.
 const (
 	VerbPing  byte = 0x01
 	VerbSet   byte = 0x02
@@ -126,7 +135,8 @@ var (
 	ErrMalformed   = errors.New("wire: malformed PDU")
 )
 
-// KV is one key/value pair of an MPUT batch.
+// KV is one pair of an MPUT batch (key and stamped value) or of an
+// MDEL batch (key and stamp).
 type KV struct {
 	Key   string
 	Value []byte
@@ -151,8 +161,8 @@ type Request struct {
 	ID     uint64
 	Key    string
 	Value  []byte
-	Keys   []string // MDel, MGet
-	Pairs  []KV     // MPut
+	Keys   []string // MGet
+	Pairs  []KV     // MPut, MDel
 	Spans  []Span   // Tree, Scan
 	Mode   byte     // SyncWAL: SyncWALDump or SyncWALApply
 	Cursor uint64   // SyncWAL dump position
@@ -227,9 +237,9 @@ func AppendRequest(dst []byte, r *Request) []byte {
 	dst = append(dst, r.Verb)
 	dst = binary.AppendUvarint(dst, r.ID)
 	switch r.Verb {
-	case VerbGet, VerbDel:
+	case VerbGet:
 		dst = appendString(dst, r.Key)
-	case VerbSet, VerbSetV:
+	case VerbSetV:
 		dst = appendString(dst, r.Key)
 		dst = appendBytes(dst, r.Value)
 	case VerbTree, VerbScan:
@@ -238,12 +248,12 @@ func AppendRequest(dst []byte, r *Request) []byte {
 			dst = binary.AppendUvarint(dst, uint64(s.Lo))
 			dst = binary.AppendUvarint(dst, uint64(s.Hi))
 		}
-	case VerbMDel, VerbMGet:
+	case VerbMGet:
 		dst = binary.AppendUvarint(dst, uint64(len(r.Keys)))
 		for _, k := range r.Keys {
 			dst = appendString(dst, k)
 		}
-	case VerbMPut:
+	case VerbMPut, VerbMDel:
 		dst = binary.AppendUvarint(dst, uint64(len(r.Pairs)))
 		for _, kv := range r.Pairs {
 			dst = appendString(dst, kv.Key)
@@ -428,11 +438,11 @@ func DecodeRequest(p []byte) (*Request, error) {
 	switch verb {
 	case VerbPing, VerbCount:
 		// empty body
-	case VerbGet, VerbDel:
+	case VerbGet:
 		if r.Key, err = c.key("key"); err != nil {
 			return r, err
 		}
-	case VerbSet, VerbSetV:
+	case VerbSetV:
 		if r.Key, err = c.key("key"); err != nil {
 			return r, err
 		}
@@ -452,7 +462,7 @@ func DecodeRequest(p []byte) (*Request, error) {
 			}
 			r.Spans = append(r.Spans, s)
 		}
-	case VerbMDel, VerbMGet:
+	case VerbMGet:
 		n, err := c.count("key count", 1)
 		if err != nil {
 			return r, err
@@ -465,7 +475,7 @@ func DecodeRequest(p []byte) (*Request, error) {
 			}
 			r.Keys = append(r.Keys, k)
 		}
-	case VerbMPut:
+	case VerbMPut, VerbMDel:
 		n, err := c.count("pair count", 2)
 		if err != nil {
 			return r, err

@@ -28,11 +28,9 @@ func TestDecodeRequestRoundTrip(t *testing.T) {
 		{"count", &Request{Verb: VerbCount, ID: 7}},
 		{"ping big id", &Request{Verb: VerbPing, ID: 1 << 40}},
 		{"get", &Request{Verb: VerbGet, ID: 2, Key: "k"}},
-		{"del", &Request{Verb: VerbDel, ID: 3, Key: "a-long-key-name"}},
-		{"set", &Request{Verb: VerbSet, ID: 4, Key: "k", Value: []byte("v")}},
-		{"set empty value", &Request{Verb: VerbSet, ID: 5, Key: "k", Value: []byte{}}},
-		{"set binary value", &Request{Verb: VerbSet, ID: 6, Key: "k", Value: []byte("a b\r\n\x00c")}},
-		{"mdel", &Request{Verb: VerbMDel, ID: 8, Keys: []string{"a", "b", "c"}}},
+		{"setv empty value", &Request{Verb: VerbSetV, ID: 5, Key: "k", Value: []byte{}}},
+		{"setv binary value", &Request{Verb: VerbSetV, ID: 6, Key: "k", Value: []byte("a b\r\n\x00c")}},
+		{"mdel", &Request{Verb: VerbMDel, ID: 8, Pairs: []KV{{"a", []byte("\x01t")}, {"b", []byte{}}, {"a-long-key-name", []byte("s")}}}},
 		{"mget", &Request{Verb: VerbMGet, ID: 9, Keys: []string{"x", "y"}}},
 		{"mput", &Request{Verb: VerbMPut, ID: 10, Pairs: []KV{{"a", []byte("1")}, {"b", []byte("2 2")}}}},
 		{"setv", &Request{Verb: VerbSetV, ID: 11, Key: "k", Value: []byte("n0:1@5 v x")}},
@@ -68,8 +66,7 @@ func TestDecodeRequestTruncatedEveryBoundary(t *testing.T) {
 	shapes := []*Request{
 		{Verb: VerbPing, ID: 300}, // multi-byte uvarint ID
 		{Verb: VerbGet, ID: 1, Key: "key"},
-		{Verb: VerbSet, ID: 1, Key: "key", Value: []byte("value")},
-		{Verb: VerbMDel, ID: 1, Keys: []string{"aa", "bb"}},
+		{Verb: VerbMDel, ID: 1, Pairs: []KV{{"aa", []byte("s1")}, {"bb", []byte{}}}},
 		{Verb: VerbMGet, ID: 1, Keys: []string{"aa", "bb"}},
 		{Verb: VerbMPut, ID: 1, Pairs: []KV{{"k1", []byte("v1")}, {"k2", []byte("v2")}}},
 		{Verb: VerbSetV, ID: 1, Key: "key", Value: []byte("value")},
@@ -118,17 +115,17 @@ func TestDecodeResponseTruncatedEveryBoundary(t *testing.T) {
 }
 
 func TestDecodeRequestMalformed(t *testing.T) {
-	// A SET whose value-length uvarint claims more bytes than exist.
+	// A SETV whose value-length uvarint claims more bytes than exist.
 	overclaim := func() []byte {
-		p := []byte{VerbSet, 1}
+		p := []byte{VerbSetV, 1}
 		p = binary.AppendUvarint(p, 1)
 		p = append(p, 'k')
 		p = binary.AppendUvarint(p, 1000) // value "length"
 		return append(p, 'v')             // ...but one byte follows
 	}()
-	// A SET whose value length exceeds the frame cap outright.
+	// A SETV whose value length exceeds the frame cap outright.
 	hugeClaim := func() []byte {
-		p := []byte{VerbSet, 1}
+		p := []byte{VerbSetV, 1}
 		p = binary.AppendUvarint(p, 1)
 		p = append(p, 'k')
 		return binary.AppendUvarint(p, MaxFrame+1)
@@ -153,7 +150,9 @@ func TestDecodeRequestMalformed(t *testing.T) {
 		{"unknown verb", req(t, &Request{Verb: 0x7E, ID: 1}), ErrUnknownVerb},
 		{"response tag as verb", req(t, &Request{Verb: RespOK, ID: 1}), ErrUnknownVerb},
 		{"zero-length key GET", []byte{VerbGet, 1, 0}, ErrZeroKey},
-		{"zero-length key in MDEL", []byte{VerbMDel, 1, 1, 0}, ErrZeroKey},
+		{"zero-length key in MDEL", []byte{VerbMDel, 1, 1, 0, 0}, ErrZeroKey},
+		{"SET is not a wire verb", []byte{VerbSet, 1, 1, 'k', 1, 'v'}, ErrUnknownVerb},
+		{"DEL is not a wire verb", []byte{VerbDel, 1, 1, 'k'}, ErrUnknownVerb},
 		{"value length overclaims", overclaim, ErrOversize},
 		{"value length above frame cap", hugeClaim, ErrOversize},
 		{"MDEL count above payload", hugeCount, ErrOversize},
@@ -178,12 +177,12 @@ func TestDecodeRequestMalformed(t *testing.T) {
 // error response even for a request that fails mid-decode — the verb
 // and correlation ID survive the failure.
 func TestDecodeRequestErrorKeepsID(t *testing.T) {
-	enc := req(t, &Request{Verb: VerbSet, ID: 42, Key: "k", Value: []byte("v")})
+	enc := req(t, &Request{Verb: VerbSetV, ID: 42, Key: "k", Value: []byte("v")})
 	r, err := DecodeRequest(enc[:len(enc)-1])
 	if err == nil {
-		t.Fatal("truncated SET decoded cleanly")
+		t.Fatal("truncated SETV decoded cleanly")
 	}
-	if r == nil || r.ID != 42 || r.Verb != VerbSet {
+	if r == nil || r.ID != 42 || r.Verb != VerbSetV {
 		t.Fatalf("partial decode lost addressing: %+v", r)
 	}
 }
@@ -218,9 +217,9 @@ func TestDecodeResponseMalformed(t *testing.T) {
 func FuzzDecodeFrame(f *testing.F) {
 	seeds := [][]byte{
 		AppendRequest(nil, &Request{Verb: VerbPing, ID: 1}),
-		AppendRequest(nil, &Request{Verb: VerbSet, ID: 2, Key: "key", Value: []byte("value with spaces\r\n")}),
+		AppendRequest(nil, &Request{Verb: VerbSetV, ID: 2, Key: "key", Value: []byte("value with spaces\r\n")}),
 		AppendRequest(nil, &Request{Verb: VerbGet, ID: 300, Key: "k"}),
-		AppendRequest(nil, &Request{Verb: VerbMDel, ID: 4, Keys: []string{"a", "b"}}),
+		AppendRequest(nil, &Request{Verb: VerbMDel, ID: 4, Pairs: []KV{{"a", []byte("s")}, {"b", nil}}}),
 		AppendRequest(nil, &Request{Verb: VerbMGet, ID: 5, Keys: []string{"x"}}),
 		AppendRequest(nil, &Request{Verb: VerbMPut, ID: 6, Pairs: []KV{{"k", []byte("v")}}}),
 		AppendResponse(nil, &Response{Tag: RespOK, ID: 1}),

@@ -20,7 +20,7 @@ func seg(recs ...*Record) []byte {
 }
 
 func rec(i int) *Record {
-	return &Record{Kind: KindSet, Client: 1, ID: uint64(i), Key: fmt.Sprintf("k%d", i), Value: "v"}
+	return &Record{Kind: KindSet, Key: fmt.Sprintf("k%d", i), Value: "v"}
 }
 
 // TestReplaySegment_CorruptionMatrix is the table the issue asks for:
@@ -238,14 +238,14 @@ func TestOpen_TornTailTruncatedOnDisk(t *testing.T) {
 
 func TestLoadSnapshotFile_Corruption(t *testing.T) {
 	dir := t.TempDir()
-	snap := &Snapshot{Pairs: []KV{{"a", "1"}}, Dedupe: []DedupeEntry{{Client: 1, ID: 2, Resp: []byte("ok")}}}
+	snap := &Snapshot{Pairs: []KV{{"a", "1"}}}
 	if err := writeSnapshotFile(dir, 3, snap); err != nil {
 		t.Fatalf("writeSnapshotFile: %v", err)
 	}
 	path := filepath.Join(dir, snapName)
 
 	tail, got, err := loadSnapshotFile(path)
-	if err != nil || tail != 3 || len(got.Pairs) != 1 || len(got.Dedupe) != 1 {
+	if err != nil || tail != 3 || len(got.Pairs) != 1 {
 		t.Fatalf("roundtrip: tail=%d snap=%+v err=%v", tail, got, err)
 	}
 

@@ -16,7 +16,7 @@ import (
 // segment files for Open to replay. snapEvery <= 0 writes no snapshot —
 // every record goes to segments (the pure-replay worst case).
 //
-// Records are KindSet with dedupe identities, keys drawn from a keyspace
+// Records are KindSet, keys drawn from a keyspace
 // half the record count (so replay exercises overwrites, not just
 // inserts), and valueSize random bytes per value, all derived from seed.
 func GenerateLog(dir string, records, valueSize int, seed int64, snapEvery int) error {
@@ -32,11 +32,9 @@ func GenerateLog(dir string, records, valueSize int, seed int64, snapEvery int) 
 	mkRecord := func(i int) *Record {
 		rng.Read(val)
 		return &Record{
-			Kind:   KindSet,
-			Client: uint64(1 + i%64),
-			ID:     uint64(i + 1),
-			Key:    fmt.Sprintf("key%08d", rng.Intn(keyspace)),
-			Value:  string(val),
+			Kind:  KindSet,
+			Key:   fmt.Sprintf("key%08d", rng.Intn(keyspace)),
+			Value: string(val),
 		}
 	}
 

@@ -45,15 +45,17 @@ type KV struct {
 	Key, Value string
 }
 
-// Record is one logged mutation. Client and ID carry the binary
-// protocol's retry-dedupe identity ((client ID, correlation ID)) so
-// exactly-once for retried mutations survives a restart; text-protocol
-// mutations log Client 0 (no dedupe identity — the text protocol is
-// at-least-once by design).
+// Record is one logged mutation.
+//
+// Every record's payload keeps two uvarint slots after the kind byte,
+// where older logs stored a retry identity. The encoder writes both as
+// zero and the decoder skips them, so logs written before the slots
+// fell out of use replay unchanged. Client and ID are not stored: they
+// remain only so existing callers that set them still compile.
 type Record struct {
 	Kind   Kind
-	Client uint64
-	ID     uint64
+	Client uint64   // ignored
+	ID     uint64   // ignored
 	Key    string   // KindSet, KindDel
 	Value  string   // KindSet
 	Keys   []string // KindMDel
@@ -69,9 +71,7 @@ func appendString(dst []byte, s string) []byte {
 
 // encode appends the record's payload (unframed) to dst.
 func (r *Record) encode(dst []byte) []byte {
-	dst = append(dst, byte(r.Kind))
-	dst = binary.AppendUvarint(dst, r.Client)
-	dst = binary.AppendUvarint(dst, r.ID)
+	dst = append(dst, byte(r.Kind), 0, 0) // kind, then the two unused uvarint slots
 	switch r.Kind {
 	case KindSet:
 		dst = appendString(dst, r.Key)
@@ -218,11 +218,10 @@ func decodeRecordInto(payload []byte, r *Record) error {
 		return err
 	}
 	r.Kind = Kind(kb)
-	if r.Client, err = c.uvarint(); err != nil {
-		return err
-	}
-	if r.ID, err = c.uvarint(); err != nil {
-		return err
+	for i := 0; i < 2; i++ { // the unused uvarint slots
+		if _, err := c.uvarint(); err != nil {
+			return err
+		}
 	}
 	switch r.Kind {
 	case KindSet:

@@ -64,8 +64,8 @@ type frameRef struct {
 // detected before any record is applied; (C) a parallel apply pass
 // partitioned by key stripe. Phase C splits the log into runs at every
 // record whose keys span more than one stripe (an MPUT/MDEL batch):
-// such a record is applied alone, as a barrier, because its replayed
-// response can depend on the state of several stripes at once. Within
+// such a record is applied alone, as a barrier, so no record is ever
+// split across workers. Within
 // a run, each stripe's records are applied in log order by one worker,
 // so for any single key the apply order is exactly the serial order.
 func replayParallel(segs []replaySeg, workers int, fn func(*Record) error) ([]int64, int64, error) {

@@ -16,7 +16,7 @@ import (
 // multi-key batches that span stripes.
 func randomRecord(rng *rand.Rand) *Record {
 	key := func() string { return fmt.Sprintf("k%02d", rng.Intn(40)) }
-	r := &Record{Client: uint64(rng.Intn(3)), ID: uint64(rng.Intn(1 << 16))}
+	r := &Record{}
 	switch n := rng.Intn(10); {
 	case n < 7:
 		r.Kind, r.Key, r.Value = KindSet, key(), fmt.Sprintf("v%d", rng.Int63())
@@ -77,17 +77,15 @@ func genDir(t *testing.T, dir string, rng *rand.Rand) []*Record {
 }
 
 // replayModel is a concurrency-safe fold of a replayed record stream:
-// final store contents plus the last record kind per dedupe identity.
-// A single mutex is deliberate — the model must be order-sensitive per
-// key, not fast.
+// final store contents. A single mutex is deliberate — the model must
+// be order-sensitive per key, not fast.
 type replayModel struct {
-	mu     sync.Mutex
-	store  map[string]string
-	dedupe map[[2]uint64]Kind
+	mu    sync.Mutex
+	store map[string]string
 }
 
 func newReplayModel() *replayModel {
-	return &replayModel{store: map[string]string{}, dedupe: map[[2]uint64]Kind{}}
+	return &replayModel{store: map[string]string{}}
 }
 
 func (m *replayModel) apply(r *Record) error {
@@ -107,23 +105,15 @@ func (m *replayModel) apply(r *Record) error {
 			delete(m.store, k)
 		}
 	}
-	if r.Client != 0 {
-		m.dedupe[[2]uint64{r.Client, r.ID}] = r.Kind
-	}
 	return nil
 }
 
 func (m *replayModel) equal(o *replayModel) bool {
-	if len(m.store) != len(o.store) || len(m.dedupe) != len(o.dedupe) {
+	if len(m.store) != len(o.store) {
 		return false
 	}
 	for k, v := range m.store {
 		if o.store[k] != v {
-			return false
-		}
-	}
-	for k, v := range m.dedupe {
-		if o.dedupe[k] != v {
 			return false
 		}
 	}
@@ -155,7 +145,7 @@ func segSizes(t *testing.T, dir string) map[string]int64 {
 // TestParallelReplay_EquivalenceProperty replays identical randomized
 // multi-segment logs (snapshots, batch records, torn tails included)
 // serially and in parallel, and requires identical store contents,
-// dedupe tables, replayed-record counts, and truncated file sizes.
+// replayed-record counts, and truncated file sizes.
 func TestParallelReplay_EquivalenceProperty(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
@@ -184,8 +174,8 @@ func TestParallelReplay_EquivalenceProperty(t *testing.T) {
 			defer lp.Close()
 
 			if !ms.equal(mp) {
-				t.Fatalf("parallel replay state diverged from serial\nserial: %d keys %d dedupe\nparallel: %d keys %d dedupe",
-					len(ms.store), len(ms.dedupe), len(mp.store), len(mp.dedupe))
+				t.Fatalf("parallel replay state diverged from serial\nserial: %d keys\nparallel: %d keys",
+					len(ms.store), len(mp.store))
 			}
 			if ls.RecoveredRecords() != lp.RecoveredRecords() {
 				t.Fatalf("recovered record counts diverged: serial %d parallel %d", ls.RecoveredRecords(), lp.RecoveredRecords())

@@ -14,23 +14,16 @@ const (
 	snapMagic   = "walsnp01"
 )
 
-// DedupeEntry is one completed retry-dedupe recording carried by a
-// snapshot: the (client, correlation) identity plus the encoded
-// response to replay, so a mutation acked just before a crash stays
-// exactly-once when its retry arrives after the restart.
-type DedupeEntry struct {
-	Client uint64
-	ID     uint64
-	Resp   []byte
-}
-
 // Snapshot is the compacted state a log owner persists between
-// snapshots: the full store contents plus the dedupe recordings still
-// inside the retry horizon. Everything else is reconstructed by
-// replaying the segment tail over it.
+// snapshots: the full store contents. Everything else is reconstructed
+// by replaying the segment tail over it.
+//
+// The file ends with a counted section that older snapshots filled with
+// (uvarint, uvarint, string) retry entries. The writer writes a count
+// of zero and the loader skips any entries it finds, so those snapshots
+// still load.
 type Snapshot struct {
-	Pairs  []KV
-	Dedupe []DedupeEntry
+	Pairs []KV
 }
 
 // writeSnapshotFile persists one snapshot atomically: full payload into
@@ -40,23 +33,7 @@ type Snapshot struct {
 // loaded. tail is the first segment sequence NOT covered — replay
 // starts there.
 func writeSnapshotFile(dir string, tail uint64, snap *Snapshot) error {
-	payload := binary.AppendUvarint(nil, tail)
-	payload = binary.AppendUvarint(payload, uint64(len(snap.Pairs)))
-	for _, kv := range snap.Pairs {
-		payload = appendString(payload, kv.Key)
-		payload = appendString(payload, kv.Value)
-	}
-	payload = binary.AppendUvarint(payload, uint64(len(snap.Dedupe)))
-	for _, e := range snap.Dedupe {
-		payload = binary.AppendUvarint(payload, e.Client)
-		payload = binary.AppendUvarint(payload, e.ID)
-		payload = appendString(payload, string(e.Resp))
-	}
-	buf := append([]byte(snapMagic), payload...)
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, crc[:]...)
-
+	buf := encodeSnapshot(tail, snap)
 	tmp := filepath.Join(dir, snapTmpName)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -79,10 +56,22 @@ func writeSnapshotFile(dir string, tail uint64, snap *Snapshot) error {
 	return os.Rename(tmp, filepath.Join(dir, snapName))
 }
 
-// loadSnapshotFile reads the snapshot back, verifying magic and CRC.
-// A missing file returns (0, nil, nil): recovery then replays every
-// segment from the beginning. Any malformed byte is ErrCorrupt — the
-// atomic write protocol means a bad snapshot is bit rot, not a tear.
+// encodeSnapshot renders a snapshot file: magic, payload, CRC32C of
+// the payload.
+func encodeSnapshot(tail uint64, snap *Snapshot) []byte {
+	buf := append([]byte(snapMagic), binary.AppendUvarint(nil, tail)...)
+	buf = binary.AppendUvarint(buf, uint64(len(snap.Pairs)))
+	for _, kv := range snap.Pairs {
+		buf = appendString(buf, kv.Key)
+		buf = appendString(buf, kv.Value)
+	}
+	buf = append(buf, 0) // the legacy section: no entries
+	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[len(snapMagic):], castagnoli))
+}
+
+// loadSnapshotFile reads the snapshot back. A missing file returns
+// (0, nil, nil): recovery then replays every segment from the
+// beginning.
 func loadSnapshotFile(path string) (tail uint64, snap *Snapshot, err error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -91,6 +80,13 @@ func loadSnapshotFile(path string) (tail uint64, snap *Snapshot, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	return decodeSnapshot(data)
+}
+
+// decodeSnapshot parses a snapshot file, verifying magic and CRC. Any
+// malformed byte is ErrCorrupt — the atomic write protocol means a bad
+// snapshot is bit rot, not a tear.
+func decodeSnapshot(data []byte) (tail uint64, snap *Snapshot, err error) {
 	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
 		return 0, nil, fmt.Errorf("%w: snapshot header", ErrCorrupt)
 	}
@@ -122,21 +118,16 @@ func loadSnapshotFile(path string) (tail uint64, snap *Snapshot, err error) {
 	if n, err = c.count(); err != nil {
 		return 0, nil, err
 	}
-	snap.Dedupe = make([]DedupeEntry, 0, n)
-	for i := 0; i < n; i++ {
-		var e DedupeEntry
-		if e.Client, err = c.uvarint(); err != nil {
+	for i := 0; i < n; i++ { // legacy entries: skipped
+		if _, err := c.uvarint(); err != nil {
 			return 0, nil, err
 		}
-		if e.ID, err = c.uvarint(); err != nil {
+		if _, err := c.uvarint(); err != nil {
 			return 0, nil, err
 		}
-		s, err := c.str()
-		if err != nil {
+		if _, err := c.str(); err != nil {
 			return 0, nil, err
 		}
-		e.Resp = []byte(s)
-		snap.Dedupe = append(snap.Dedupe, e)
 	}
 	if len(c.buf) != 0 {
 		return 0, nil, fmt.Errorf("%w: %d trailing snapshot bytes", ErrCorrupt, len(c.buf))

@@ -6,9 +6,6 @@
 // segments verbatim — same payload bytes, same checksum, no re-encode —
 // so the receiver re-verifies the exact bits that were fsynced at the
 // source. Snapshot contents are synthesized into KindSet record frames.
-// A snapshot's retry-dedupe entries stay behind: they are keyed by the
-// client that dialed this node, and no client retries against a
-// different node than the one it sent the original to.
 package wal
 
 import (

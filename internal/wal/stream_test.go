@@ -23,7 +23,7 @@ func TestSyncWAL_DumpStreamsEverything(t *testing.T) {
 
 	want := map[string]string{}
 	put := func(k, v string) {
-		if err := l.AppendSync(&Record{Kind: KindSet, Client: 7, ID: uint64(len(want) + 1), Key: k, Value: v}); err != nil {
+		if err := l.AppendSync(&Record{Kind: KindSet, Key: k, Value: v}); err != nil {
 			t.Fatal(err)
 		}
 		want[k] = v
@@ -39,8 +39,7 @@ func TestSyncWAL_DumpStreamsEverything(t *testing.T) {
 	for k, v := range want {
 		snapPairs = append(snapPairs, KV{Key: k, Value: v})
 	}
-	wantDedupe := []DedupeEntry{{Client: 7, ID: 99, Resp: []byte("OK")}}
-	if err := l.WriteSnapshot(tail, &Snapshot{Pairs: snapPairs, Dedupe: wantDedupe}); err != nil {
+	if err := l.WriteSnapshot(tail, &Snapshot{Pairs: snapPairs}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
@@ -131,7 +130,7 @@ func TestSyncWAL_StaleCursorAfterPrune(t *testing.T) {
 // wrong decode.
 func TestSyncWAL_StreamCodecRejectsCorruption(t *testing.T) {
 	var blob []byte
-	blob = AppendStreamRecord(blob, &Record{Kind: KindSet, Client: 1, ID: 2, Key: "k", Value: "v"})
+	blob = AppendStreamRecord(blob, &Record{Kind: KindSet, Key: "k", Value: "v"})
 	blob = AppendStreamRecord(blob, &Record{Kind: KindMDel, Keys: []string{"a", "b"}})
 
 	if recs, err := DecodeStream(blob); err != nil || len(recs) != 2 {
@@ -162,7 +161,7 @@ func TestSyncWAL_StreamCodecRejectsCorruption(t *testing.T) {
 // encodings).
 func FuzzSyncWALFrame(f *testing.F) {
 	var seed []byte
-	seed = AppendStreamRecord(seed, &Record{Kind: KindSet, Client: 9, ID: 1, Key: "key", Value: "value"})
+	seed = AppendStreamRecord(seed, &Record{Kind: KindSet, Key: "key", Value: "value"})
 	seed = AppendStreamRecord(seed, &Record{Kind: KindMDel, Keys: []string{"a", "b"}})
 	f.Add(seed)
 	f.Add(AppendStreamRecord(nil, &Record{Kind: KindMPut, Pairs: []KV{{Key: "a", Value: "1"}, {Key: "b", Value: "2"}}}))

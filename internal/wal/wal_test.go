@@ -35,10 +35,10 @@ func TestWAL_AppendReplayRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	l, _, _ := openCollecting(t, dir)
 	want := []*Record{
-		{Kind: KindSet, Client: 7, ID: 1, Key: "a", Value: "1"},
-		{Kind: KindDel, Client: 7, ID: 2, Key: "a"},
-		{Kind: KindMPut, Client: 9, ID: 3, Pairs: []KV{{"x", "10"}, {"y", "20"}}},
-		{Kind: KindMDel, Client: 9, ID: 4, Keys: []string{"x", "y"}},
+		{Kind: KindSet, Key: "a", Value: "1"},
+		{Kind: KindDel, Key: "a"},
+		{Kind: KindMPut, Pairs: []KV{{"x", "10"}, {"y", "20"}}},
+		{Kind: KindMDel, Keys: []string{"x", "y"}},
 		{Kind: KindSet, Key: "text-proto", Value: "no dedupe identity"},
 	}
 	for _, r := range want {
@@ -82,8 +82,7 @@ func TestWAL_GroupCommitBatches(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				r := &Record{Kind: KindSet, Client: uint64(w + 1), ID: uint64(i + 1),
-					Key: fmt.Sprintf("k%d", w), Value: "v"}
+				r := &Record{Kind: KindSet, Key: fmt.Sprintf("k%d", w), Value: "v"}
 				if err := l.AppendSync(r); err != nil {
 					t.Errorf("AppendSync: %v", err)
 					return

@@ -46,7 +46,7 @@ func RunGroupCommitBench(dir string, writers int, dur time.Duration, serialize b
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			r := &Record{Kind: KindSet, Client: uint64(w + 1), Key: fmt.Sprintf("bench-%03d", w), Value: "0123456789abcdef"}
+			r := &Record{Kind: KindSet, Key: fmt.Sprintf("bench-%03d", w), Value: "0123456789abcdef"}
 			for i := 0; !stop.Load(); i++ {
 				r.ID = uint64(i + 1)
 				var err error
