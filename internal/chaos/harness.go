@@ -734,17 +734,18 @@ func (h *harness) poolFailConn(name string) func(req, attempt int) bool {
 }
 
 // poolPreAttempt injects client-side latency spikes during a latency
-// window; the sleep eats the attempt's deadline budget like real
-// network delay.
-func (h *harness) poolPreAttempt(name string) func(attempt int) {
-	return func(int) {
+// window: the delay it returns holds the attempt back and eats its
+// deadline budget like real network delay.
+func (h *harness) poolPreAttempt(name string) func(attempt int) time.Duration {
+	return func(int) time.Duration {
 		st := h.state(name)
 		st.mu.Lock()
 		delay, until := st.latencyDelay, st.latencyUntil
 		st.mu.Unlock()
 		if time.Now().Before(until) {
-			time.Sleep(delay)
+			return delay
 		}
+		return 0
 	}
 }
 

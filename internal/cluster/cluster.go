@@ -165,8 +165,9 @@ type Config struct {
 	// FailConn hook: connection drops injected on the request path.
 	PoolFailConn func(name string) func(req, attempt int) bool
 	// PoolPreAttempt, when non-nil, supplies each named node's client-
-	// pool PreAttempt hook: client-side latency spikes.
-	PoolPreAttempt func(name string) func(attempt int)
+	// pool PreAttempt hook: client-side latency spikes, returned as the
+	// delay to hold each attempt back by.
+	PoolPreAttempt func(name string) func(attempt int) time.Duration
 	// EventTap, when non-nil, observes lifecycle events (kills,
 	// restarts, failure-detector transitions, hint replays, topology
 	// changes) with timestamps. Chaos checkers use the stream to excuse
@@ -650,14 +651,16 @@ func (c *Cluster) Put(key, value string) error {
 }
 
 // PutCtx stores key = value on a write quorum of its replicas under
-// ctx. Replicas that are down (or fail mid-write) receive hinted
-// handoffs on the next live fallback node; a hinted write counts toward
-// the (sloppy) quorum. The replica fan-out runs under a per-op context
-// that is canceled the moment W acks arrive, so a slow replica costs
-// the write nothing beyond quorum time — its in-flight request is
-// abandoned, not waited out. ErrNoQuorum reports a write that fewer
-// than W replicas acknowledged; a canceled or expired ctx surfaces as
-// an error wrapping ctx.Err().
+// ctx. Each replica's first SETV goes out as a Pool future, so a
+// healthy write starts no goroutine per replica. The moment W acks
+// arrive the write returns and abandons the requests still in flight,
+// so a slow replica costs it nothing beyond quorum time. A replica that
+// is down, or whose first attempt fails or outlives the pool timeout,
+// continues on a goroutine: the rest of its retries, then a hinted
+// handoff on the next live fallback node. A hinted write counts toward
+// the (sloppy) quorum. ErrNoQuorum reports a write that fewer than W
+// replicas acknowledged; a canceled or expired ctx surfaces as an error
+// wrapping ctx.Err().
 func (c *Cluster) PutCtx(ctx context.Context, key, value string) error {
 	ver, err := c.writeQuorum(ctx, "put", key, value, false)
 	if err == nil {
@@ -754,25 +757,18 @@ func (c *Cluster) writeQuorum(ctx context.Context, op, key, value string, tombst
 		}(extra)
 	}
 
-	opCtx, cancel := context.WithCancel(ctx)
-	defer cancel() // reached with quorum: the laggards' requests abort now
-	acks := make(chan bool, len(p.replicas))
-	for _, target := range p.replicas {
-		go func(target *node) {
-			acks <- c.writeReplica(opCtx, key, enc, target, p.fallbacks)
-		}(target)
-	}
+	fo := c.startFanout(ctx, key, enc, p.replicas, p.fallbacks)
+	defer fo.stop() // reached with quorum: the laggards' requests are abandoned now
 	got := 0
-	for pending := len(p.replicas); pending > 0; pending-- {
-		select {
-		case ok := <-acks:
-			if ok {
-				got++
-			}
-		case <-ctx.Done():
+	for fo.pending > 0 {
+		a, err := fo.next()
+		if err != nil {
 			c.opsCanceled.Add(1)
 			return zero, fmt.Errorf("cluster: %s %q canceled at %d/%d write acks: %w",
-				op, key, got, c.cfg.WriteQuorum, ctx.Err())
+				op, key, got, c.cfg.WriteQuorum, err)
+		}
+		if a.err == nil {
+			got++
 		}
 		if got >= c.cfg.WriteQuorum {
 			return ver, nil
@@ -782,19 +778,21 @@ func (c *Cluster) writeQuorum(ctx context.Context, op, key, value string, tombst
 	return zero, fmt.Errorf("%w: %d/%d write acks for %q", ErrNoQuorum, got, c.cfg.WriteQuorum, key)
 }
 
-// writeReplica lands one replica's copy: directly when the node is
-// healthy, as a hinted handoff on the first live fallback when not
-// (unless hints are disabled). Both go through SETV — the version-
+// writeReplica lands one replica's copy off the fan-out's healthy path:
+// directly when direct (the rest of the replica's own SETV, retries
+// included) succeeds, as a hinted handoff on the first live fallback
+// when it fails or when the target is known down (direct is nil) —
+// unless hints are disabled. Both go through SETV — the version-
 // conditional set — so a delayed or retried fan-out can never regress
 // a replica (or a parked hint) that already absorbed a newer version;
 // any SETV that round-trips counts as an ack, because afterwards the
 // copy provably holds a version at least as new as this write's. ctx is
-// the per-op fan-out context; once it is canceled (quorum reached or
+// the fan-out's own context; once it is canceled (quorum reached or
 // caller gone) the remaining network attempts abort.
-func (c *Cluster) writeReplica(ctx context.Context, key, enc string, target *node, fallbacks []*node) bool {
-	down := target.down.Load()
+func (c *Cluster) writeReplica(ctx context.Context, key, enc string, target *node, fallbacks []*node, direct func() error) bool {
+	down := direct == nil
 	if !down {
-		if _, err := target.client().SetVCtx(ctx, key, enc); err == nil {
+		if direct() == nil {
 			return true
 		}
 		if ctx.Err() != nil {
@@ -843,10 +841,13 @@ func (c *Cluster) Get(key string) (value string, found bool, err error) {
 // GetCtx reads key from a read quorum of its replicas under ctx and
 // returns the newest version seen: causal dominance decides when the
 // replicas' version vectors are comparable, the deterministic
-// wall-clock tiebreak when they are concurrent. Replies are consumed
-// as they arrive; the R-th answer resolves the read and cancels the
-// stragglers — quorum intersection (W+R > Replicas) already guarantees
-// the newest quorum write is among any R distinct replica answers.
+// wall-clock tiebreak when they are concurrent. Each replica's first
+// GET goes out as a Pool future, with no goroutine per replica, and the
+// answers are consumed as they arrive; a replica whose first attempt
+// fails or outlives the pool timeout retries on a goroutine. The R-th
+// answer resolves the read and abandons the stragglers — quorum
+// intersection (W+R > Replicas) already guarantees the newest quorum
+// write is among any R distinct replica answers.
 // Replicas observed holding a missing or older version are repaired in
 // the background (read repair): the winning encoded value is written
 // back to them version-conditionally, so the next read finds them
@@ -886,53 +887,34 @@ func (c *Cluster) GetCtx(ctx context.Context, key string) (value string, found b
 		raw   string         // the stored bytes, for read repair
 		value string
 		found bool // some version (value or tombstone) exists
-		err   error
 	}
-	opCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	resps := make(chan resp, len(p.replicas))
-	for _, n := range p.replicas {
-		go func(n *node) {
-			if n.down.Load() {
-				resps <- resp{node: n, err: fmt.Errorf("cluster: node %s is down", n.name)}
-				return
-			}
-			raw, ok, err := n.client().GetCtx(opCtx, key)
-			if err != nil {
-				resps <- resp{node: n, err: err}
-				return
-			}
-			if !ok {
-				resps <- resp{node: n} // a valid "not here" answer
-				return
-			}
-			ver, v, err := version.ParseHeader(raw)
-			if err != nil {
-				resps <- resp{node: n, err: err}
-				return
-			}
-			resps <- resp{node: n, ver: ver, raw: raw, value: v, found: true}
-		}(n)
-	}
-
+	fo := c.startFanout(ctx, key, "", p.replicas, nil)
+	defer fo.stop()
 	answered := 0
 	var best resp
 	got := make([]resp, 0, len(p.replicas))
-	for pending := len(p.replicas); pending > 0; pending-- {
-		select {
-		case r := <-resps:
-			if r.err != nil {
-				continue
-			}
-			answered++
-			got = append(got, r)
-			if r.found && (!best.found || r.ver.Newer(best.ver)) {
-				best = r
-			}
-		case <-ctx.Done():
+	for fo.pending > 0 {
+		a, err := fo.next()
+		if err != nil {
 			c.opsCanceled.Add(1)
 			return "", false, fmt.Errorf("cluster: get %q canceled at %d/%d read answers: %w",
-				key, answered, c.cfg.ReadQuorum, ctx.Err())
+				key, answered, c.cfg.ReadQuorum, err)
+		}
+		if a.err != nil {
+			continue
+		}
+		r := resp{node: a.node} // found false: a valid "not here" answer
+		if a.found {
+			ver, v, err := version.ParseHeader(a.raw)
+			if err != nil {
+				continue
+			}
+			r = resp{node: a.node, ver: ver, raw: a.raw, value: v, found: true}
+		}
+		answered++
+		got = append(got, r)
+		if r.found && (!best.found || r.ver.Newer(best.ver)) {
+			best = r
 		}
 		if answered >= c.cfg.ReadQuorum {
 			// Read repair: every answered replica holding something other

@@ -266,7 +266,7 @@ func TestHintNeverRegresses(t *testing.T) {
 	encNew := version.EncodeVector(version.Bump(older, "node0"), now, false, "new")
 	const key = "contested"
 	for _, enc := range []string{encNew, encOld} {
-		if !c.writeReplica(context.Background(), key, enc, target, []*node{holder}) {
+		if !c.writeReplica(context.Background(), key, enc, target, []*node{holder}, nil) {
 			t.Fatal("hint not parked")
 		}
 	}
@@ -295,7 +295,7 @@ func TestHintReplay_MoreThanAFrame(t *testing.T) {
 	vec := version.Bump("", "node0")
 	for i := 0; i < hints; i++ {
 		enc := version.EncodeVector(vec, time.Now().UnixNano(), false, value)
-		if !c.writeReplica(context.Background(), fmt.Sprintf("big-%04d", i), enc, target, []*node{holder}) {
+		if !c.writeReplica(context.Background(), fmt.Sprintf("big-%04d", i), enc, target, []*node{holder}, nil) {
 			t.Fatalf("hint %d not parked", i)
 		}
 	}
@@ -337,7 +337,7 @@ func TestHintReplay_HolderPastAFrameOfKeys(t *testing.T) {
 	for i := 0; i < hints; i++ {
 		key := fmt.Sprintf("parked-%02d", i)
 		want[key] = version.EncodeVector(vec, time.Now().UnixNano(), false, "v")
-		if !c.writeReplica(context.Background(), key, want[key], target, []*node{holder}) {
+		if !c.writeReplica(context.Background(), key, want[key], target, []*node{holder}, nil) {
 			t.Fatalf("hint %d not parked", i)
 		}
 	}

@@ -14,18 +14,29 @@ import (
 	"repro/internal/sockets/wire"
 )
 
-// pipeResult is one settled response future.
-type pipeResult struct {
+// Reply is one settled request: the server's response, or the error
+// that ended the attempt, under the tag its caller gave it. Decode it
+// with Get or SetV, after the verb that was sent.
+type Reply struct {
+	Tag  int
 	resp *wire.Response
 	err  error
 }
 
 // pipeFuture is a registered in-flight request: gen ties it to the
 // connection incarnation it was written on, so a dying connection fails
-// exactly the futures that were riding it.
+// exactly the futures that were riding it; ch and tag are where and
+// under which tag its outcome settles.
 type pipeFuture struct {
 	gen uint64
-	ch  chan pipeResult
+	ch  chan<- Reply
+	tag int
+}
+
+// settle delivers the future's outcome. ch has room for it by the
+// start contract, so the read loop never blocks on a caller.
+func (f pipeFuture) settle(resp *wire.Response, err error) {
+	f.ch <- Reply{Tag: f.tag, resp: resp, err: err}
 }
 
 // pipe is the pipelining round-tripper behind a binary-protocol Pool:
@@ -110,7 +121,7 @@ func (pp *pipe) readLoop(conn net.Conn, fw *frameWriter, gen uint64) {
 		}
 		pp.mu.Unlock()
 		if ok {
-			f.ch <- pipeResult{resp: ownResponse(resp)}
+			f.settle(ownResponse(resp), nil)
 		}
 	}
 }
@@ -148,7 +159,7 @@ func (pp *pipe) fail(conn net.Conn, fw *frameWriter, gen uint64, err error) {
 	}
 	pp.mu.Unlock()
 	for _, f := range settled {
-		f.ch <- pipeResult{err: err}
+		f.settle(nil, err)
 	}
 }
 
@@ -164,24 +175,44 @@ func (pp *pipe) shutdown() {
 	}
 }
 
-// register installs a future for id on generation gen. Any stale
-// future under the same ID (an abandoned earlier attempt) is dropped —
-// its reply, if it ever comes, no longer has an audience.
-func (pp *pipe) register(id, gen uint64) pipeFuture {
-	f := pipeFuture{gen: gen, ch: make(chan pipeResult, 1)}
+// register installs a future for id on generation gen, settling on ch
+// under tag. Any stale future under the same ID (an abandoned earlier
+// attempt) is dropped — its reply, if it ever comes, no longer has an
+// audience.
+func (pp *pipe) register(id, gen uint64, ch chan<- Reply, tag int) pipeFuture {
+	f := pipeFuture{gen: gen, ch: ch, tag: tag}
 	pp.mu.Lock()
 	pp.pending[id] = f
 	pp.mu.Unlock()
 	return f
 }
 
-// unregister abandons a future (ctx cancellation or attempt timeout).
-func (pp *pipe) unregister(id uint64, f pipeFuture) {
+// unregister abandons a future and reports whether it was still
+// pending: false means its outcome has settled, or is settling.
+func (pp *pipe) unregister(id uint64, f pipeFuture) bool {
 	pp.mu.Lock()
-	if pp.pending[id] == f {
-		delete(pp.pending, id)
+	defer pp.mu.Unlock()
+	if pp.pending[id] != f {
+		return false
 	}
-	pp.mu.Unlock()
+	delete(pp.pending, id)
+	return true
+}
+
+// begin opens a logical request: it turns it away if the pool is closed
+// or ctx is already done, before any dial or write, and otherwise gives
+// it the correlation ID every attempt of it reuses.
+func (p *Pool) begin(ctx context.Context, req *wire.Request) error {
+	if p.closed.Load() {
+		return ErrPoolClosed
+	}
+	if err := ctx.Err(); err != nil {
+		p.canceledSeen.Add(1)
+		return fmt.Errorf("sockets: request aborted before first attempt: %w", err)
+	}
+	p.reqSeen.Add(1)
+	req.ID = uint64(p.reqSeq.Add(1))
+	return nil
 }
 
 // do runs one PDU through the pipelined transport under the Pool's
@@ -193,27 +224,21 @@ func (pp *pipe) unregister(id uint64, f pipeFuture) {
 // every mutating verb is idempotent by version, so applying it again
 // changes nothing the first delivery did not.
 func (p *Pool) do(ctx context.Context, req *wire.Request) (*wire.Response, error) {
-	if p.closed.Load() {
-		return nil, ErrPoolClosed
+	if err := p.begin(ctx, req); err != nil {
+		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		p.canceledSeen.Add(1)
-		return nil, fmt.Errorf("sockets: request aborted before first attempt: %w", err)
-	}
-	p.reqSeen.Add(1)
-	req.ID = uint64(p.reqSeq.Add(1))
-	var lastErr error
+	p.attemptSeen.Add(1)
+	resp, err := p.pipe.try(ctx, req, 1)
+	return p.finish(ctx, req, 1, resp, err)
+}
+
+// finish judges the outcome of attempt `attempt` and retries, with
+// backoff, while it is a transport error or a shed and MaxAttempts
+// allows. A response the server answered (RespErr included) is final.
+// Call.Retry enters here with a first attempt that start sent.
+func (p *Pool) finish(ctx context.Context, req *wire.Request, attempt int, resp *wire.Response, err error) (*wire.Response, error) {
 	shed := false
-	for attempt := 1; attempt <= p.cfg.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			p.retrySeen.Add(1)
-			if err := p.backoff(ctx, backoffStep(attempt, shed)); err != nil {
-				p.canceledSeen.Add(1)
-				return nil, fmt.Errorf("sockets: request canceled in retry backoff after %d attempts: %w", attempt-1, err)
-			}
-		}
-		p.attemptSeen.Add(1)
-		resp, err := p.pipe.try(ctx, req, attempt)
+	for {
 		if err == nil {
 			if resp.Tag != wire.RespOverload {
 				return resp, nil
@@ -221,18 +246,10 @@ func (p *Pool) do(ctx context.Context, req *wire.Request) (*wire.Response, error
 			// Shed at admission. The pipelined connection stays up — the
 			// server answered, it just refused the work — so take the
 			// stiffened backoff rung and retry on the same conn.
-			p.errSeen.Add(1)
 			p.overloadSeen.Add(1)
-			lastErr = ErrOverload
-			shed = true
-			if cerr := ctx.Err(); cerr != nil {
-				p.canceledSeen.Add(1)
-				return nil, fmt.Errorf("sockets: request canceled after %d attempts: %w", attempt, cerr)
-			}
-			continue
+			err, shed = ErrOverload, true
 		}
 		p.errSeen.Add(1)
-		lastErr = err
 		if cerr := ctx.Err(); cerr != nil {
 			p.canceledSeen.Add(1)
 			return nil, fmt.Errorf("sockets: request canceled after %d attempts: %w", attempt, cerr)
@@ -240,68 +257,139 @@ func (p *Pool) do(ctx context.Context, req *wire.Request) (*wire.Response, error
 		if p.closed.Load() {
 			return nil, ErrPoolClosed
 		}
+		if attempt >= p.cfg.MaxAttempts {
+			return nil, fmt.Errorf("sockets: request failed after %d attempts: %w", p.cfg.MaxAttempts, err)
+		}
+		attempt++
+		p.retrySeen.Add(1)
+		if berr := p.backoff(ctx, backoffStep(attempt, shed)); berr != nil {
+			p.canceledSeen.Add(1)
+			return nil, fmt.Errorf("sockets: request canceled in retry backoff after %d attempts: %w", attempt-1, berr)
+		}
+		p.attemptSeen.Add(1)
+		resp, err = p.pipe.try(ctx, req, attempt)
 	}
-	return nil, fmt.Errorf("sockets: request failed after %d attempts: %w", p.cfg.MaxAttempts, lastErr)
 }
 
-// try performs one pipelined attempt: ensure the shared conn, register
-// the future, write the frame, wait for the response / ctx / deadline.
-// The request is encoded straight into the connection's writer, so it
-// has no buffer of its own; a retry encodes it again, with the same
-// correlation ID.
-func (pp *pipe) try(ctx context.Context, req *wire.Request, attempt int) (*wire.Response, error) {
+// sent is one attempt that start put in flight: what it takes to
+// abandon the attempt, or to judge its connection once it timed out.
+// The zero sent is an attempt that settled before it was registered.
+type sent struct {
+	pp   *pipe
+	id   uint64
+	f    pipeFuture
+	conn net.Conn
+	fw   *frameWriter
+}
+
+// start is the pipe's one send path. It registers a future for req,
+// writes the frame, and returns without waiting: the outcome — the
+// response, or the error that ended the attempt — settles onto ch as a
+// Reply tagged tag, exactly once unless the attempt is abandoned first.
+// ch must have room for that Reply; the read loop never blocks on a
+// caller. This is the shape of net/rpc's Client.Go: one channel can
+// collect many calls. An undelayed request is encoded straight into
+// the connection's writer, so it has no buffer of its own; a retry
+// encodes it again, with the same correlation ID.
+//
+// The fault hooks act here. FailConn kills the connection before the
+// write, so the attempt fails like a real mid-flight drop. A PreAttempt
+// delay defers the write on a timer: it eats the attempt's budget, but
+// the caller is free to send elsewhere meanwhile.
+func (pp *pipe) start(ctx context.Context, req *wire.Request, attempt, tag int, ch chan<- Reply) sent {
 	p := pp.p
-	if p.cfg.PreAttempt != nil {
-		p.cfg.PreAttempt(attempt)
-	}
-	timeout, ctxBounded := p.attemptTimeout(ctx)
-	if timeout <= 0 {
-		return nil, context.DeadlineExceeded
-	}
 	conn, fw, gen, err := pp.ensure(ctx)
 	if err != nil {
-		return nil, wrapCtxTimeout(ctx, ctxBounded, err)
+		ch <- Reply{Tag: tag, err: err}
+		return sent{}
 	}
 	if p.cfg.FailConn != nil && p.cfg.FailConn(int(req.ID), attempt) {
 		p.failInjSeen.Add(1)
 		conn.Close() // the injected mid-flight connection kill
 	}
-	f := pp.register(req.ID, gen)
-	werr := fw.write(func(dst []byte) []byte { return wire.AppendRequest(dst, req) })
-	if werr != nil {
-		pp.unregister(req.ID, f)
-		// The writer for this incarnation already died; retire the whole
-		// incarnation so the retry redials.
-		pp.fail(conn, fw, gen, werr)
-		return nil, wrapCtxTimeout(ctx, ctxBounded, werr)
+	s := sent{pp: pp, id: req.ID, f: pp.register(req.ID, gen, ch, tag), conn: conn, fw: fw}
+	var delay time.Duration
+	if p.cfg.PreAttempt != nil {
+		delay = p.cfg.PreAttempt(attempt)
 	}
+	if delay <= 0 {
+		s.write(func(dst []byte) []byte { return wire.AppendRequest(dst, req) })
+		return s
+	}
+	// Like a packet held up on the network, the frame goes out after the
+	// delay even if the caller has given up on it by then. It is encoded
+	// now, so the timer holds no reference to req, which stays on the
+	// caller's stack on the undelayed path.
+	frame := wire.AppendRequest(nil, req)
+	time.AfterFunc(delay, func() {
+		s.write(func(dst []byte) []byte { return append(dst, frame...) })
+	})
+	return s
+}
+
+// write puts the attempt's frame into its connection writer (see
+// frameWriter.write for encode). If that writer already died, the whole
+// incarnation retires — this attempt's future settles with the error —
+// so the retry redials.
+func (s sent) write(encode func(dst []byte) []byte) {
+	if err := s.fw.write(encode); err != nil {
+		s.pp.fail(s.conn, s.fw, s.f.gen, err)
+	}
+}
+
+// abandon unregisters the attempt's future (ctx cancellation, or a
+// quorum reached without it) and reports whether it was still pending.
+func (s sent) abandon() bool {
+	return s.pp != nil && s.pp.unregister(s.id, s.f)
+}
+
+// expire abandons an attempt that got no response within timeout. If
+// the connection has been silent for the whole window the peer is
+// likely gone without a FIN (the reader can't tell); retire the
+// incarnation so the retry redials. If frames are still flowing, the
+// server is just slow on this op — leave the shared conn alone rather
+// than nuking everyone else's in-flight requests.
+func (s sent) expire(timeout time.Duration) {
+	if !s.abandon() {
+		return
+	}
+	if time.Since(time.Unix(0, s.pp.lastRecv.Load())) >= timeout {
+		s.pp.fail(s.conn, s.fw, s.f.gen, errPipeStalled)
+	}
+}
+
+// try performs one pipelined attempt and waits for it: start, then the
+// response, ctx, or the attempt deadline, whichever comes first.
+func (pp *pipe) try(ctx context.Context, req *wire.Request, attempt int) (*wire.Response, error) {
+	timeout, ctxBounded := pp.p.attemptTimeout(ctx)
+	if timeout <= 0 {
+		return nil, context.DeadlineExceeded
+	}
+	ch := make(chan Reply, 1)
+	s := pp.start(ctx, req, attempt, 0, ch)
 	t := startTimer(timeout)
 	defer recycleTimer(t)
 	select {
-	case r := <-f.ch:
+	case r := <-ch:
 		if r.err != nil {
 			return nil, wrapCtxTimeout(ctx, ctxBounded, r.err)
 		}
 		return r.resp, nil
 	case <-ctx.Done():
-		pp.unregister(req.ID, f)
+		s.abandon()
 		return nil, fmt.Errorf("sockets: request interrupted: %w", ctx.Err())
 	case <-t.C:
-		pp.unregister(req.ID, f)
-		// No response within the attempt budget. If the connection has
-		// been silent for the whole window the peer is likely gone
-		// without a FIN (the reader can't tell); retire the incarnation
-		// so the retry redials. If frames are still flowing, the server
-		// is just slow on this op — leave the shared conn alone rather
-		// than nuking everyone else's in-flight requests.
-		if time.Since(time.Unix(0, pp.lastRecv.Load())) >= timeout {
-			pp.fail(conn, fw, gen, errPipeStalled)
-		}
-		if ctxBounded {
-			return nil, fmt.Errorf("sockets: attempt stopped by ctx deadline: %w", context.DeadlineExceeded)
-		}
-		return nil, fmt.Errorf("sockets: no response within %v: %w", timeout, errAttemptTimeout)
+		s.expire(timeout)
+		return nil, attemptTimedOut(timeout, ctxBounded)
 	}
+}
+
+// attemptTimedOut is the error of an attempt that outlived its budget.
+func attemptTimedOut(timeout time.Duration, ctxBounded bool) error {
+	if ctxBounded {
+		return fmt.Errorf("sockets: attempt stopped by ctx deadline: %w", context.DeadlineExceeded)
+	}
+	return fmt.Errorf("sockets: no response within %v: %w", timeout, errAttemptTimeout)
 }
 
 // attemptTimers recycles try's deadline timers: a fresh one per
@@ -346,10 +434,13 @@ func wrapCtxTimeout(ctx context.Context, ctxBounded bool, err error) error {
 	return err
 }
 
-// respErr converts an unexpected response — RespErr or a tag the
-// operation does not answer with — into an ErrServer-wrapped error.
+// respErr converts an unexpected response — RespErr, a shed, or a tag
+// the operation does not answer with — into an error.
 func respErr(resp *wire.Response) error {
-	if resp.Tag == wire.RespErr {
+	switch resp.Tag {
+	case wire.RespOverload:
+		return ErrOverload
+	case wire.RespErr:
 		return fmt.Errorf("%w: %s", ErrServer, resp.Err)
 	}
 	return fmt.Errorf("%w: unexpected response tag 0x%02x", ErrServer, resp.Tag)

@@ -58,15 +58,15 @@ type PoolConfig struct {
 	// mapreduce.Config.FailTask. Killed attempts fail with a transport
 	// error and take the retry path.
 	FailConn func(req, attempt int) bool
-	// PreAttempt, when non-nil, runs before each wire attempt with the
-	// 1-based attempt number — the client-side counterpart of
+	// PreAttempt, when non-nil, is asked before each wire attempt, with
+	// the 1-based attempt number, for a delay to hold that attempt's
+	// write back by — the client-side counterpart of
 	// ServerConfig.PreHandle. Chaos harnesses use it to inject latency
-	// spikes on the request path (a sleep here delays the attempt but
-	// still counts against its deadline budget, so a spike longer than
-	// the remaining budget surfaces as a timeout, exactly like real
-	// network delay). Keep it bounded: it runs on the request path and is
-	// not interrupted by cancellation.
-	PreAttempt func(attempt int)
+	// spikes on the request path. The delay runs on a timer and counts
+	// against the attempt's deadline budget, so a spike longer than the
+	// budget surfaces as a timeout, exactly like real network delay,
+	// while the caller stays free to send to other servers meanwhile.
+	PreAttempt func(attempt int) time.Duration
 }
 
 // ErrPoolClosed is returned for requests issued after Close.
@@ -157,6 +157,16 @@ func (p *Pool) Counters() *metrics.CounterSet {
 	cs.Add("pool.canceled", float64(p.canceledSeen.Load()))
 	cs.Add("pool.overloads", float64(p.overloadSeen.Load()))
 	return cs
+}
+
+// InFlight reports how many attempts wait on a response: futures
+// registered and neither settled nor abandoned. Once every caller has
+// its reply or has given up, it is zero; tests use it to show that an
+// abandoned attempt left nothing behind.
+func (p *Pool) InFlight() int {
+	p.pipe.mu.Lock()
+	defer p.pipe.mu.Unlock()
+	return len(p.pipe.pending)
 }
 
 // Overloads reports how many attempts the server shed with an overload
@@ -263,16 +273,107 @@ func (p *Pool) GetCtx(ctx context.Context, key string) (value string, found bool
 		return "", false, err
 	}
 	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbGet, Key: key})
-	if err != nil {
-		return "", false, err
+	return Reply{resp: resp, err: err}.Get()
+}
+
+// Get decodes a GET's Reply: the value, or found false for a missing
+// key, or the error that ended the request.
+func (r Reply) Get() (value string, found bool, err error) {
+	if r.err != nil {
+		return "", false, r.err
 	}
-	switch resp.Tag {
+	switch r.resp.Tag {
 	case wire.RespValue:
-		return ownedString(resp.Value), true, nil
+		return ownedString(r.resp.Value), true, nil
 	case wire.RespNotFound:
 		return "", false, nil
 	}
-	return "", false, respErr(resp)
+	return "", false, respErr(r.resp)
+}
+
+// SetV decodes a SETV's Reply: the SetV* outcome code, or the error
+// that ended the request.
+func (r Reply) SetV() (uint64, error) {
+	if r.err != nil {
+		return 0, r.err
+	}
+	if r.resp.Tag != wire.RespCount {
+		return 0, respErr(r.resp)
+	}
+	return r.resp.N, nil
+}
+
+// Call is a GET or SETV whose first attempt GoGet or GoSetV sent
+// without waiting for it. Its Reply settles on the caller's channel.
+// The caller takes that Reply, or gives up on the attempt (Abandon,
+// Expire); a failed or expired attempt continues with Retry. The zero
+// Call is a request that never reached the wire.
+type Call struct {
+	p    *Pool
+	req  wire.Request // for Retry, which sends it again under its ID
+	sent sent
+}
+
+// GoGet sends the first attempt of a GET of key and returns at once.
+// The Reply settles on replies under tag; decode it with Reply.Get.
+// replies must have room for it. One channel can collect the calls of
+// many pools, which is how a quorum read waits on every replica without
+// a goroutine per replica.
+func (p *Pool) GoGet(ctx context.Context, key string, tag int, replies chan<- Reply) Call {
+	return p.goCall(ctx, wire.Request{Verb: wire.VerbGet, Key: key}, tag, replies)
+}
+
+// GoSetV sends the first attempt of SETV key = value (see SetVCtx) and
+// returns at once, like GoGet; decode its Reply with Reply.SetV.
+func (p *Pool) GoSetV(ctx context.Context, key, value string, tag int, replies chan<- Reply) Call {
+	return p.goCall(ctx, wire.Request{Verb: wire.VerbSetV, Key: key, Value: readOnlyBytes(value)}, tag, replies)
+}
+
+func (p *Pool) goCall(ctx context.Context, req wire.Request, tag int, replies chan<- Reply) Call {
+	err := validateKey(req.Key)
+	if err == nil {
+		err = p.begin(ctx, &req)
+	}
+	if err != nil {
+		replies <- Reply{Tag: tag, err: err}
+		return Call{}
+	}
+	p.attemptSeen.Add(1)
+	s := p.pipe.start(ctx, &req, 1, tag, replies)
+	return Call{p: p, req: req, sent: s}
+}
+
+// Abandon gives up on the call's first attempt: a reply that still
+// comes is dropped. It counts as a canceled attempt, as a request whose
+// context was canceled mid-attempt does.
+func (c Call) Abandon() {
+	if c.sent.abandon() {
+		c.p.errSeen.Add(1)
+		c.p.canceledSeen.Add(1)
+	}
+}
+
+// Expire gives up on a first attempt that got no reply within timeout
+// and returns the Reply to continue from with Retry. Like a timed-out
+// synchronous attempt, it retires the connection if the connection has
+// been silent for the whole window.
+func (c Call) Expire(timeout time.Duration) Reply {
+	c.sent.expire(timeout)
+	return Reply{Tag: c.sent.f.tag, err: attemptTimedOut(timeout, false)}
+}
+
+// Retry continues the call after its first attempt, whose Reply is
+// first: a transport error, a shed, or Expire's timeout runs attempts 2
+// onward of the same request — same correlation ID — under the Pool's
+// backoff and MaxAttempts, so the budget of wire attempts per request
+// holds. Any other Reply is the server's answer and comes back as is.
+// Retry blocks; callers that fan out run it on a goroutine of its own.
+func (c Call) Retry(ctx context.Context, first Reply) Reply {
+	if c.p == nil {
+		return first // never sent: first already holds the final error
+	}
+	resp, err := c.p.finish(ctx, &c.req, 1, first.resp, first.err)
+	return Reply{Tag: first.Tag, resp: resp, err: err}
 }
 
 // MDel bulk-deletes keys by stamp. See MDelCtx.
@@ -372,13 +473,7 @@ func (p *Pool) SetVCtx(ctx context.Context, key, value string) (uint64, error) {
 		return 0, err
 	}
 	resp, err := p.do(ctx, &wire.Request{Verb: wire.VerbSetV, Key: key, Value: readOnlyBytes(value)})
-	if err != nil {
-		return 0, err
-	}
-	if resp.Tag != wire.RespCount {
-		return 0, respErr(resp)
-	}
-	return resp.N, nil
+	return Reply{resp: resp, err: err}.SetV()
 }
 
 // TreeCtx fetches the node's Merkle range hash for each span — the

@@ -250,10 +250,11 @@ func TestPoolPreAttemptHook(t *testing.T) {
 		// Kill the first attempt of every request so the hook is seen
 		// on the retry too.
 		FailConn: func(req, attempt int) bool { return attempt == 1 },
-		PreAttempt: func(attempt int) {
+		PreAttempt: func(attempt int) time.Duration {
 			mu.Lock()
 			attempts = append(attempts, attempt)
 			mu.Unlock()
+			return 0
 		},
 	})
 	if err != nil {
@@ -277,7 +278,7 @@ func TestPoolPreAttemptLatencyEatsCtxBudget(t *testing.T) {
 		Timeout:     2 * time.Second,
 		// A spike longer than the caller's deadline: the attempt must
 		// surface DeadlineExceeded instead of succeeding late.
-		PreAttempt: func(int) { time.Sleep(80 * time.Millisecond) },
+		PreAttempt: func(int) time.Duration { return 80 * time.Millisecond },
 	})
 	if err != nil {
 		t.Fatal(err)

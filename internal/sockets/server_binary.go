@@ -114,10 +114,14 @@ func (s *Server) serveBinary(cs *connState, br *bufio.Reader) {
 // inlineVerb reports whether the read loop serves a request with this
 // verb itself, straight off the connection's read buffer, instead of on
 // a goroutine of its own. PING, GET and COUNT run inline, skipping a
-// goroutine spawn per request: they take shard RLocks only and never
-// wait on an fsync. Every other verb keeps its own
-// goroutine, and so does every verb once a PreHandle stall hook is
-// installed — those are the cases out-of-order completion exists for.
+// goroutine spawn per request: they take shard RLocks only. A
+// memory-only server runs SETV inline too: it holds one shard lock
+// about as briefly as GET does, and copies its value off the frame
+// before storing it. No inline verb waits on an fsync, so a durable
+// server keeps SETV on its own goroutine, where the group commit can
+// batch it with others. Every other verb keeps its own goroutine, and
+// so does every verb once a PreHandle stall hook is installed — those
+// are the cases out-of-order completion exists for.
 //
 // MaxPending also forces the goroutine path: inline handling is
 // self-limiting (one request per connection in service at a time), so a
@@ -131,6 +135,8 @@ func (s *Server) inlineVerb(verb byte) bool {
 	switch verb {
 	case wire.VerbPing, wire.VerbGet, wire.VerbCount:
 		return true
+	case wire.VerbSetV:
+		return s.wal == nil
 	}
 	return false
 }
