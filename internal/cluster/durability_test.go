@@ -21,6 +21,48 @@ func durableConfig(nodes int) Config {
 	return cfg
 }
 
+// TestClusterCounters_WALAppendsAndSyncs: Counters sums every node's WAL
+// appends and fsyncs, so a cluster run shows its group-commit ratio. On
+// a durable cluster taking concurrent puts both are nonzero and appends
+// are at least syncs (an fsync covers one record or more); a
+// memory-only cluster reports zero for both.
+func TestClusterCounters_WALAppendsAndSyncs(t *testing.T) {
+	c := startCluster(t, durableConfig(3))
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				if err := c.Put(fmt.Sprintf("w%d-%02d", w, i), "v"); err != nil {
+					t.Errorf("Put: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	cs := c.Counters()
+	appends, _ := cs.Get("wal.appends")
+	syncs, _ := cs.Get("wal.syncs")
+	t.Logf("%v appends in %v fsyncs across 3 nodes", appends, syncs)
+	if appends < 200 || syncs == 0 || appends < syncs {
+		t.Fatalf("wal.appends = %v, wal.syncs = %v; want an append per put at least, nonzero syncs, appends >= syncs", appends, syncs)
+	}
+
+	mem := startCluster(t, testConfig(3))
+	if err := mem.Put("k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	mc := mem.Counters()
+	if a, _ := mc.Get("wal.appends"); a != 0 {
+		t.Fatalf("memory-only cluster wal.appends = %v, want 0", a)
+	}
+	if s, _ := mc.Get("wal.syncs"); s != 0 {
+		t.Fatalf("memory-only cluster wal.syncs = %v, want 0", s)
+	}
+}
+
 // TestClusterDurableRestart_NoHintReplayForAckedData is the
 // acceptance-criteria check at the cluster level: a durable node killed
 // (kill -9 semantics) and restarted recovers every write it acked from

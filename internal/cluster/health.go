@@ -49,12 +49,7 @@ func (c *Cluster) heartbeatLoop() {
 // what the heartbeat loop does on each tick, exposed so tests and
 // benches can make detection deterministic instead of sleeping.
 func (c *Cluster) Probe() {
-	c.topoMu.RLock()
-	nodes := make([]*node, 0, len(c.order))
-	for _, name := range c.order {
-		nodes = append(nodes, c.nodes[name])
-	}
-	c.topoMu.RUnlock()
+	nodes := c.nodeList()
 	var wg sync.WaitGroup
 	for _, n := range nodes {
 		wg.Add(1)

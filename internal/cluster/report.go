@@ -11,7 +11,8 @@ import (
 
 // Counters exports the cluster-wide counters as a metrics.CounterSet:
 // request totals, quorum failures, hinted-handoff traffic, failure-
-// detector transitions, and migration volume.
+// detector transitions, migration volume, and the WAL group commit's
+// appends and fsyncs (their ratio is records per fsync).
 func (c *Cluster) Counters() *metrics.CounterSet {
 	cs := &metrics.CounterSet{}
 	cs.Add("cluster.puts", float64(c.puts.Load()))
@@ -35,6 +36,15 @@ func (c *Cluster) Counters() *metrics.CounterSet {
 	cs.Add("cluster.keys-migrated", float64(c.keysMigrated.Load()))
 	cs.Add("cluster.ring-moves", float64(c.Moves()))
 	cs.Add("cluster.sheds", float64(c.Sheds()))
+	// Summed like Sheds: safe for dead nodes, and a floor under churn.
+	var appends, syncs int64
+	for _, n := range c.nodeList() {
+		a, s := n.server().WALStats()
+		appends += a
+		syncs += s
+	}
+	cs.Add("wal.appends", float64(appends))
+	cs.Add("wal.syncs", float64(syncs))
 	if c.cache != nil {
 		cs.Add("cache.hits", float64(c.cache.hits.Load()))
 		cs.Add("cache.misses", float64(c.cache.misses.Load()))
@@ -56,17 +66,22 @@ func (c *Cluster) CacheMisses() int64 { return c.cache.Misses() }
 // counts from pre-kill incarnations are lost with the old server, so
 // this is a floor under churn.
 func (c *Cluster) Sheds() int64 {
+	var total int64
+	for _, n := range c.nodeList() {
+		total += n.server().Shed()
+	}
+	return total
+}
+
+// nodeList snapshots the nodes in ring-join order.
+func (c *Cluster) nodeList() []*node {
 	c.topoMu.RLock()
+	defer c.topoMu.RUnlock()
 	nodes := make([]*node, 0, len(c.order))
 	for _, name := range c.order {
 		nodes = append(nodes, c.nodes[name])
 	}
-	c.topoMu.RUnlock()
-	var total int64
-	for _, n := range nodes {
-		total += n.server().Shed()
-	}
-	return total
+	return nodes
 }
 
 // PoolCounters sums the client-side sockets.Pool counters across every
@@ -74,12 +89,7 @@ func (c *Cluster) Sheds() int64 {
 // injected FailConn faults. Reading is safe even for dead nodes — the
 // counters are plain atomics that survive pool Close.
 func (c *Cluster) PoolCounters() *metrics.CounterSet {
-	c.topoMu.RLock()
-	nodes := make([]*node, 0, len(c.order))
-	for _, name := range c.order {
-		nodes = append(nodes, c.nodes[name])
-	}
-	c.topoMu.RUnlock()
+	nodes := c.nodeList()
 
 	sum := &metrics.CounterSet{}
 	for _, n := range nodes {
@@ -92,12 +102,7 @@ func (c *Cluster) PoolCounters() *metrics.CounterSet {
 // server-side request/error counts, latency percentiles, stored keys —
 // replicas and parked hints included) followed by the cluster counters.
 func (c *Cluster) Report() string {
-	c.topoMu.RLock()
-	nodes := make([]*node, 0, len(c.order))
-	for _, name := range c.order {
-		nodes = append(nodes, c.nodes[name])
-	}
-	c.topoMu.RUnlock()
+	nodes := c.nodeList()
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-8s %-21s %-5s %9s %7s %10s %10s %10s %6s %6s\n",

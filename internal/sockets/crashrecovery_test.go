@@ -5,6 +5,7 @@
 package sockets_test
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +24,7 @@ import (
 
 // startDurable starts a server logging into dir. No t.Cleanup close:
 // these tests Crash and restart servers by hand.
-func startDurable(t *testing.T, dir string, cfg sockets.ServerConfig) *sockets.Server {
+func startDurable(t testing.TB, dir string, cfg sockets.ServerConfig) *sockets.Server {
 	t.Helper()
 	cfg.WALDir = dir
 	s, err := sockets.NewServerConfig("127.0.0.1:0", cfg)
@@ -234,6 +236,97 @@ func TestCrashRecovery_LogOrderMatchesApplyOrder(t *testing.T) {
 			t.Fatalf("round %d: recovered %q but the live server last served %q — log order diverged from apply order", round, recovered, live)
 		}
 	}
+}
+
+// TestCrashRecovery_PipelinedSetVAckedSurvive: eight callers pipeline
+// stamped SETVs over one Pool to a durable server, whose WAL commit loop
+// answers each SETV after its fsync, and Crash cuts the stream
+// mid-flight. After a restart on the same directory, every acked SETV
+// reads back with its value or a newer one. While the stream runs, the
+// acks a caller has seen never outnumber the appends the server has
+// fsynced: an ack sent ahead of its fsync shows there even when the
+// crash happens to spare the record.
+func TestCrashRecovery_PipelinedSetVAckedSurvive(t *testing.T) {
+	dir := t.TempDir()
+	s := startDurable(t, dir, sockets.ServerConfig{})
+	p, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{MaxAttempts: 1})
+	if err != nil {
+		t.Fatalf("NewPool: %v", err)
+	}
+	defer p.Close()
+
+	const callers, keysPerCaller, crashAfter = 8, 16, 400
+	var (
+		mu       sync.Mutex
+		acked    = map[string]uint64{} // key -> newest acked stamp
+		nAcked   atomic.Int64
+		crashing atomic.Bool
+	)
+	trigger := make(chan struct{})
+	pullTrigger := sync.OnceFunc(func() { close(trigger) })
+	crashed := make(chan struct{})
+	go func() {
+		defer close(crashed)
+		<-trigger
+		crashing.Store(true)
+		if err := s.Crash(); err != nil {
+			t.Errorf("Crash: %v", err)
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for n := uint64(1); ; n++ {
+				for k := 0; k < keysPerCaller; k++ {
+					key := fmt.Sprintf("p%d-%02d", c, k)
+					if _, err := p.SetVCtx(context.Background(), key, stamped(n, fmt.Sprintf("%s@%d", key, n))); err != nil {
+						if !crashing.Load() {
+							t.Errorf("SetV %s before the crash: %v", key, err)
+						}
+						return
+					}
+					mu.Lock()
+					acked[key] = n
+					mu.Unlock()
+					total := nAcked.Add(1)
+					if appends, _ := s.WALStats(); total > appends {
+						t.Errorf("%d SETVs acked but only %d appends fsynced", total, appends)
+						return
+					}
+					if total == crashAfter {
+						pullTrigger()
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	pullTrigger() // a stream that failed early still ends in the crash
+	<-crashed
+	if nAcked.Load() < crashAfter {
+		t.Fatalf("only %d SETVs acked before the stream failed", nAcked.Load())
+	}
+
+	s2 := startDurable(t, dir, sockets.ServerConfig{})
+	defer s2.Close()
+	p2, err := sockets.NewPool(s2.Addr(), sockets.PoolConfig{})
+	if err != nil {
+		t.Fatalf("NewPool: %v", err)
+	}
+	defer p2.Close()
+	for key, n := range acked {
+		raw, found, err := p2.Get(key)
+		if err != nil || !found {
+			t.Fatalf("acked %s (stamp %d) lost across the crash: found=%v err=%v", key, n, found, err)
+		}
+		v, payload, _, err := version.Decode(raw)
+		if err != nil || uint64(v.Clock) < n || payload != fmt.Sprintf("%s@%d", key, v.Clock) {
+			t.Fatalf("%s recovered as stamp %d %q (%v), want stamp %d or newer with its own value", key, v.Clock, payload, err, n)
+		}
+	}
+	t.Logf("%d SETVs acked on %d keys before the crash; all read back", nAcked.Load(), len(acked))
 }
 
 // legacyString appends a uvarint length and the bytes, the WAL's string

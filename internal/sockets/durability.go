@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"repro/internal/sockets/wire"
 	"repro/internal/wal"
 )
 
@@ -63,24 +64,34 @@ func (s *Server) WALStats() (appends, syncs int64) {
 }
 
 // walWait rides out one reserved append's covering fsync before the
-// caller releases its response, then bumps the snapshot trigger. The
-// reservation itself (wal.Begin) happens inside applyMutation, under
-// the shard lock(s) that ordered the mutation — log order equals apply
-// order, which is what makes replay and the snapshot protocol sound
-// (state captured after a rotation covers every record enqueued before
-// it; see maybeSnapshot). A nil ticket (memory-only server, or nothing
-// logged) is a no-op.
-func (s *Server) walWait(t *wal.Ticket) error {
+// caller releases resp, the response the mutation earned when it was
+// applied. The reservation itself (wal.Begin) happens inside
+// applyMutation, under the shard lock(s) that ordered the mutation — log
+// order equals apply order, which is what makes replay and the snapshot
+// protocol sound (state captured after a rotation covers every record
+// enqueued before it; see maybeSnapshot). A nil ticket (memory-only
+// server, or nothing logged) returns resp as it is.
+func (s *Server) walWait(resp *wire.Response, t *wal.Ticket) *wire.Response {
 	if t == nil {
-		return nil
+		return resp
 	}
-	if err := t.Wait(); err != nil {
-		return err
+	return s.walOutcome(resp, t.Wait())
+}
+
+// walOutcome turns a reserved append's outcome into the response that
+// may leave the server: a failed append answers ERR "durability: …" on
+// the request's ID instead of resp, and a durable one bumps the snapshot
+// trigger. Both the blocking walWait and the read loop's Ticket.Then
+// callback, which runs on the commit loop, go through it, so it must not
+// block.
+func (s *Server) walOutcome(resp *wire.Response, err error) *wire.Response {
+	if err != nil {
+		return &wire.Response{Tag: wire.RespErr, ID: resp.ID, Err: "durability: " + err.Error()}
 	}
 	if s.walSince.Add(1) >= s.walEvery {
 		s.maybeSnapshot()
 	}
-	return nil
+	return resp
 }
 
 // maybeSnapshot compacts the log when enough mutations have accumulated
@@ -139,8 +150,9 @@ func (s *Server) Crash() error {
 	s.mu.Unlock()
 	if s.wal != nil {
 		s.stopScrub()
-		// Fails every blocked AppendSync with ErrCrashed, unwinding the
-		// handler goroutines conns.Wait joins below.
+		// Fails every pending append with ErrCrashed, unwinding the
+		// handler goroutines and answering the Ticket.Then callbacks
+		// that conns.Wait joins below.
 		if cerr := s.wal.Crash(); err == nil {
 			err = cerr
 		}

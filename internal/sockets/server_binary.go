@@ -13,10 +13,11 @@ import (
 )
 
 // serveBinary is the per-connection demultiplexer: it decodes frames
-// off one reader, dispatches each PDU to its own goroutine against the
-// sharded store, and writes responses back as they complete —
-// out-of-order, matched to requests by correlation ID. One slow GET no
-// longer convoys the pipeline behind it.
+// off one reader, serves the brief verbs itself and dispatches the rest
+// each to its own goroutine against the sharded store (see inlineVerb),
+// and writes responses back as they complete — out-of-order, matched to
+// requests by correlation ID. One slow request no longer convoys the
+// pipeline behind it.
 func (s *Server) serveBinary(cs *connState, br *bufio.Reader) {
 	// Coalesced response writes; a broken write closes the conn, which
 	// breaks the read loop below and unwinds the whole connection.
@@ -29,6 +30,12 @@ func (s *Server) serveBinary(cs *connState, br *bufio.Reader) {
 	defer fw.stop() // after wg.Wait: late handler responses still drain
 	var wg sync.WaitGroup
 	defer wg.Wait()
+	// unwind flushes the queued responses, then closes the conn, which
+	// breaks the read loop below.
+	unwind := func() {
+		fw.stop()
+		cs.conn.Close()
+	}
 	var frame []byte // the connection's read buffer, reused frame after frame
 	for {
 		payload, err := readFrame(br, frame)
@@ -73,14 +80,45 @@ func (s *Server) serveBinary(cs *connState, br *bufio.Reader) {
 			// the conn under a mutation whose response isn't out yet.
 			cs.addInflight(1)
 			start := time.Now()
-			werr := s.respond(fw, req, s.handleBinary(req), start)
-			if req.Verb != wire.VerbPing {
-				s.release()
+			var resp *wire.Response
+			var tick *wal.Ticket
+			if req.Verb == wire.VerbSetV {
+				// Applied, and on a durable server its log position
+				// reserved, before the next frame is read: frames that
+				// arrived in one read ride one group commit.
+				resp, tick = s.applyMutation(req)
+			} else {
+				resp = s.handleBinary(req)
 			}
-			closing := cs.addInflight(-1)
-			if werr != nil || closing || s.closed.Load() {
-				// Unwinding runs fw.stop, which flushes the queued
-				// response before the conn is torn down.
+			if tick == nil {
+				if s.answer(cs, fw, req.Verb, resp, start) {
+					return
+				}
+			} else {
+				// The commit loop answers a logged SETV once the batch
+				// holding its record is fsynced (or failed). The callback
+				// counts in wg and in flight until its response is
+				// queued, so fw.stop and a graceful Close both wait for
+				// it. resp owns its bytes: nothing the callback touches
+				// aliases frame.
+				wg.Add(1)
+				tick.Then(func(err error) {
+					defer wg.Done()
+					if s.answer(cs, fw, wire.VerbSetV, s.walOutcome(resp, err), start) {
+						// Never unwind on the commit loop: fw.stop waits
+						// on the network.
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							unwind()
+						}()
+					}
+				})
+			}
+			if s.closed.Load() {
+				// Stop reading. Unwinding runs wg.Wait, then fw.stop,
+				// which flushes every queued response before the conn
+				// is torn down.
 				return
 			}
 			continue
@@ -93,19 +131,12 @@ func (s *Server) serveBinary(cs *connState, br *bufio.Reader) {
 			if s.preHandle != nil {
 				s.preHandle(wire.VerbName(req.Verb), req.Key)
 			}
-			werr := s.respond(fw, req, s.handleBinary(req), start)
-			if req.Verb != wire.VerbPing {
-				s.release()
-			}
-			closing := cs.addInflight(-1)
-			if werr != nil || closing || s.closed.Load() {
-				// Mirror the text loop's exit conditions: flush queued
-				// responses (ours included), then close the conn, which
-				// unblocks the read loop, which returns and joins us. A
-				// flush wedged on a dead peer is unstuck by Close's
-				// DrainTimeout hard close.
-				fw.stop()
-				cs.conn.Close()
+			if s.answer(cs, fw, req.Verb, s.handleBinary(req), start) {
+				// Flush queued responses (ours included), then close the
+				// conn, which unblocks the read loop, which returns and
+				// joins us. A flush wedged on a dead peer is unstuck by
+				// Close's DrainTimeout hard close.
+				unwind()
 			}
 		}()
 	}
@@ -113,15 +144,15 @@ func (s *Server) serveBinary(cs *connState, br *bufio.Reader) {
 
 // inlineVerb reports whether the read loop serves a request with this
 // verb itself, straight off the connection's read buffer, instead of on
-// a goroutine of its own. PING, GET and COUNT run inline, skipping a
-// goroutine spawn per request: they take shard RLocks only. A
-// memory-only server runs SETV inline too: it holds one shard lock
-// about as briefly as GET does, and copies its value off the frame
-// before storing it. No inline verb waits on an fsync, so a durable
-// server keeps SETV on its own goroutine, where the group commit can
-// batch it with others. Every other verb keeps its own goroutine, and
-// so does every verb once a PreHandle stall hook is installed — those
-// are the cases out-of-order completion exists for.
+// a goroutine of its own. PING, GET, COUNT and SETV run inline, skipping
+// a goroutine spawn per request: each holds at most one shard lock, about
+// as briefly as GET does, and SETV copies its value off the frame before
+// storing it. On a durable server the read loop applies a SETV and
+// reserves its WAL position, then moves on; the commit loop sends the
+// response after the fsync, so the read loop never stalls behind a disk.
+// Every other verb keeps its own goroutine, and so does every verb once
+// a PreHandle stall hook is installed — those are the cases
+// out-of-order completion exists for.
 //
 // MaxPending also forces the goroutine path: inline handling is
 // self-limiting (one request per connection in service at a time), so a
@@ -133,25 +164,39 @@ func (s *Server) inlineVerb(verb byte) bool {
 		return false
 	}
 	switch verb {
-	case wire.VerbPing, wire.VerbGet, wire.VerbCount:
+	case wire.VerbPing, wire.VerbGet, wire.VerbCount, wire.VerbSetV:
 		return true
-	case wire.VerbSetV:
-		return s.wal == nil
 	}
 	return false
+}
+
+// answer sends one admitted request's response and settles its
+// accounting: the admission slot and the connection's in-flight count
+// are freed only once the response is queued. It reports whether the
+// connection must now unwind: the write failed, or a graceful Close is
+// waiting and this was the last request in flight on the connection.
+// Unwinding any earlier would stop the writer under responses still
+// being answered.
+func (s *Server) answer(cs *connState, fw *frameWriter, verb byte, resp *wire.Response, start time.Time) (unwind bool) {
+	werr := s.respond(fw, verb, resp, start)
+	if verb != wire.VerbPing {
+		s.release()
+	}
+	closing, idle := cs.addInflight(-1)
+	return werr != nil || (closing && idle)
 }
 
 // respond accounts one handled PDU — error count, latency, per-verb
 // latency — and then encodes its response into the connection's writer.
 // The accounting comes first, so a client holding its reply always
 // finds the request in Latency() as well as in Stats().
-func (s *Server) respond(fw *frameWriter, req *wire.Request, resp *wire.Response, start time.Time) error {
+func (s *Server) respond(fw *frameWriter, verb byte, resp *wire.Response, start time.Time) error {
 	if resp.Tag == wire.RespErr {
 		s.errSeen.Add(1)
 	}
 	d := time.Since(start)
 	s.latency.Observe(d)
-	s.observeVerb(wire.VerbName(req.Verb), d)
+	s.observeVerb(wire.VerbName(verb), d)
 	return writeResponse(fw, resp)
 }
 
@@ -186,11 +231,7 @@ func (s *Server) handleBinary(r *wire.Request) *wire.Response {
 		// Durable before acked: applyMutation applies the mutation and
 		// reserves its WAL position under the shard lock(s), so log order
 		// equals apply order. The fsync wait happens off-lock, here.
-		resp, tick := s.applyMutation(r)
-		if err := s.walWait(tick); err != nil {
-			return &wire.Response{Tag: wire.RespErr, ID: r.ID, Err: "durability: " + err.Error()}
-		}
-		return resp
+		return s.walWait(s.applyMutation(r))
 	case wire.VerbSyncWAL:
 		return s.applySyncWAL(r)
 	case wire.VerbTree:

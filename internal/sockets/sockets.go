@@ -182,13 +182,14 @@ type connState struct {
 }
 
 // addInflight adjusts the in-flight count and reports whether the
-// connection has been told to close.
-func (cs *connState) addInflight(d int) (closing bool) {
+// connection has been told to close and whether nothing is left in
+// flight on it.
+func (cs *connState) addInflight(d int) (closing, idle bool) {
 	cs.mu.Lock()
 	cs.inflight += d
-	closing = cs.closing
+	closing, idle = cs.closing, cs.inflight == 0
 	cs.mu.Unlock()
-	return closing
+	return closing, idle
 }
 
 // Server is the concurrent key-value server.
@@ -486,7 +487,7 @@ func (s *Server) serveText(cs *connState, br *bufio.Reader) {
 		s.latency.Observe(d)
 		s.observeVerb(verb, d)
 		werr := WriteFrame(cs.conn, []byte(resp))
-		closing := cs.addInflight(-1)
+		closing, _ := cs.addInflight(-1)
 		if werr != nil || closing || s.closed.Load() {
 			return
 		}
@@ -535,12 +536,9 @@ func (s *Server) handle(req string) string {
 		// here, before the ack leaves. Key validation also guards the
 		// log: "SET  v" (empty key) would store a key replay refuses to
 		// decode.
-		resp, tick := s.applyMutation(&wire.Request{Verb: wire.VerbSet, Key: parts[1], Value: []byte(parts[2])})
+		resp := s.walWait(s.applyMutation(&wire.Request{Verb: wire.VerbSet, Key: parts[1], Value: []byte(parts[2])}))
 		if resp.Tag == wire.RespErr {
 			return "ERR " + resp.Err
-		}
-		if err := s.walWait(tick); err != nil {
-			return "ERR durability: " + err.Error()
 		}
 		return "OK"
 	case "GET":
@@ -561,9 +559,9 @@ func (s *Server) handle(req string) string {
 		}
 		// Only a DEL that removed a key is logged: a NOTFOUND delete
 		// changes nothing replay must walk through.
-		resp, tick := s.applyMutation(&wire.Request{Verb: wire.VerbDel, Key: parts[1]})
-		if err := s.walWait(tick); err != nil {
-			return "ERR durability: " + err.Error()
+		resp := s.walWait(s.applyMutation(&wire.Request{Verb: wire.VerbDel, Key: parts[1]}))
+		if resp.Tag == wire.RespErr {
+			return "ERR " + resp.Err
 		}
 		if resp.Tag == wire.RespNotFound {
 			return "NOTFOUND"
@@ -580,12 +578,9 @@ func (s *Server) handle(req string) string {
 		for i, k := range keys {
 			pairs[i].Key = k
 		}
-		resp, tick := s.applyMutation(&wire.Request{Verb: wire.VerbMDel, Pairs: pairs})
+		resp := s.walWait(s.applyMutation(&wire.Request{Verb: wire.VerbMDel, Pairs: pairs}))
 		if resp.Tag == wire.RespErr {
 			return "ERR " + resp.Err
-		}
-		if err := s.walWait(tick); err != nil {
-			return "ERR durability: " + err.Error()
 		}
 		return fmt.Sprintf("DELETED %d", resp.N)
 	case "COUNT":

@@ -96,12 +96,13 @@ func (s *Server) syncWALApply(r *wire.Request) *wire.Response {
 			}
 		}
 	}
+	resp := &wire.Response{Tag: wire.RespCount, ID: r.ID, N: applied}
 	for _, t := range ticks {
-		if err := s.walWait(t); err != nil {
-			return &wire.Response{Tag: wire.RespErr, ID: r.ID, Err: "durability: " + err.Error()}
+		if resp = s.walWait(resp, t); resp.Tag == wire.RespErr {
+			break
 		}
 	}
-	return &wire.Response{Tag: wire.RespCount, ID: r.ID, N: applied}
+	return resp
 }
 
 // SyncWALSkipped reports how many oversized log frames dump chunks have

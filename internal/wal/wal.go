@@ -12,9 +12,11 @@
 // disk and fsynced, and will be replayed by the next Open of the same
 // directory. AppendSync splits into Begin (a non-blocking commit-queue
 // reservation) and Ticket.Wait (the fsync wait) for callers that must
-// establish log order under their own locks — see Begin. A crash (simulated by Crash, which truncates the active
-// segment back to its last-synced byte — the strictest reading of
-// kill -9) loses exactly the suffix whose AppendSync never returned.
+// establish log order under their own locks — see Begin; Ticket.Then
+// hands the outcome to a callback instead of a blocked goroutine. A
+// crash (simulated by Crash, which truncates the active segment back to
+// its last-synced byte — the strictest reading of kill -9) loses
+// exactly the suffix whose AppendSync never returned.
 // Recovery tolerates one torn frame at the tail of the newest segment
 // (the crash's final, never-acked write) and fails loudly on any other
 // malformed byte — serving around an interior hole would silently
@@ -73,10 +75,27 @@ type entry struct {
 }
 
 // ticket is one AppendSync waiter; done closes when the record's batch
-// has been written and fsynced (err nil) or abandoned (err set).
+// has been written and fsynced (err nil) or abandoned (err set). then is
+// the one completion callback a Then caller registered before that.
 type ticket struct {
+	mu   sync.Mutex
 	err  error
 	done chan struct{}
+	then func(error)
+}
+
+// settle records the append's outcome, releases every Wait, and runs
+// the completion callback, on the settling goroutine.
+func (t *ticket) settle(err error) {
+	t.mu.Lock()
+	t.err = err
+	close(t.done)
+	fn := t.then
+	t.then = nil
+	t.mu.Unlock()
+	if fn != nil {
+		fn(err)
+	}
 }
 
 // rotReq is one Rotate waiter; seq carries back the new active
@@ -256,6 +275,26 @@ func (tk *Ticket) Wait() error {
 	return tk.t.err
 }
 
+// Then registers fn to receive the append's outcome once the record is
+// durable or has failed, instead of blocking in Wait. A settled ticket
+// runs fn at once, on the caller's goroutine; otherwise fn runs on the
+// commit loop, right after the batch's fsync (or its failure), so it
+// must not block: no network write, no lock a Wait caller may hold,
+// nothing that waits on this log. A ticket takes at most one callback.
+func (tk *Ticket) Then(fn func(error)) {
+	t := tk.t
+	t.mu.Lock()
+	select {
+	case <-t.done:
+		t.mu.Unlock()
+		fn(t.err)
+		return
+	default:
+	}
+	t.then = fn
+	t.mu.Unlock()
+}
+
 // Begin reserves the record's position in the commit queue and returns
 // without waiting for durability. It never touches the disk — just a
 // mutex-guarded enqueue — which is what lets a caller reserve log order
@@ -290,8 +329,8 @@ func (l *Log) Begin(rec *Record) *Ticket {
 // failedTicket is a pre-resolved ticket for appends rejected before
 // they reach the queue.
 func failedTicket(err error) *Ticket {
-	t := &ticket{err: err, done: make(chan struct{})}
-	close(t.done)
+	t := &ticket{done: make(chan struct{})}
+	t.settle(err)
 	return &Ticket{t: t}
 }
 
@@ -518,7 +557,7 @@ func (l *Log) flush(es []entry) {
 	l.syncs.Add(1)
 	l.appends.Add(int64(len(es)))
 	for _, e := range es {
-		close(e.t.done)
+		e.t.settle(nil)
 	}
 }
 
@@ -582,7 +621,6 @@ func failBatch(es []entry, err error) {
 			close(e.rot.done)
 			continue
 		}
-		e.t.err = err
-		close(e.t.done)
+		e.t.settle(err)
 	}
 }

@@ -232,6 +232,74 @@ func TestWAL_CrashLosesOnlyUnacked(t *testing.T) {
 	}
 }
 
+// TestWAL_TicketThen: a completion callback sees each append's outcome
+// exactly once. One registered before the fsync runs after it; one
+// registered on a settled ticket runs at once; an oversized record's
+// runs at once with ErrTooLarge. Appends a Crash overtakes call back
+// with ErrCrashed, and every one that called back nil is replayed.
+func TestWAL_TicketThen(t *testing.T) {
+	dir := t.TempDir()
+	l, _, _ := openCollecting(t, dir)
+
+	tk := l.Begin(&Record{Kind: KindSet, Key: "first", Value: "v"})
+	got := make(chan error, 1)
+	tk.Then(func(err error) {
+		if l.Syncs() == 0 {
+			t.Error("callback ran before any fsync")
+		}
+		got <- err
+	})
+	if err := <-got; err != nil {
+		t.Fatalf("callback got %v, want nil", err)
+	}
+	ran := false
+	tk.Then(func(err error) { ran = err == nil })
+	if !ran {
+		t.Fatal("Then on a settled ticket did not run at once")
+	}
+	huge := &Record{Kind: KindSet, Key: "huge", Value: string(make([]byte, MaxRecord))}
+	l.Begin(huge).Then(func(err error) { ran = errors.Is(err, ErrTooLarge) })
+	if !ran {
+		t.Fatal("oversized record's callback did not run at once with ErrTooLarge")
+	}
+
+	const n = 200
+	var mu sync.Mutex
+	outcomes := map[string]error{}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("k%03d", i)
+		wg.Add(1)
+		l.Begin(&Record{Kind: KindSet, Key: key, Value: "v"}).Then(func(err error) {
+			defer wg.Done()
+			mu.Lock()
+			defer mu.Unlock()
+			if _, dup := outcomes[key]; dup {
+				t.Errorf("%s called back twice", key)
+			}
+			outcomes[key] = err
+		})
+	}
+	if err := l.Crash(); err != nil {
+		t.Fatalf("Crash: %v", err)
+	}
+	wg.Wait()
+
+	_, _, recs := openCollecting(t, dir)
+	replayed := map[string]bool{}
+	for _, r := range recs {
+		replayed[r.Key] = true
+	}
+	for key, err := range outcomes {
+		switch {
+		case err == nil && !replayed[key]:
+			t.Errorf("%s called back durable but was not replayed", key)
+		case err != nil && !errors.Is(err, ErrCrashed):
+			t.Errorf("%s called back %v, want nil or ErrCrashed", key, err)
+		}
+	}
+}
+
 func TestWAL_ClosedErrors(t *testing.T) {
 	l, _, _ := openCollecting(t, t.TempDir())
 	if err := l.Close(); err != nil {
