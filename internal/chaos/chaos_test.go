@@ -6,8 +6,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dfs"
+	"repro/internal/sockets"
 	"repro/internal/testutil"
 )
 
@@ -104,6 +106,49 @@ func TestChaos_DeterministicSchedules(t *testing.T) {
 		// workers plus rng-drawn fault offsets cannot collide).
 		if a, b := ScheduleString(spec, seed), ScheduleString(spec, seed+1); a == b {
 			t.Errorf("%s: seeds %d and %d derived identical schedules", spec.Name, seed, seed+1)
+		}
+	}
+}
+
+// TestChaos_ServerHookStallsOnlyInWindows: the server hook returns a
+// stall only inside a slow or blackout window, on the window's node, for
+// the verbs it names. Everywhere else, SETV and GET among them, it
+// returns nil, and a node serves the request exactly as an unhooked
+// server would: on the read loop for GET and SETV. So the scenarios test
+// the dispatch path the store ships, not one the fault injector chose.
+// Every windowed fault of every scenario's plan is checked, for each
+// verb the server counts, inside its window and after it.
+func TestChaos_ServerHookStallsOnlyInWindows(t *testing.T) {
+	for _, spec := range append(Scenarios(), SelfTestSpec()) {
+		for _, f := range FaultPlan(spec.withDefaults(), 42) {
+			switch f.Kind {
+			case FaultSlow, FaultBlackout, FaultConnDrop, FaultLatency, FaultDeadlineStorm:
+			default:
+				continue // point events: no window
+			}
+			h := &harness{states: map[string]*nodeFaults{}}
+			h.apply(f)
+			for _, node := range []string{f.Node, "bystander"} {
+				hook := h.serverPreHandle(node)
+				for _, verb := range sockets.Verbs() {
+					want := node == f.Node && ((f.Kind == FaultSlow && strings.HasPrefix(verb, f.Verb)) ||
+						(f.Kind == FaultBlackout && verb == "PING"))
+					if got := hook(verb, "k") != nil; got != want {
+						t.Errorf("%s: %s on %s inside the window: stall = %v, want %v", spec.Name, verb, node, got, want)
+					}
+				}
+			}
+			// Close the window: nothing stalls any more.
+			st := h.state(f.Node)
+			st.mu.Lock()
+			st.slowUntil, st.blackoutUntil = time.Now(), time.Now()
+			st.mu.Unlock()
+			hook := h.serverPreHandle(f.Node)
+			for _, verb := range sockets.Verbs() {
+				if hook(verb, "k") != nil {
+					t.Errorf("%s: %s on %s after the window: got a stall, want none", spec.Name, verb, f.Node)
+				}
+			}
 		}
 	}
 }

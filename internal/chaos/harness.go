@@ -690,9 +690,9 @@ func flipOldestSealed(dir string) (string, error) {
 }
 
 // serverPreHandle is the per-node server-side hook: heartbeat blackouts
-// stall PING, slow windows stall matching verbs.
-func (h *harness) serverPreHandle(name string) func(verb, key string) {
-	return func(verb, _ string) {
+// stall PING, slow windows stall matching verbs, and nothing else does.
+func (h *harness) serverPreHandle(name string) func(verb, key string) func() {
+	return func(verb, _ string) func() {
 		st := h.state(name)
 		st.mu.Lock()
 		blackout := st.blackoutUntil
@@ -700,14 +700,14 @@ func (h *harness) serverPreHandle(name string) func(verb, key string) {
 		st.mu.Unlock()
 		now := time.Now()
 		if verb == "PING" && now.Before(blackout) {
-			time.Sleep(time.Until(blackout))
-			return
+			return func() { time.Sleep(time.Until(blackout)) }
 		}
 		// A prefix match: a slow "SET" window also stalls SETV, the verb
 		// quorum writes use.
 		if slowVerb != "" && now.Before(slow) && strings.HasPrefix(verb, slowVerb) {
-			time.Sleep(delay)
+			return func() { time.Sleep(delay) }
 		}
+		return nil
 	}
 }
 

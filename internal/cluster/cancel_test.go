@@ -16,15 +16,16 @@ import (
 // stall models a slow replica, not a dead one.
 func slowConfig(nodes int, slow map[string]bool, verb string, delay time.Duration) Config {
 	cfg := testConfig(nodes)
-	cfg.ServerPreHandle = func(name string) func(verb, key string) {
+	cfg.ServerPreHandle = func(name string) func(verb, key string) func() {
 		if !slow[name] {
 			return nil
 		}
 		// A prefix match, so "SET" also stalls the SETV quorum writes use.
-		return func(v, _ string) {
-			if strings.HasPrefix(v, verb) {
-				time.Sleep(delay)
+		return func(v, _ string) func() {
+			if !strings.HasPrefix(v, verb) {
+				return nil
 			}
+			return func() { time.Sleep(delay) }
 		}
 	}
 	return cfg

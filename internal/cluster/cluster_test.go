@@ -559,11 +559,12 @@ func TestVerbCensus_NoBlindReplicaWrites(t *testing.T) {
 	seen := make(map[string]int)
 	cfg := testConfig(4)
 	cfg.Replicas = 3
-	cfg.ServerPreHandle = func(string) func(verb, key string) {
-		return func(verb, _ string) {
+	cfg.ServerPreHandle = func(string) func(verb, key string) func() {
+		return func(verb, _ string) func() {
 			mu.Lock()
 			seen[verb]++
 			mu.Unlock()
+			return nil
 		}
 	}
 	c := startCluster(t, cfg)

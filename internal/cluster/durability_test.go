@@ -406,9 +406,12 @@ func TestHintReplay_ReparkSurvives(t *testing.T) {
 	stalled, release := make(chan struct{}), make(chan struct{})
 	cfg := testConfig(3)
 	cfg.HeartbeatInterval = time.Hour // no probe or sweep races the replays below
-	cfg.ServerPreHandle = func(string) func(verb, key string) {
-		return func(verb, _ string) {
-			if verb == "MDEL" && armed.CompareAndSwap(true, false) {
+	cfg.ServerPreHandle = func(string) func(verb, key string) func() {
+		return func(verb, _ string) func() {
+			if verb != "MDEL" || !armed.CompareAndSwap(true, false) {
+				return nil
+			}
+			return func() {
 				close(stalled)
 				<-release
 			}

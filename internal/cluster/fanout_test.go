@@ -148,11 +148,12 @@ func TestFanout_StalledReplica(t *testing.T) {
 			slow.Store("")
 			cfg := fanoutTestConfig()
 			cfg.WriteQuorum = tc.w
-			cfg.ServerPreHandle = func(name string) func(verb, key string) {
-				return func(verb, _ string) {
-					if name == slow.Load().(string) && (verb == "SETV" || verb == "GET") {
-						time.Sleep(stall)
+			cfg.ServerPreHandle = func(name string) func(verb, key string) func() {
+				return func(verb, _ string) func() {
+					if name != slow.Load().(string) || (verb != "SETV" && verb != "GET") {
+						return nil
 					}
+					return func() { time.Sleep(stall) }
 				}
 			}
 			c := startCluster(t, cfg)

@@ -22,14 +22,15 @@ func TestRestartDiscardsStaleProbe(t *testing.T) {
 	cfg.HeartbeatTimeout = 2 * time.Second   // the stall must not time the probe out
 	cfg.DrainTimeout = 10 * time.Millisecond // Kill cuts the stalled PING fast
 	var incarnation atomic.Int32
-	cfg.ServerPreHandle = func(name string) func(verb, key string) {
+	cfg.ServerPreHandle = func(name string) func(verb, key string) func() {
 		if name != "node1" || incarnation.Add(1) > 1 {
 			return nil // only node1's first incarnation stalls
 		}
-		return func(verb, _ string) {
-			if verb == "PING" {
-				time.Sleep(500 * time.Millisecond)
+		return func(verb, _ string) func() {
+			if verb != "PING" {
+				return nil
 			}
+			return func() { time.Sleep(500 * time.Millisecond) }
 		}
 	}
 	c := startCluster(t, cfg)

@@ -55,8 +55,8 @@ func TestExecuteRespectsDependencies(t *testing.T) {
 		for w := 0; w < width; w++ {
 			ids[l][w] = g.AddTask(int64(1+(l*width+w)%3), "t")
 			if l > 0 {
-				g.AddEdge(ids[l-1][w], ids[l][w])               //nolint:errcheck
-				g.AddEdge(ids[l-1][(w+1)%width], ids[l][w])     //nolint:errcheck
+				g.AddEdge(ids[l-1][w], ids[l][w])           //nolint:errcheck
+				g.AddEdge(ids[l-1][(w+1)%width], ids[l][w]) //nolint:errcheck
 			}
 		}
 	}

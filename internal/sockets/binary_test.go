@@ -110,10 +110,11 @@ func TestBinaryNegotiationSharedStore(t *testing.T) {
 func TestBinaryPipeliningOutOfOrder(t *testing.T) {
 	const stall = 300 * time.Millisecond
 	s := testutil.StartKV(t, sockets.ServerConfig{
-		PreHandle: func(verb, key string) {
-			if verb == "GET" && key == "slow" {
-				time.Sleep(stall)
+		PreHandle: func(verb, key string) func() {
+			if verb != "GET" || key != "slow" {
+				return nil
 			}
+			return func() { time.Sleep(stall) }
 		},
 	})
 	p := binPool(t, s, sockets.PoolConfig{Timeout: 5 * time.Second})
@@ -330,10 +331,11 @@ func TestBinaryMalformedPDUSurvives(t *testing.T) {
 func TestBinaryPoolCancelMidRequest(t *testing.T) {
 	base := testutil.SettleGoroutines()
 	s := testutil.StartKV(t, sockets.ServerConfig{
-		PreHandle: func(verb, key string) {
-			if verb == "GET" && key == "stuck" {
-				time.Sleep(400 * time.Millisecond)
+		PreHandle: func(verb, key string) func() {
+			if verb != "GET" || key != "stuck" {
+				return nil
 			}
+			return func() { time.Sleep(400 * time.Millisecond) }
 		},
 	})
 	p := binPool(t, s, sockets.PoolConfig{Timeout: 5 * time.Second})

@@ -84,10 +84,11 @@ func TestPoolBackoffCancelPrompt(t *testing.T) {
 // cancellation, not held until the server answers.
 func TestClientGetCtxCancelWakesBlockedRead(t *testing.T) {
 	s, err := NewServerConfig("127.0.0.1:0", ServerConfig{
-		PreHandle: func(verb, _ string) {
-			if verb == "GET" {
-				time.Sleep(time.Second)
+		PreHandle: func(verb, _ string) func() {
+			if verb != "GET" {
+				return nil
 			}
+			return func() { time.Sleep(time.Second) }
 		},
 	})
 	if err != nil {
@@ -124,10 +125,11 @@ func TestClientGetCtxCancelWakesBlockedRead(t *testing.T) {
 // server costs the caller only its own budget.
 func TestPoolCtxDeadlineTightensAttempt(t *testing.T) {
 	s, err := NewServerConfig("127.0.0.1:0", ServerConfig{
-		PreHandle: func(verb, _ string) {
-			if verb == "GET" {
-				time.Sleep(time.Second)
+		PreHandle: func(verb, _ string) func() {
+			if verb != "GET" {
+				return nil
 			}
+			return func() { time.Sleep(time.Second) }
 		},
 	})
 	if err != nil {

@@ -39,16 +39,19 @@ func newLossyServer(t *testing.T) *lossyServer {
 	t.Helper()
 	l := &lossyServer{gate: make(chan struct{})}
 	srv, err := NewServerConfig("127.0.0.1:0", ServerConfig{
-		PreHandle: func(verb, _ string) {
+		PreHandle: func(verb, _ string) func() {
 			if verb != "MPUT" && verb != "MDEL" {
-				return
+				return nil
 			}
 			l.deliveries.Add(1)
 			l.mu.Lock()
 			first, gate, hold := l.armed, l.gate, l.hold
 			l.armed = false
 			l.mu.Unlock()
-			if first {
+			if !first {
+				return nil
+			}
+			return func() {
 				<-gate
 				if hold != nil {
 					hold()

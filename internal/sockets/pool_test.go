@@ -156,7 +156,7 @@ func TestPoolDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.preHandle = func(string, string) { time.Sleep(300 * time.Millisecond) }
+	s.preHandle = func(string, string) func() { return func() { time.Sleep(300 * time.Millisecond) } }
 	p, err := NewPool(s.Addr(), PoolConfig{
 		MaxAttempts: 2,
 		Timeout:     50 * time.Millisecond,
@@ -336,10 +336,11 @@ func TestPoolZeroTimeoutCancel(t *testing.T) {
 	s := startServer(t)
 	release := make(chan struct{})
 	var once sync.Once
-	s.preHandle = func(verb, key string) {
-		if verb == "GET" && key == "slow" {
-			<-release
+	s.preHandle = func(verb, key string) func() {
+		if verb != "GET" || key != "slow" {
+			return nil
 		}
+		return func() { <-release }
 	}
 	defer once.Do(func() { close(release) })
 
@@ -372,10 +373,11 @@ func TestPoolZeroTimeoutCancel(t *testing.T) {
 // client to tear the connection down.
 func TestFrameGuard_OversizedResponseFailsOnce(t *testing.T) {
 	s, err := NewServerConfig("127.0.0.1:0", ServerConfig{
-		PreHandle: func(verb, _ string) {
-			if verb == "GET" {
-				time.Sleep(100 * time.Millisecond) // still in flight when SCAN answers
+		PreHandle: func(verb, _ string) func() {
+			if verb != "GET" {
+				return nil
 			}
+			return func() { time.Sleep(100 * time.Millisecond) } // still in flight when SCAN answers
 		},
 	})
 	if err != nil {

@@ -328,8 +328,11 @@ func TestServerDrainsInFlightOnClose(t *testing.T) {
 	}
 	const delay = 150 * time.Millisecond
 	started := make(chan struct{}, 1)
-	s.preHandle = func(verb, _ string) {
-		if verb == "SET" {
+	s.preHandle = func(verb, _ string) func() {
+		if verb != "SET" {
+			return nil
+		}
+		return func() {
 			started <- struct{}{}
 			time.Sleep(delay)
 		}
@@ -420,8 +423,9 @@ func TestStatsCountedBeforeReply(t *testing.T) {
 	}{
 		{"text", ServerConfig{}, false},
 		{"binary-inline", ServerConfig{}, true},
-		// A PreHandle hook moves every PDU onto its own goroutine.
-		{"binary-goroutine", ServerConfig{PreHandle: func(string, string) {}}, true},
+		// A stall, even one that does nothing, moves its PDU onto a
+		// goroutine of its own.
+		{"binary-goroutine", ServerConfig{PreHandle: func(string, string) func() { return func() {} }}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := NewServerConfig("127.0.0.1:0", tc.cfg)
@@ -504,7 +508,7 @@ func TestPreHandleVerbAndKey(t *testing.T) {
 	type call struct{ verb, key string }
 	seen := make(chan call, 1)
 	s, err := NewServerConfig("127.0.0.1:0", ServerConfig{
-		PreHandle: func(verb, key string) { seen <- call{verb, key} },
+		PreHandle: func(verb, key string) func() { seen <- call{verb, key}; return nil },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -63,29 +63,21 @@ for dist in uniform zipfian; do
     done
 done
 
-echo "== overload quartet (zipfian, 4KB values) =="
-# Two capacity probes, because admission control changes the serving
-# path: MaxPending forces the binary server onto goroutine dispatch
-# (the handler goroutine set is the bounded queue), while MaxPending 0
-# serves single-key verbs inline in the read loop. The goodput floor is
-# judged against the async-path probe — the capacity of the
-# configuration actually being protected; the inline probe is kept as
-# the unprotected fast path's reference number.
+echo "== overload trio (zipfian, 4KB values) =="
+# One capacity probe: MaxPending bounds admission without changing how
+# a request is served (GET and SETV run on the read loop either way),
+# so a probe with -maxpending would measure the same path twice. The
+# 2x offer is judged against this probe.
 CAP_INLINE="capacity-inline-closed-4k"
-CAP_ASYNC="capacity-async-closed-4k"
 for rep in $(seq 1 "$REPEATS"); do
     "$BIN" -seed $((42 + rep * 1000)) -json "$RAW" -duration "$OVER_DURATION" \
         -workload zipfian -wkeys 128 -valuesize 4096 -workers 32 \
         -label "$CAP_INLINE"
     echo
-    "$BIN" -seed $((42 + rep * 1000)) -json "$RAW" -duration "$OVER_DURATION" \
-        -workload zipfian -wkeys 128 -valuesize 4096 -workers 32 \
-        -maxpending 1024 -label "$CAP_ASYNC"
-    echo
 done
-CAPACITY=$("$AGG" -in "$RAW" -capacity "$CAP_ASYNC")
+CAPACITY=$("$AGG" -in "$RAW" -capacity "$CAP_INLINE")
 OFFERED=$((CAPACITY * 2))
-echo "async-path capacity ~= $CAPACITY ops/s -> offering $OFFERED qps"
+echo "capacity ~= $CAPACITY ops/s -> offering $OFFERED qps"
 
 # The same 2x-capacity open-loop storm, unprotected vs admission-controlled.
 for rep in $(seq 1 "$REPEATS"); do
@@ -108,9 +100,10 @@ for rep in $(seq 1 "$REPEATS"); do
     "$BIN" -walbench -walwriters 64 -waldur "$WAL_DURATION" -json "$RAW"
     echo
 done
-# The durable capacity cell is the honest overhead number: the async
-# capacity probe rerun with every write fsynced (group-committed) before
-# its ack, judged against CAP_ASYNC above.
+# The durable capacity cell is the honest overhead number: the capacity
+# probe rerun with every write fsynced (group-committed) before its ack,
+# judged against CAP_INLINE above. Its -maxpending 1024 never sheds 32
+# closed-loop workers and serves requests on the same path.
 for rep in $(seq 1 "$REPEATS"); do
     "$BIN" -seed $((42 + rep * 1000)) -json "$RAW" -duration "$OVER_DURATION" \
         -workload zipfian -wkeys 128 -valuesize 4096 -workers 32 \
@@ -158,5 +151,5 @@ else
     OUT="bench/BENCH_$DATE.json"
 fi
 "$AGG" -in "$RAW" -out "$OUT" -date "$DATE" \
-    -note "3-node cluster, replicas=3, W=2 R=2, single host, GOGC=$GOGC; async-path capacity probe $CAPACITY ops/s, overload cells offered ${OFFERED} qps"
+    -note "3-node cluster, replicas=3, W=2 R=2, single host, GOGC=$GOGC; capacity probe $CAPACITY ops/s, overload cells offered ${OFFERED} qps"
 echo "wrote $OUT"
