@@ -54,8 +54,7 @@ func (s *Server) admit() bool {
 	}
 }
 
-// release frees an admitted request's slot once its response is on the
-// way out.
+// release frees an admitted request's slot as its response is queued.
 func (s *Server) release() { s.pending.Add(-1) }
 
 func (s *Server) notePeak(p int64) {
