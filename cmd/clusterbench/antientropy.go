@@ -28,20 +28,19 @@ type aeResult struct {
 }
 
 // runAntiEntropy measures the Merkle-sync convergence path in
-// isolation: a 3-node cluster (R=3, W=2, R=2) with hinted handoff
-// DISABLED is loaded with `keys` keys, then one memory-only node is
-// killed and restarted — it comes back empty, so every key is a
-// divergence and anti-entropy is the only way home. The number
-// reported is the wall time for SyncNow passes to reach a quiet round,
-// plus the repair volume, which must equal the injected divergence
-// (the diff moves only what differs).
+// isolation: a 3-node cluster (R=3, W=2, R=2) is loaded with `keys`
+// keys, then one memory-only node is killed and restarted — it comes
+// back empty, so every key is a divergence and anti-entropy is the only
+// way home. The number reported is the wall time from the restart,
+// whose catch-up does the repair, until a SyncNow pass finds nothing
+// left to repair, plus the repair volume, which must equal the injected
+// divergence (the diff moves only what differs).
 func runAntiEntropy(keys, valueSize int, seed int64, jsonPath string) int {
 	c, err := cluster.New(cluster.Config{
 		Nodes: 3, Replicas: 3, WriteQuorum: 2, ReadQuorum: 2,
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  150 * time.Millisecond,
 		PoolTimeout:       500 * time.Millisecond,
-		DisableHints:      true,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clusterbench:", err)
@@ -52,7 +51,7 @@ func runAntiEntropy(keys, valueSize int, seed int64, jsonPath string) int {
 	rng := rand.New(rand.NewSource(seed))
 	value := make([]byte, valueSize)
 	ctx := context.Background()
-	fmt.Printf("anti-entropy convergence bench: %d keys x %dB, 3 nodes, hints disabled, seed %d\n",
+	fmt.Printf("anti-entropy convergence bench: %d keys x %dB, 3 nodes, seed %d\n",
 		keys, valueSize, seed)
 	for i := 0; i < keys; i++ {
 		for j := range value {
@@ -79,14 +78,13 @@ func runAntiEntropy(keys, valueSize int, seed int64, jsonPath string) int {
 		fmt.Fprintln(os.Stderr, "clusterbench:", err)
 		return 1
 	}
+	repairedBefore := c.AntiEntropyRepaired()
+	bytesBefore := c.AntiEntropyBytes()
+	start := time.Now()
 	if err := c.Restart(victim); err != nil {
 		fmt.Fprintln(os.Stderr, "clusterbench:", err)
 		return 1
 	}
-
-	repairedBefore := c.AntiEntropyRepaired()
-	bytesBefore := c.AntiEntropyBytes()
-	start := time.Now()
 	rounds, err := syncUntilQuiet(ctx, c)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clusterbench: sync:", err)

@@ -4,13 +4,13 @@
 //     counts, reduced to the speedup/efficiency/Karp-Flatt table every
 //     other bench in this repo prints.
 //  2. Availability: a node is killed mid-run; the bench reports the
-//     fraction of quorum reads and writes that still succeed, the
-//     hinted-handoff volume, and the hint replay on restart.
+//     fraction of quorum reads and writes that still succeed, and the
+//     key copies the node's catch-up repairs on restart.
 //  3. Elasticity: a node joins a loaded cluster; the ring-metadata
 //     Moves() counter certifies that only ~K/n keys relocated.
 //
 // It ends with the cluster health report: per-node latency percentiles
-// plus the handoff/quorum counter set, and a sample of the per-node
+// plus the quorum and repair counter set, and a sample of the per-node
 // pool's client-side counters.
 //
 // With -chaos it instead runs the seeded fault-injection scenarios from
@@ -315,13 +315,11 @@ func failureAndElasticityPhases(ctx context.Context, c *cluster.Cluster, nodes, 
 		replicas, readOK.Load(), keys, 100*float64(readOK.Load())/float64(keys))
 	fmt.Printf("  quorum writes with 1 of %d replicas down: %d/%d (%.1f%%)\n",
 		replicas, writeOK.Load(), keys, 100*float64(writeOK.Load())/float64(keys))
-	hinted, _ := c.Counters().Get("cluster.hinted-writes")
-	fmt.Printf("  hinted handoffs parked for %s: %.0f\n", victim, hinted)
+	repaired := c.AntiEntropyRepaired()
 	if err := c.Restart(victim); err != nil {
 		return err
 	}
-	replayed, _ := c.Counters().Get("cluster.hints-replayed")
-	fmt.Printf("  hints replayed on restart: %.0f\n\n", replayed)
+	fmt.Printf("  key copies %s's catch-up repaired on restart: %d\n\n", victim, c.AntiEntropyRepaired()-repaired)
 
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("clusterbench: canceled before the elasticity phase: %w", err)

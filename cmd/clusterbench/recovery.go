@@ -311,8 +311,9 @@ func timeReplay(dir string, workers int) (sum uint64, count int64, elapsed time.
 }
 
 // runRereplicate times one disk-loss rebuild: load a durable binary
-// cluster, kill one node, wipe its log, restart it empty, and run
-// SyncNow passes until a quiet round. threshold -1 forces key-by-key
+// cluster, kill one node, wipe its log, restart it empty (its catch-up
+// rebuilds it), and run SyncNow passes until a quiet round; the clock
+// starts at the restart. threshold -1 forces key-by-key
 // Merkle span repair; a low threshold routes the near-total divergence
 // onto the SYNCWAL streaming path.
 func runRereplicate(keys, valueSize int, seed int64, threshold float64, label string, jsonPath string) (recoveryResult, bool) {
@@ -322,7 +323,6 @@ func runRereplicate(keys, valueSize int, seed int64, threshold float64, label st
 		HeartbeatInterval:   25 * time.Millisecond,
 		HeartbeatTimeout:    400 * time.Millisecond,
 		PoolTimeout:         5 * time.Second,
-		DisableHints:        true,
 		Durable:             true,
 		SyncStreamThreshold: threshold,
 		DrainTimeout:        200 * time.Millisecond,
@@ -387,14 +387,13 @@ func runRereplicate(keys, valueSize int, seed int64, threshold float64, label st
 		fmt.Fprintln(os.Stderr, "clusterbench:", err)
 		return res, false
 	}
+	repairedBefore := c.AntiEntropyRepaired()
+	bytesBefore := c.AntiEntropyBytes() + c.AntiEntropyStreamBytes()
+	start := time.Now()
 	if err := c.Restart(victim); err != nil {
 		fmt.Fprintln(os.Stderr, "clusterbench:", err)
 		return res, false
 	}
-
-	repairedBefore := c.AntiEntropyRepaired()
-	bytesBefore := c.AntiEntropyBytes() + c.AntiEntropyStreamBytes()
-	start := time.Now()
 	rounds, err := syncUntilQuiet(ctx, c)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clusterbench: re-replication sync:", err)

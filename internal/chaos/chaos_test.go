@@ -156,8 +156,8 @@ func TestChaos_ServerHookStallsOnlyInWindows(t *testing.T) {
 // TestChaos_ScenarioRegistry: lookup and naming stay consistent.
 func TestChaos_ScenarioRegistry(t *testing.T) {
 	names := ScenarioNames()
-	if len(names) != 12 {
-		t.Fatalf("want 12 named scenarios, have %d: %v", len(names), names)
+	if len(names) != 13 {
+		t.Fatalf("want 13 named scenarios, have %d: %v", len(names), names)
 	}
 	seen := map[string]bool{}
 	for _, n := range names {

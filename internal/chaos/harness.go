@@ -56,8 +56,9 @@ type Spec struct {
 	// (Server.Crash — no drain, unsynced suffix discarded) and Restart
 	// recovers the node's acked writes from its own log. This is what
 	// lets a scenario kill ALL replicas of a key and still demand
-	// nothing acked is lost — without it, hints on surviving nodes are
-	// the only safety net, and a total outage has none.
+	// nothing acked is lost — without it, a restarted node comes back
+	// empty and its catch-up can only copy from live peers, and a total
+	// outage leaves none.
 	Durable bool
 	// WALSegmentBytes shrinks durable nodes' log segments so sealed
 	// segments — the corruption targets and scrub units — appear within
@@ -72,15 +73,12 @@ type Spec struct {
 	SyncStreamThreshold float64
 	// RequireScrubEvent fails the run unless some node's scrub surfaced
 	// an EventWALCorrupt — the proof that injected disk corruption was
-	// detected in the background, not discovered at the next crash.
+	// detected in the background, not discovered at the next crash. It
+	// also holds the kill of a node whose log a FaultCorrupt damaged
+	// until that node's scrub has reported it, for at most awaitBound:
+	// a kill that comes first would leave the scrub nothing to find.
 	RequireScrubEvent bool
 
-	// DisableHints turns hinted handoff off: a write whose replica is
-	// unreachable is simply not delivered there, and nothing is parked
-	// to replay later — replicas silently diverge until read repair or
-	// anti-entropy reconciles them. Heal-converge scenarios set this to
-	// prove Merkle sync alone closes the gap.
-	DisableHints bool
 	// AntiEntropyInterval > 0 runs the cluster's background Merkle sync
 	// loop at this period for the whole scenario, so repair races live
 	// traffic and faults instead of only running in the epilogue.
@@ -88,7 +86,9 @@ type Spec struct {
 	// RequireConvergence adds a convergence gate after recovery: the
 	// harness drives SyncNow until a full pass repairs nothing (every
 	// live pair's Merkle trees match — replicas byte-identical) and
-	// fails the run if repeated passes never quiet down.
+	// fails the run if repeated passes never quiet down, or if any live
+	// node's digest then disagrees with a digest rebuilt from its own
+	// store (cluster.CheckDigests).
 	RequireConvergence bool
 
 	// Plan builds the fault schedule from the seeded rng and the
@@ -354,7 +354,6 @@ func Run(spec Spec, seed int64) (*Report, error) {
 		WALSegmentBytes:     spec.WALSegmentBytes,
 		WALScrubInterval:    spec.WALScrubInterval,
 		SyncStreamThreshold: spec.SyncStreamThreshold,
-		DisableHints:        spec.DisableHints,
 		AntiEntropyInterval: spec.AntiEntropyInterval,
 		// Chaos key spaces are tiny and the zipfian head is steep: a low
 		// threshold gets the hot keys resident within the short workload
@@ -386,8 +385,9 @@ func Run(spec Spec, seed int64) (*Report, error) {
 	// run in plan order. Corruption waits for a sealed segment, which on
 	// a loaded host can take longer than the plan's gaps; the kill and
 	// the restart that must refuse the damage may not run ahead of it,
-	// and a fault behind a late one keeps its planned gap after it (the
-	// scrub needs that time to find the damage).
+	// and a fault behind a late one keeps its planned gap after it. Under
+	// RequireScrubEvent the kill also waits for the scrub to find the
+	// damage.
 	chained := map[string]bool{}
 	for _, f := range plan {
 		if f.Kind == FaultCorrupt {
@@ -417,6 +417,9 @@ func Run(spec Spec, seed int64) (*Report, error) {
 					<-prev.done
 					time.Sleep(f.At - prev.at)
 				}
+			}
+			if f.Kind == FaultKill && chained[f.Node] && spec.RequireScrubEvent {
+				h.await(cluster.EventWALCorrupt, f.Node, awaitBound)
 			}
 			h.apply(f)
 		}(f)
@@ -499,14 +502,38 @@ func Run(spec Spec, seed int64) (*Report, error) {
 	}, nil
 }
 
+// awaitBound caps how long a fault waits for the event it awaits.
+const awaitBound = 2 * time.Second
+
+// await blocks until node has emitted an event of type t, or bound has
+// passed. A fault that awaits an event that never comes still fires,
+// late, and whatever the spec requires of the event fails the run.
+func (h *harness) await(t cluster.EventType, node string, bound time.Duration) {
+	deadline := time.Now().Add(bound)
+	for time.Now().Before(deadline) {
+		h.eventMu.Lock()
+		seen := false
+		for _, e := range h.events {
+			seen = seen || (e.Type == t && e.Node == node)
+		}
+		h.eventMu.Unlock()
+		if seen {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // converge is the convergence gate RequireConvergence scenarios run
 // between recovery and the verification sweep: repeated SyncNow passes
 // until one repairs nothing. A quiet pass means every live pair's
 // Merkle trees matched — all replicas hold byte-identical state — so
-// the gate is the run's proof that anti-entropy alone (hints disabled)
-// reconciled whatever the faults diverged. The pass cap turns an
-// oscillating repair (two replicas endlessly overwriting each other —
-// a tiebreak that is not a total order) into a failure, not a hang.
+// the gate is the run's proof that anti-entropy reconciled whatever the
+// faults diverged. Matching trees prove nothing if the trees do not
+// describe the stores, so the gate then checks every live node's digest
+// against its store. The pass cap turns an oscillating repair (two
+// replicas endlessly overwriting each other — a tiebreak that is not a
+// total order) into a failure, not a hang.
 func (h *harness) converge() (int, string) {
 	if !h.spec.RequireConvergence {
 		return 0, ""
@@ -521,6 +548,12 @@ func (h *harness) converge() (int, string) {
 			return total, fmt.Sprintf("sync pass %d: %v", pass, err)
 		}
 		if n == 0 {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			err := h.c.CheckDigests(ctx)
+			cancel()
+			if err != nil {
+				return total, err.Error()
+			}
 			return total, ""
 		}
 		total += n
@@ -713,10 +746,9 @@ func (h *harness) serverPreHandle(name string) func(verb, key string) func() {
 
 // poolFailConn drops the first wire attempt of every dropEvery-th
 // request to the node during a conn-drop window. Later attempts always
-// pass: the drop exercises the retry path without ever forcing a write
-// onto the hinted-handoff path (hints parked for a node that is up are
-// only replayed on its next down/up transition, so dropping every
-// attempt would open a staleness window the scenario does not intend).
+// pass: the drop exercises the retry path, and no replica misses a
+// write (a node that stays up is only repaired by anti-entropy or read
+// repair, so dropping every attempt would test those instead).
 func (h *harness) poolFailConn(name string) func(req, attempt int) bool {
 	return func(req, attempt int) bool {
 		if attempt != 1 {

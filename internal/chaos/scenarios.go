@@ -26,8 +26,8 @@ func Scenarios() []Spec {
 	return []Spec{
 		{
 			// A node crashes and recovers, three times in a row: the
-			// failure detector, hint parking, and replay cycle under
-			// sustained churn.
+			// failure detector, strict quorums with a replica down, and
+			// the returning node's catch-up under sustained churn.
 			Name: "kill-restart-churn",
 			Plan: func(rng *rand.Rand, nodes []string) []Fault {
 				var plan []Fault
@@ -44,13 +44,12 @@ func Scenarios() []Spec {
 			},
 		},
 		{
-			// The victim dies again while its hint replay is still
-			// crawling (its SETs are slowed through the replay window).
-			// Transport-failed hints must stay parked on their holders
-			// and land on the second recovery — consuming them on
-			// failure would silently drop acknowledged sloppy-quorum
-			// writes.
-			Name: "kill-during-hint-replay",
+			// The victim dies again while its catch-up is still crawling
+			// (its SETVs are slowed through the catch-up window), then
+			// comes back. The catch-up it lost must be redone by the
+			// next one: nothing acknowledged may be missing once the
+			// second restart returns.
+			Name: "kill-during-catch-up",
 			Plan: func(rng *rand.Rand, nodes []string) []Fault {
 				n := pick(rng, nodes)
 				kill := ms(130 + rng.Intn(40))
@@ -59,8 +58,38 @@ func Scenarios() []Spec {
 					{At: kill, Kind: FaultKill, Node: n},
 					{At: restart - ms(20), For: ms(350), Kind: FaultSlow, Node: n, Verb: "SET", Delay: ms(25)},
 					{At: restart, Kind: FaultRestart, Node: n},
-					{At: restart + ms(40), Kind: FaultKill, Node: n}, // mid-replay
+					{At: restart + ms(40), Kind: FaultKill, Node: n}, // mid-catch-up
 					{At: restart + ms(240), Kind: FaultRestart, Node: n},
+				}
+			},
+		},
+		{
+			// Named for the hole it guards: a copy parked off a key's
+			// replicas (a hinted handoff) once counted as a write ack,
+			// and these kills, in this order, lost it. On four durable
+			// nodes, two replicas of some key die, then the node outside
+			// that key's replica set, then the two come back and the
+			// third replica dies. A put the one surviving replica took
+			// alone must have been refused; one that was acknowledged
+			// must be read back after the third replica dies.
+			Name:    "hint-holder-loss",
+			Nodes:   4,
+			Durable: true,
+			Plan: func(rng *rand.Rand, nodes []string) []Fault {
+				p := rng.Perm(len(nodes))
+				a, b, c, f := nodes[p[0]], nodes[p[1]], nodes[p[2]], nodes[p[3]]
+				at := ms(130 + rng.Intn(40))
+				back := at + ms(230+rng.Intn(40))
+				lost := back + ms(150)
+				return []Fault{
+					{At: at, Kind: FaultKill, Node: b},
+					{At: at + ms(10), Kind: FaultKill, Node: c},
+					{At: at + ms(150), Kind: FaultKill, Node: f},
+					{At: back, Kind: FaultRestart, Node: b},
+					{At: back + ms(10), Kind: FaultRestart, Node: c},
+					{At: lost, Kind: FaultKill, Node: a},
+					{At: lost + ms(200), Kind: FaultRestart, Node: a},
+					{At: lost + ms(210), Kind: FaultRestart, Node: f},
 				}
 			},
 		},
@@ -69,8 +98,7 @@ func Scenarios() []Spec {
 			// (heartbeat blackout): keys replicated on both lose their
 			// read quorum — those reads may fail (excused) but nothing
 			// acknowledged may be lost once both recover. The blacked-out
-			// node keeps its store, so no hint holder ever dies holding
-			// the only copy.
+			// node keeps its store and catches up on its up transition.
 			Name: "quorum-loss-and-recovery",
 			Plan: func(rng *rand.Rand, nodes []string) []Fault {
 				a, b := pick2(rng, nodes)
@@ -100,9 +128,9 @@ func Scenarios() []Spec {
 		},
 		{
 			// Pure false death: the node answers every request except
-			// PING. Traffic routes around it via hints; on the up
-			// transition the replay must close the gap before the node
-			// serves reads again.
+			// PING. Traffic routes around it, so it misses writes; on the
+			// up transition its catch-up must close the gap before the
+			// node serves reads again.
 			Name: "heartbeat-blackout",
 			Plan: func(rng *rand.Rand, nodes []string) []Fault {
 				n := pick(rng, nodes)
@@ -169,10 +197,11 @@ func Scenarios() []Spec {
 			// kill -9 (no drain — the WAL's synced prefix is all that
 			// survives) and every Restart recovers from snapshot + log
 			// tail. Two staggered single-node crashes exercise recovery
-			// racing live traffic and hint top-up; then ALL nodes die at
-			// once and restart. The total outage is the part only a WAL
-			// can pass — hints die with their holders, so every acked
-			// write that comes back was replayed from disk.
+			// racing live traffic and the catch-up that adds what the
+			// node missed; then ALL nodes die at once and restart. The
+			// total outage is the part only a WAL can pass: no live peer
+			// is left to catch up from, so every acked write that comes
+			// back was replayed from disk.
 			Name:    "crash-stop",
 			Durable: true,
 			Plan: func(rng *rand.Rand, nodes []string) []Fault {
@@ -184,9 +213,9 @@ func Scenarios() []Spec {
 					plan = append(plan,
 						Fault{At: at, Kind: FaultKill, Node: n},
 						Fault{At: at + down, Kind: FaultRestart, Node: n})
-					at += down + ms(150+rng.Intn(60)) // let recovery + replay settle
+					at += down + ms(150+rng.Intn(60)) // let recovery and catch-up settle
 				}
-				// Total outage: no survivors, no hints, only the logs.
+				// Total outage: no survivors, only the logs.
 				at += ms(100)
 				for _, n := range nodes {
 					plan = append(plan, Fault{At: at, Kind: FaultKill, Node: n})
@@ -216,19 +245,18 @@ func Scenarios() []Spec {
 			},
 		},
 		{
-			// Partition by false death, healed by anti-entropy alone. Two
-			// nodes are blacked out in overlapping windows, so the failure
-			// detector routes writes around them — and with hints disabled
-			// nothing is parked to replay on the up transition. Writes keep
-			// landing on whatever quorums remain, so the blacked-out
-			// replicas silently fall behind on different keys: a partition
-			// with traffic on both sides of it. After the heal, Merkle sync
-			// is the ONLY path back; the run drives it to quiescence and
-			// fails unless every replica converges byte-identically with
-			// zero lost acked writes (the sweep's quorum reads still check
-			// the whole history).
+			// Partition by false death, healed by anti-entropy. Two nodes
+			// are blacked out in overlapping windows, so the failure
+			// detector routes writes around them. Writes keep landing on
+			// whatever quorums remain, so the blacked-out replicas
+			// silently fall behind on different keys: a partition with
+			// traffic on both sides of it. After the heal, Merkle sync —
+			// the catch-up on each up transition and the background loop
+			// — is the only path back; the run drives it to quiescence
+			// and fails unless every replica converges byte-identically,
+			// every digest matches its store, and no acked write is lost
+			// (the sweep's quorum reads still check the whole history).
 			Name:                "heal-converge",
-			DisableHints:        true,
 			AntiEntropyInterval: ms(150),
 			RequireConvergence:  true,
 			Plan: func(rng *rand.Rand, nodes []string) []Fault {
@@ -249,13 +277,15 @@ func Scenarios() []Spec {
 			// until something replays them. Then the node is killed and
 			// restarted: recovery MUST refuse the corrupt log, the harness
 			// wipes it (the dead-disk playbook), and the node comes back
-			// empty — with hints disabled, anti-entropy streaming the
-			// peers' WALs is what rebuilds it. The convergence gate plus
-			// the checker's full-history sweep prove no acked write was
-			// lost to either the corruption or the wipe.
+			// empty — its catch-up streaming the peers' WALs is what
+			// rebuilds it. The kill waits for the scrub to report the
+			// damage (RequireScrubEvent), so a CPU-starved host cannot
+			// kill the node before its scrub got a pass in. The
+			// convergence gate plus the checker's full-history sweep
+			// prove no acked write was lost to either the corruption or
+			// the wipe.
 			Name:                "scrub-corrupt",
 			Durable:             true,
-			DisableHints:        true,
 			AntiEntropyInterval: ms(150),
 			RequireConvergence:  true,
 			RequireScrubEvent:   true,
@@ -267,8 +297,8 @@ func Scenarios() []Spec {
 				at := ms(300 + rng.Intn(60)) // enough writes first to seal a segment on the victim
 				return []Fault{
 					{At: at, Kind: FaultCorrupt, Node: n},
-					{At: at + ms(250), Kind: FaultKill, Node: n},
-					{At: at + ms(320), Kind: FaultRestartCorrupt, Node: n},
+					{At: at + ms(25), Kind: FaultKill, Node: n}, // held until the scrub reports the damage
+					{At: at + ms(95), Kind: FaultRestartCorrupt, Node: n},
 				}
 			},
 		},

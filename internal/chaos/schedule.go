@@ -36,8 +36,9 @@ type FaultKind string
 // The fault kinds a schedule can contain.
 const (
 	// FaultKill crash-stops Node at At (cluster.Kill: connections cut,
-	// store lost). A later FaultRestart brings it back empty; hinted
-	// handoffs replay its missed writes.
+	// store lost). A later FaultRestart brings it back empty (or with
+	// its own log, on a durable cluster), and its catch-up copies from
+	// its live peers what it replicates.
 	FaultKill FaultKind = "kill"
 	// FaultRestart restarts a killed Node at At.
 	FaultRestart FaultKind = "restart"
@@ -47,8 +48,9 @@ const (
 	FaultSlow FaultKind = "slow"
 	// FaultBlackout stalls Node's PING responses for [At, At+For]. The
 	// failure detector declares the node down even though it is alive
-	// and serving — the classic false-death that sloppy quorums must
-	// route around and recover from without losing acknowledged writes.
+	// and serving — the classic false death. Quorums route around it
+	// (each write it misses counts against that write's quorum), and its
+	// catch-up on the up transition copies back what it missed.
 	FaultBlackout FaultKind = "blackout"
 	// FaultConnDrop kills the client-side connection on first attempts
 	// to Node — every DropEvery-th request in [At, At+For] fails its

@@ -2,7 +2,8 @@ package cluster
 
 import (
 	"context"
-	"strings"
+	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/merkle"
@@ -10,17 +11,19 @@ import (
 	"repro/internal/sockets/wire"
 )
 
-// Anti-entropy is the background convergence path: hinted handoff and
-// read repair fix the divergence the cluster *observes*, but a replica
-// that silently missed writes — hints disabled, hints expired, or a
-// partition nobody read across — stays wrong forever without an active
-// sweep. Each node maintains a Merkle digest over its keyspace (4096
-// buckets keyed by ring position, see internal/merkle); a sync pass
-// walks every live node pair down the mismatched subtrees with TREE
-// requests, lists only the divergent buckets' keys with SCAN, and
-// repairs each differing key with version-conditional SETVs, so the
-// receiving replica keeps whichever copy is newer. Matching subtrees are never descended into and
-// values only move for keys that actually differ, so the traffic
+// Anti-entropy is the cluster's one repair path for replicas that
+// missed writes: read repair fixes the divergence a quorum read
+// happens to observe, but a replica that silently missed writes — it
+// was down, falsely suspected, or partitioned — stays wrong until an
+// active sweep reaches it. A returning node's catch-up is the same
+// sweep, run between that node and each live peer. Each node maintains
+// a Merkle digest over its keyspace (4096 buckets keyed by ring
+// position, see internal/merkle); a sync pass walks every live node
+// pair down the mismatched subtrees with TREE requests, lists only the
+// divergent buckets' keys with SCAN, and repairs each differing key
+// with version-conditional SETVs, so the receiving replica keeps
+// whichever copy is newer. Matching subtrees are never descended into
+// and values only move for keys that actually differ, so the traffic
 // scales with the divergence, not the keyspace.
 
 // readRepair is the quorum read's background write-back: the winning
@@ -70,15 +73,7 @@ func (c *Cluster) SyncNow(ctx context.Context) (int, error) {
 	if c.closed.Load() {
 		return 0, ErrClosed
 	}
-	c.topoMu.RLock()
-	live := make([]*node, 0, len(c.order))
-	for _, name := range c.order {
-		if n := c.nodes[name]; n != nil && !n.down.Load() && !n.killed.Load() {
-			live = append(live, n)
-		}
-	}
-	c.topoMu.RUnlock()
-
+	live := c.liveNodes()
 	repaired := 0
 	var firstErr error
 	for i := 0; i < len(live); i++ {
@@ -96,6 +91,44 @@ func (c *Cluster) SyncNow(ctx context.Context) (int, error) {
 	return repaired, firstErr
 }
 
+// liveNodes returns the members that are neither killed nor marked
+// down, in join order.
+func (c *Cluster) liveNodes() []*node {
+	c.topoMu.RLock()
+	defer c.topoMu.RUnlock()
+	live := make([]*node, 0, len(c.order))
+	for _, name := range c.order {
+		if n := c.nodes[name]; n != nil && !n.down.Load() && !n.killed.Load() {
+			live = append(live, n)
+		}
+	}
+	return live
+}
+
+// catchUp brings a returning node up to date: one syncPair between n
+// and each live peer, so n ends holding every key it replicates that
+// some live peer holds, and its peers get whatever only n kept. A wiped
+// durable node is rebuilt here by the same WAL stream SyncNow would
+// pick. A pair whose sync fails is left to the next anti-entropy pass.
+// Returns the number of key copies repaired, which an EventCatchUp
+// reports when it is not zero.
+func (c *Cluster) catchUp(n *node) int {
+	repaired := 0
+	for _, peer := range c.liveNodes() {
+		if c.ctx.Err() != nil {
+			break
+		}
+		if peer != n {
+			k, _ := c.syncPair(c.ctx, n, peer) // a failed pair waits for the next pass
+			repaired += k
+		}
+	}
+	if repaired > 0 {
+		c.emit(EventCatchUp, n.name, strconv.Itoa(repaired)+" keys")
+	}
+	return repaired
+}
+
 // aeBatch caps how many Merkle spans one TREE request carries, and how
 // many buckets wide one SCAN batch is, during a sync pass: it bounds
 // per-request work on the remote node while keeping round trips few.
@@ -104,12 +137,7 @@ const aeBatch = 64
 // syncPair converges one node pair: Merkle diff walk, then a batched
 // scan-and-repair over the divergent bucket spans.
 func (c *Cluster) syncPair(ctx context.Context, a, b *node) (int, error) {
-	fetch := func(n *node) merkle.Fetcher {
-		return func(ranges []merkle.Range) ([]uint64, error) {
-			return n.client().TreeCtx(ctx, toSpans(ranges))
-		}
-	}
-	leaves, err := merkle.Diff(fetch(a), fetch(b), aeBatch)
+	leaves, err := merkle.Diff(a.tree(ctx), b.tree(ctx), aeBatch)
 	if err != nil {
 		return 0, err
 	}
@@ -129,7 +157,7 @@ func (c *Cluster) syncPair(ctx context.Context, a, b *node) (int, error) {
 			// stream's source never had, frames the dump skipped, and
 			// writes that raced in. On a stream error the original leaves
 			// stand and the Merkle path repairs everything the slow way.
-			if fresh, derr := merkle.Diff(fetch(a), fetch(b), aeBatch); derr == nil {
+			if fresh, derr := merkle.Diff(a.tree(ctx), b.tree(ctx), aeBatch); derr == nil {
 				leaves = fresh
 			}
 		}
@@ -152,6 +180,43 @@ func (c *Cluster) syncPair(ctx context.Context, a, b *node) (int, error) {
 		}
 	}
 	return repaired, nil
+}
+
+// tree is n's digest as a merkle.Fetcher, served by TREE requests.
+func (n *node) tree(ctx context.Context) merkle.Fetcher {
+	return func(ranges []merkle.Range) ([]uint64, error) {
+		return n.client().TreeCtx(ctx, toSpans(ranges))
+	}
+}
+
+// CheckDigests checks each live node's anti-entropy digest against its
+// store: the node's TREE hashes must equal those of a digest rebuilt
+// from its own SCAN entry hashes, which SCAN computes from the stored
+// values. A digest that misses some mutation on every replica alike
+// still lets each pair compare equal, so only this check sees it. Run
+// it on a quiet cluster: a write between the SCAN and the TREE reads as
+// a mismatch.
+func (c *Cluster) CheckDigests(ctx context.Context) error {
+	for _, n := range c.liveNodes() {
+		var rebuilt merkle.Tree
+		for _, spans := range batchSpansByWidth([]wire.Span{{Lo: 0, Hi: merkle.Buckets}}, aeBatch) {
+			page, err := n.client().ScanCtx(ctx, spans)
+			if err != nil {
+				return fmt.Errorf("cluster: scan %s: %w", n.name, err)
+			}
+			for _, e := range page {
+				rebuilt.ApplyEntry(e.Key, e.Hash)
+			}
+		}
+		leaves, err := merkle.Diff(n.tree(ctx), rebuilt.Local(), aeBatch)
+		if err != nil {
+			return fmt.Errorf("cluster: tree %s: %w", n.name, err)
+		}
+		if len(leaves) > 0 {
+			return fmt.Errorf("cluster: %s's digest disagrees with its store in %d buckets", n.name, len(leaves))
+		}
+	}
+	return nil
 }
 
 // batchSpansByWidth splits spans into batches whose total bucket width
@@ -330,12 +395,8 @@ func (c *Cluster) pushRepair(ctx context.Context, dst *node, key, raw string) bo
 
 // replicaFor reports whether the named node is one of key's replicas
 // under the placement every other path uses — the pre-change ring
-// while a migration window is open. A parked hint is replica of
-// nothing: it is per-holder state, never copied between nodes.
+// while a migration window is open.
 func (c *Cluster) replicaFor(key, name string) bool {
-	if strings.HasPrefix(key, hintMark) {
-		return false
-	}
 	c.topoMu.RLock()
 	defer c.topoMu.RUnlock()
 	ring := c.ring

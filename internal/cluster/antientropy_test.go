@@ -34,7 +34,7 @@ func syncUntilQuiet(t *testing.T, c *Cluster, rounds int) int {
 // a slice of its copies behind the cluster's back, then checks one sync
 // pass restores exactly those copies byte-identically.
 func TestAntiEntropy_RepairsDeletedCopies(t *testing.T) {
-	c, err := New(Config{Nodes: 3, Replicas: 3, WriteQuorum: 3, ReadQuorum: 1, DisableHints: true})
+	c, err := New(Config{Nodes: 3, Replicas: 3, WriteQuorum: 3, ReadQuorum: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +80,13 @@ func TestAntiEntropy_RepairsDeletedCopies(t *testing.T) {
 }
 
 // TestAntiEntropy_HealsRestartedNode is the convergence path the
-// heal-converge chaos scenario depends on: with hints disabled, a
-// memory-only node that restarts empty is rebuilt entirely by
-// anti-entropy.
+// heal-converge chaos scenario depends on: a memory-only node that
+// restarts empty is rebuilt entirely by anti-entropy, its catch-up,
+// before Restart returns.
 func TestAntiEntropy_HealsRestartedNode(t *testing.T) {
 	c, err := New(Config{
 		Nodes: 3, Replicas: 3, WriteQuorum: 2, ReadQuorum: 2,
-		DisableHints: true, DrainTimeout: 50 * time.Millisecond,
+		DrainTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,14 +106,13 @@ func TestAntiEntropy_HealsRestartedNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, _ := c.lookup("node2")
-	if got, err := n.client().Count(); err != nil || got != 0 {
-		t.Fatalf("restarted memory-only node holds %d keys (err %v), want 0 before sync", got, err)
-	}
-
-	syncUntilQuiet(t, c, 5)
 	if got, err := n.client().Count(); err != nil || got != keys {
-		t.Fatalf("restarted node holds %d keys after sync (err %v), want %d", got, err, keys)
+		t.Fatalf("restarted node holds %d keys after its catch-up (err %v), want %d", got, err, keys)
 	}
+	if got := c.AntiEntropyRepaired(); got != keys {
+		t.Fatalf("antientropy.keys-repaired = %d, want %d: the catch-up copied each key once", got, keys)
+	}
+	syncUntilQuiet(t, c, 1)
 }
 
 // TestAntiEntropy_ConcurrentVersionsConvergeDeterministically injects
@@ -122,7 +121,7 @@ func TestAntiEntropy_HealsRestartedNode(t *testing.T) {
 // converges to the same winner: the one the deterministic tiebreak
 // picks, byte-identical everywhere.
 func TestAntiEntropy_ConcurrentVersionsConvergeDeterministically(t *testing.T) {
-	c, err := New(Config{Nodes: 3, Replicas: 3, WriteQuorum: 3, ReadQuorum: 1, DisableHints: true})
+	c, err := New(Config{Nodes: 3, Replicas: 3, WriteQuorum: 3, ReadQuorum: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +176,7 @@ func TestAntiEntropy_ConcurrentVersionsConvergeDeterministically(t *testing.T) {
 // Replicas, so the stale replica must answer) repairs it in the
 // background.
 func TestReadRepair_RewritesStaleReplica(t *testing.T) {
-	c, err := New(Config{Nodes: 3, Replicas: 3, WriteQuorum: 3, ReadQuorum: 3, DisableHints: true})
+	c, err := New(Config{Nodes: 3, Replicas: 3, WriteQuorum: 3, ReadQuorum: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

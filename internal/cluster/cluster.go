@@ -3,12 +3,13 @@
 // TCP ports, routed by a smart client. It composes the layers the
 // courses build one by one — the consistent-hash ring with virtual
 // nodes (db.DHT.NodesFor) picks R replicas per key, writes and reads go
-// through per-node sockets.Pool clients under W/R quorums (W+R > N so
-// read and write sets intersect), heartbeat probes mark silent nodes
-// down and route around them, writes that miss a dead replica leave
-// hinted handoffs on the next live node and replay them on recovery,
-// and node join/leave migrates only the ~K/n keys whose arcs moved,
-// fanned out in parallel on a sched.Pool.
+// through per-node sockets.Pool clients under strict W/R quorums (W+R >
+// N, and only the key's own replicas count, so read and write sets
+// intersect), heartbeat probes mark silent nodes down and route around
+// them, a returning replica catches up from its live peers through
+// anti-entropy before it serves again, and node join/leave migrates
+// only the ~K/n keys whose arcs moved, fanned out in parallel on a
+// sched.Pool.
 //
 // Values carry a per-key version vector (internal/version) stamped by
 // the write's coordinator, so quorum reads resolve divergent replicas
@@ -16,8 +17,9 @@
 // genuinely concurrent histories fall back to the deterministic
 // wall-clock tiebreak. Reads that observe stale replicas repair them in
 // the background (read repair), and a Merkle-tree anti-entropy loop
-// (antientropy.go) lets replicas that diverged silently — with hints
-// disabled or expired — find and exchange exactly the keys that differ.
+// (antientropy.go) lets replicas that diverged silently — a replica
+// that was down or unreachable for some writes — find and exchange
+// exactly the keys that differ.
 // The db.DHT supplies the ring geometry, and Moves() counts the stored
 // keys whose owner each topology change moved — the same count a
 // db.DHT holding those keys reports — certifying the minimal-movement
@@ -134,20 +136,6 @@ type Config struct {
 	// keys that differ. 0 means the 0.25 default; negative disables
 	// streaming. Streaming needs Durable.
 	SyncStreamThreshold float64
-	// HintTTL bounds how long a hinted handoff stays parked before the
-	// age sweep drops it (counted in hints.expired) — the cap on hint~
-	// keyspace growth when a destination never comes back. Default 30s;
-	// negative disables expiry.
-	HintTTL time.Duration
-
-	// DisableHints turns hinted handoff off entirely: a write that
-	// cannot reach a replica directly simply misses it (the quorum can
-	// still succeed on the replicas it did reach), and nothing is parked
-	// for replay. With hints off, anti-entropy is the only mechanism
-	// that brings a recovered replica back in sync — which is exactly
-	// the configuration the heal-converge chaos scenario runs to prove
-	// anti-entropy converges on its own.
-	DisableHints bool
 	// AntiEntropyInterval, when positive, runs a background Merkle-tree
 	// sync pass (SyncNow) over every live node pair at this period. Zero
 	// leaves anti-entropy manual: tests and benches call SyncNow
@@ -168,7 +156,7 @@ type Config struct {
 	// delay to hold each attempt back by.
 	PoolPreAttempt func(name string) func(attempt int) time.Duration
 	// EventTap, when non-nil, observes lifecycle events (kills,
-	// restarts, failure-detector transitions, hint replays, topology
+	// restarts, failure-detector transitions, catch-ups, topology
 	// changes) with timestamps. Chaos checkers use the stream to excuse
 	// unavailability the fault schedule itself caused. The tap is called
 	// synchronously from cluster internals: keep it fast and never call
@@ -188,13 +176,13 @@ type EventType string
 
 // The lifecycle events delivered to Config.EventTap.
 const (
-	EventKill       EventType = "kill"        // Kill crash-stopped the node
-	EventRestart    EventType = "restart"     // Restart brought it back on a fresh port; Detail reports "recovered N keys" (N > 0 only for durable nodes, which replay their WAL)
-	EventDown       EventType = "down"        // failure detector marked it down
-	EventUp         EventType = "up"          // failure detector marked it up again
-	EventHintReplay EventType = "hint-replay" // hinted handoffs replayed onto the node
-	EventJoin       EventType = "join"        // node joined the ring
-	EventLeave      EventType = "leave"       // node left the ring
+	EventKill    EventType = "kill"     // Kill crash-stopped the node
+	EventRestart EventType = "restart"  // Restart brought it back on a fresh port; Detail reports "recovered N keys" (N > 0 only for durable nodes, which replay their WAL)
+	EventDown    EventType = "down"     // failure detector marked it down
+	EventUp      EventType = "up"       // failure detector marked it up again
+	EventCatchUp EventType = "catch-up" // a returning node's anti-entropy catch-up repaired keys; Detail reports "N keys"
+	EventJoin    EventType = "join"     // node joined the ring
+	EventLeave   EventType = "leave"    // node left the ring
 	// EventWALCorrupt reports that a durable node's background scrub
 	// found a corrupt frame in its own log; Detail carries the error,
 	// which names the damaged file. Fired at most once per server
@@ -207,8 +195,8 @@ type Event struct {
 	Time time.Time
 	Type EventType
 	Node string
-	// Detail carries event-specific context (e.g. the hint count on a
-	// replay, the moved-key count on a join).
+	// Detail carries event-specific context (e.g. the repaired-key count
+	// of a catch-up, the moved-key count on a join).
 	Detail string
 }
 
@@ -217,13 +205,7 @@ var (
 	ErrClosed      = errors.New("cluster: closed")
 	ErrNoQuorum    = errors.New("cluster: quorum not reached")
 	ErrUnknownNode = errors.New("cluster: unknown node")
-	ErrReservedKey = errors.New("cluster: keys must not start with the hint prefix")
 )
-
-// hintMark prefixes hinted-handoff keys: hint~<destNode>~<origKey>.
-const hintMark = "hint~"
-
-func hintKey(dest, key string) string { return hintMark + dest + "~" + key }
 
 // node is one cluster member: a live server plus the pooled client the
 // router uses to reach it. srv/pool/addr swap on Kill/Restart under mu;
@@ -238,6 +220,10 @@ type node struct {
 
 	down   atomic.Bool
 	killed atomic.Bool
+	// upMu serializes down→up transitions: a probe that finds the node
+	// down waits for one already running its catch-up, then finds the
+	// node up and has nothing left to do.
+	upMu sync.Mutex
 
 	// epoch counts the node's lifetime transitions: Kill and Restart
 	// each bump it. A heartbeat probe records the epoch it started
@@ -297,7 +283,7 @@ type Cluster struct {
 
 	// Migration-window state, guarded by topoMu. While prevRing is
 	// non-nil a topology change is copying keys: quorum placement stays
-	// on the pre-change topology (prevRing/prevOrder), so every quorum
+	// on the pre-change ring (prevRing), so every quorum
 	// keeps intersecting the quorums of earlier writes; writes
 	// additionally double-write (best effort) to the next ring's new
 	// replicas and land their key in dirty. The locked cutover re-copies
@@ -306,10 +292,9 @@ type Cluster struct {
 	// miss a write the old ring's quorum acknowledged moments earlier.
 	// Writers, holding topoMu shared, add to dirty under dirtyMu; the
 	// topology change replaces and reads it holding topoMu exclusively.
-	prevRing  *db.DHT
-	prevOrder []string
-	dirtyMu   sync.Mutex
-	dirty     map[string]struct{}
+	prevRing *db.DHT
+	dirtyMu  sync.Mutex
+	dirty    map[string]struct{}
 	// inflight counts ops that have taken their placement and are still
 	// fanning out; the cutover waits for them so its re-copy reads
 	// final, not mid-write, state.
@@ -324,26 +309,22 @@ type Cluster struct {
 	cache *hotCache
 
 	// ctx is the cluster lifetime: canceled by Close, it interrupts the
-	// heartbeat loop mid-probe, aborts hint replay and key migration,
+	// heartbeat loop mid-probe, aborts catch-up and key migration,
 	// and bounds every background network wait.
 	ctx    context.Context
 	cancel context.CancelFunc
 	hbWG   sync.WaitGroup
 	closed atomic.Bool
 
-	puts            atomic.Int64
-	gets            atomic.Int64
-	dels            atomic.Int64
-	quorumFailures  atomic.Int64
-	opsCanceled     atomic.Int64
-	hintedWrites    atomic.Int64
-	hintsReplayed   atomic.Int64
-	hintsExpired    atomic.Int64
-	hintsConcurrent atomic.Int64 // hint replays that met a concurrent stored version
-	downEvents      atomic.Int64
-	upEvents        atomic.Int64
-	keysMigrated    atomic.Int64
-	readRepairs     atomic.Int64 // stale replicas rewritten by quorum reads
+	puts           atomic.Int64
+	gets           atomic.Int64
+	dels           atomic.Int64
+	quorumFailures atomic.Int64
+	opsCanceled    atomic.Int64
+	downEvents     atomic.Int64
+	upEvents       atomic.Int64
+	keysMigrated   atomic.Int64
+	readRepairs    atomic.Int64 // stale replicas rewritten by quorum reads
 
 	// Anti-entropy accounting (see antientropy.go): pair syncs run,
 	// divergent leaf ranges walked, keys repaired, and the approximate
@@ -405,9 +386,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.CacheHotThreshold <= 0 {
 		cfg.CacheHotThreshold = 4
-	}
-	if cfg.HintTTL == 0 {
-		cfg.HintTTL = 30 * time.Second
 	}
 	if cfg.SyncStreamThreshold == 0 {
 		cfg.SyncStreamThreshold = 0.25
@@ -476,10 +454,6 @@ func (c *Cluster) startNode(name string) (*node, error) {
 		Shards:       serverShards,
 		DrainTimeout: c.cfg.DrainTimeout,
 		MaxPending:   c.cfg.MaxPending,
-		// Hints are per-holder state, not replicated data: leaving them
-		// in the Merkle digest would make any node holding parked hints
-		// look permanently divergent from its peers.
-		SyncExcludePrefix: hintMark,
 	}
 	if c.cfg.Durable {
 		// Per-node directory, stable across Restart: recovery replays
@@ -528,7 +502,7 @@ func (c *Cluster) emit(t EventType, node, detail string) {
 }
 
 // Close cancels the cluster context — interrupting an in-progress
-// heartbeat probe, hint replay, or migration instead of waiting out
+// heartbeat probe, catch-up, or migration instead of waiting out
 // their timeouts — then stops the node servers and clients and the
 // migration pool.
 func (c *Cluster) Close() {
@@ -566,9 +540,6 @@ func (c *Cluster) Nodes() []string {
 func (c *Cluster) Moves() int64 { return c.moves.Load() }
 
 func (c *Cluster) validateKey(key string) error {
-	if strings.HasPrefix(key, hintMark) {
-		return fmt.Errorf("%w: %q", ErrReservedKey, key)
-	}
 	// Apply the wire protocol's key rules before the key reaches the
 	// ring metadata, so a rejected key can't leave placement state.
 	if key == "" || strings.ContainsAny(key, " \t\n\r") {
@@ -580,18 +551,17 @@ func (c *Cluster) validateKey(key string) error {
 // Stored values carry a binary version stamp with a kind byte — see
 // internal/version for the encoding: a live value's payload follows
 // its stamp, a delete tombstone has none. Tombstones ride the same
-// quorum/hint/migration/anti-entropy machinery as writes, so a delete
+// quorum/migration/anti-entropy machinery as writes, so a delete
 // wins or loses against concurrent puts by the version total order
 // exactly like an overwrite — without them, a replica that missed the
 // DEL would resurrect the key on the next quorum read.
 
-// placement is the routing decision for one key: its replica set, the
-// fallback nodes hints can land on, and — during a migration window —
-// the next topology's new replicas that writes double-write to.
+// placement is the routing decision for one key: its replica set and,
+// during a migration window, the next topology's new replicas that
+// writes double-write to.
 type placement struct {
-	replicas  []*node
-	fallbacks []*node
-	extras    []*node
+	replicas []*node
+	extras   []*node
 }
 
 // place computes a key's placement under the topology lock and
@@ -605,21 +575,14 @@ func (c *Cluster) place(key string) placement {
 }
 
 func (c *Cluster) placeLocked(key string) placement {
-	ring, order := c.ring, c.order
+	ring := c.ring
 	if c.prevRing != nil {
-		ring, order = c.prevRing, c.prevOrder
+		ring = c.prevRing
 	}
-	prefs := ring.NodesFor(key, len(order))
 	var p placement
-	for i, name := range prefs {
-		n := c.nodes[name]
-		if n == nil {
-			continue
-		}
-		if i < c.cfg.Replicas {
+	for _, name := range ring.NodesFor(key, c.cfg.Replicas) {
+		if n := c.nodes[name]; n != nil {
 			p.replicas = append(p.replicas, n)
-		} else {
-			p.fallbacks = append(p.fallbacks, n)
 		}
 	}
 	if c.prevRing != nil {
@@ -653,13 +616,15 @@ func (c *Cluster) Put(key, value string) error {
 // ctx. Each replica's first SETV goes out as a Pool future, so a
 // healthy write starts no goroutine per replica. The moment W acks
 // arrive the write returns and abandons the requests still in flight,
-// so a slow replica costs it nothing beyond quorum time. A replica that
-// is down, or whose first attempt fails or outlives the pool timeout,
-// continues on a goroutine: the rest of its retries, then a hinted
-// handoff on the next live fallback node. A hinted write counts toward
-// the (sloppy) quorum. ErrNoQuorum reports a write that fewer than W
-// replicas acknowledged; a canceled or expired ctx surfaces as an error
-// wrapping ctx.Err().
+// so a slow replica costs it nothing beyond quorum time. A replica whose
+// first attempt fails or outlives the pool timeout retries on a
+// goroutine. The quorum is strict: only a SETV that one of the key's
+// own replicas acknowledged counts, and a replica known down gets no
+// request and counts as a miss. A missed replica is brought up to date
+// later by read repair or anti-entropy, never by a copy parked
+// elsewhere. ErrNoQuorum reports a write that fewer than W replicas
+// acknowledged (it may still have landed on some of them); a canceled
+// or expired ctx surfaces as an error wrapping ctx.Err().
 func (c *Cluster) PutCtx(ctx context.Context, key, value string) error {
 	ver, err := c.writeQuorum(ctx, "put", key, value, false)
 	if err == nil {
@@ -678,7 +643,7 @@ func (c *Cluster) Del(key string) error {
 }
 
 // DelCtx removes key by writing a delete tombstone to a write quorum of
-// its replicas — the same fan-out, hinting, and version-resolution
+// its replicas — the same strict-quorum fan-out and version-resolution
 // rules as PutCtx, so a delete racing a put resolves by the version
 // order instead of resurrecting on the next read. Deleting a missing
 // key is not an error (the tombstone simply becomes the newest
@@ -756,7 +721,7 @@ func (c *Cluster) writeQuorum(ctx context.Context, op, key, value string, tombst
 		}(extra)
 	}
 
-	fo := c.startFanout(ctx, key, enc, p.replicas, p.fallbacks)
+	fo := c.startFanout(ctx, key, enc, p.replicas)
 	defer fo.stop() // reached with quorum: the laggards' requests are abandoned now
 	got := 0
 	for fo.pending > 0 {
@@ -775,60 +740,6 @@ func (c *Cluster) writeQuorum(ctx context.Context, op, key, value string, tombst
 	}
 	c.quorumFailures.Add(1)
 	return zero, fmt.Errorf("%w: %d/%d write acks for %q", ErrNoQuorum, got, c.cfg.WriteQuorum, key)
-}
-
-// writeReplica lands one replica's copy off the fan-out's healthy path:
-// directly when direct (the rest of the replica's own SETV, retries
-// included) succeeds, as a hinted handoff on the first live fallback
-// when it fails or when the target is known down (direct is nil) —
-// unless hints are disabled. Both go through SETV — the version-
-// conditional set — so a delayed or retried fan-out can never regress
-// a replica (or a parked hint) that already absorbed a newer version;
-// any SETV that round-trips counts as an ack, because afterwards the
-// copy provably holds a version at least as new as this write's. ctx is
-// the fan-out's own context; once it is canceled (quorum reached or
-// caller gone) the remaining network attempts abort.
-func (c *Cluster) writeReplica(ctx context.Context, key, enc string, target *node, fallbacks []*node, direct func() error) bool {
-	down := direct == nil
-	if !down {
-		if direct() == nil {
-			return true
-		}
-		if ctx.Err() != nil {
-			return false // canceled: don't burn fallbacks on a dead op
-		}
-	}
-	if c.cfg.DisableHints {
-		return false // the miss stands until anti-entropy repairs it
-	}
-	if down {
-		// A known-down target's hint is this write's only copy for it,
-		// and writeQuorum cancels ctx as soon as W direct acks land —
-		// typically before this hint does. Park it on the cluster
-		// lifetime, bounded like the migration extras, or the restarted
-		// node misses the write with nothing left to repair it.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(c.ctx, c.cfg.PoolTimeout)
-		defer cancel()
-	}
-	// The hint is the stamped bytes themselves under a holder-local key,
-	// parked with the same SETV as every other copy: an older hint that
-	// lands late cannot overwrite a newer one, and the TTL sweep ages it
-	// by the stamp's clock.
-	hk := hintKey(target.name, key)
-	for _, f := range fallbacks {
-		if f.down.Load() {
-			continue
-		}
-		if _, err := f.client().SetVCtx(ctx, hk, enc); err == nil {
-			c.hintedWrites.Add(1)
-			return true
-		}
-		if ctx.Err() != nil {
-			return false
-		}
-	}
-	return false
 }
 
 // Get reads key from a read quorum of its replicas with no caller
@@ -887,7 +798,7 @@ func (c *Cluster) GetCtx(ctx context.Context, key string) (value string, found b
 		value string
 		found bool // some version (value or tombstone) exists
 	}
-	fo := c.startFanout(ctx, key, "", p.replicas, nil)
+	fo := c.startFanout(ctx, key, "", p.replicas)
 	defer fo.stop()
 	answered := 0
 	var best resp
@@ -998,8 +909,9 @@ func (c *Cluster) WALDir(name string) (string, error) {
 
 // WipeWAL deletes a killed node's entire log directory — the disk-loss
 // fault: the next Restart comes back empty (or, if the log was merely
-// corrupt, no longer refuses to start) and hint replay plus
-// anti-entropy re-replication must rebuild the node from its peers.
+// corrupt, no longer refuses to start), and its catch-up rebuilds the
+// node from its peers through anti-entropy, streaming their logs
+// (SYNCWAL) when the divergence is deep enough.
 // Refused while the node is live, whose server owns the directory.
 func (c *Cluster) WipeWAL(name string) error {
 	n, err := c.lookup(name)
@@ -1015,18 +927,19 @@ func (c *Cluster) WipeWAL(name string) error {
 	return os.RemoveAll(filepath.Join(c.walRoot, name))
 }
 
-// Restart brings a killed node back on a fresh port, then probes it so
-// hinted handoffs replay before Restart returns. A memory-only node
-// returns empty (the process model: in-memory state dies with the
-// process) and leans on hint replay and re-replication for everything;
-// a durable node first replays its own WAL — snapshot plus log tail —
-// so every write it acked before the kill is already served locally,
-// and hint replay only tops up the post-crash suffix it missed while
-// dead. The EventRestart payload records the recovered key count. The
-// epoch bump after the swap discards any straggling probe of the dead
-// incarnation: the old probe's failure verdict, arriving after the
-// restart, would otherwise mark the fresh node down until the next
-// heartbeat.
+// Restart brings a killed node back on a fresh port, probes it, and
+// runs its catch-up (catchUp) before returning: an anti-entropy pass
+// between the node and each live peer, so the node holds every key it
+// replicates. A memory-only node returns empty (the process model:
+// in-memory state dies with the process) and the catch-up copies its
+// whole share back from its peers; a durable node first replays its
+// own WAL — snapshot plus log tail — so every write it acked before the
+// kill is already served locally, and the catch-up only adds the writes
+// it missed while dead. The EventRestart payload records the recovered
+// key count. The epoch bump after the swap discards any straggling
+// probe of the dead incarnation: the old probe's failure verdict,
+// arriving after the restart, would otherwise mark the fresh node down
+// until the next heartbeat.
 func (c *Cluster) Restart(name string) error {
 	n, err := c.lookup(name)
 	if err != nil {
@@ -1047,8 +960,9 @@ func (c *Cluster) Restart(name string) error {
 	c.emit(EventRestart, name, fmt.Sprintf("recovered %d keys", fresh.srv.RecoveredKeys()))
 	c.probeNode(n)
 	// The node may never have been marked down (killed and restarted
-	// between probes) yet still have hints parked from failed direct
-	// writes; replay is idempotent, so sweep again unconditionally.
-	c.replayHints(c.ctx, n)
+	// between probes), and writes that skipped it during a down→up
+	// catch-up landed only on its peers: catch up again unconditionally.
+	// The second pass copies only what the first one missed.
+	c.catchUp(n)
 	return nil
 }

@@ -101,15 +101,17 @@ func TestClusterConfigValidation(t *testing.T) {
 	}
 }
 
+// TestClusterReservedKeys: the cluster reserves no key prefix, so a
+// key starting hint~ is an ordinary key, and the wire protocol's
+// bad-key rules still apply.
 func TestClusterReservedKeys(t *testing.T) {
 	c := startCluster(t, testConfig(3))
-	if err := c.Put("hint~node0~x", "v"); !errors.Is(err, ErrReservedKey) {
-		t.Errorf("reserved put error = %v", err)
+	if err := c.Put("hint~node0~x", "v"); err != nil {
+		t.Errorf("put of a hint~ key = %v", err)
 	}
-	if _, _, err := c.Get("hint~node0~x"); !errors.Is(err, ErrReservedKey) {
-		t.Errorf("reserved get error = %v", err)
+	if v, ok, err := c.Get("hint~node0~x"); err != nil || !ok || v != "v" {
+		t.Errorf("get of a hint~ key = %q, %v, %v", v, ok, err)
 	}
-	// The underlying bad-key rules still apply through the pool client.
 	if err := c.Put("bad key", "v"); !errors.Is(err, sockets.ErrBadKey) {
 		t.Errorf("whitespace key error = %v", err)
 	}
@@ -138,8 +140,8 @@ func TestClusterQuorumReadsWithReplicaDown(t *testing.T) {
 			t.Fatalf("Get key-%d with node1 dead = (%q, %v, %v)", i, v, ok, err)
 		}
 	}
-	// Writes keep succeeding too; those that would land on node1 leave
-	// hinted handoffs instead.
+	// Writes keep succeeding too: each key keeps two live replicas, which
+	// is W, and node1 counts as a miss.
 	for i := 0; i < keys; i++ {
 		if err := c.Put(fmt.Sprintf("key-%d", i), fmt.Sprintf("val2-%d", i)); err != nil {
 			t.Fatal(err)
@@ -149,17 +151,28 @@ func TestClusterQuorumReadsWithReplicaDown(t *testing.T) {
 	if v, _ := cs.Get("cluster.quorum-failures"); v != 0 {
 		t.Errorf("quorum failures with one replica down: %v", v)
 	}
-	if v, _ := cs.Get("cluster.hinted-writes"); v == 0 {
-		t.Error("no hinted writes despite a dead replica")
-	}
 	if v, _ := cs.Get("cluster.down-events"); v == 0 {
 		t.Error("failure detector never marked node1 down")
 	}
 }
 
-func TestClusterHintedHandoffReplaysOnRestart(t *testing.T) {
+// TestClusterCatchUpOnRestart: a memory-only node that was down while
+// every key it replicates was written comes back empty, and Restart
+// returns only after its catch-up has copied all of them from its live
+// peers: its own store holds each key, and an anti-entropy pass right
+// after the restart has nothing left to repair.
+func TestClusterCatchUpOnRestart(t *testing.T) {
+	var mu sync.Mutex
+	var catchUps []Event
 	cfg := testConfig(4)
 	cfg.Replicas = 3
+	cfg.EventTap = func(e Event) {
+		if e.Type == EventCatchUp {
+			mu.Lock()
+			catchUps = append(catchUps, e)
+			mu.Unlock()
+		}
+	}
 	c := startCluster(t, cfg)
 	if err := c.Kill("node2"); err != nil {
 		t.Fatal(err)
@@ -167,38 +180,16 @@ func TestClusterHintedHandoffReplaysOnRestart(t *testing.T) {
 	c.Probe()
 
 	const keys = 80
-	owned := 0
 	for i := 0; i < keys; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		if err := c.Put(key, fmt.Sprintf("val-%d", i)); err != nil {
+		if err := c.Put(fmt.Sprintf("key-%d", i), fmt.Sprintf("val-%d", i)); err != nil {
 			t.Fatal(err)
 		}
-		p := c.place(key)
-		c.inflight.Done()
-		for _, r := range p.replicas {
-			if r.name == "node2" {
-				owned++
-			}
-		}
-	}
-	// A Put can return on W direct acks before its hint for the dead
-	// node lands; restart only once every key node2 owns has one parked.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		hinted, _ := c.Counters().Get("cluster.hinted-writes")
-		if hinted >= float64(owned) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%v hints parked, want %d (one per key node2 replicates)", hinted, owned)
-		}
-		time.Sleep(time.Millisecond)
 	}
 	if err := c.Restart("node2"); err != nil {
 		t.Fatal(err)
 	}
-	if replayed, _ := c.Counters().Get("cluster.hints-replayed"); replayed == 0 {
-		t.Error("restart replayed no hints")
+	if n, err := c.SyncNow(context.Background()); err != nil || n != 0 {
+		t.Errorf("SyncNow right after Restart repaired %d keys (%v), want 0: the catch-up left work behind", n, err)
 	}
 
 	// The restarted node's own store (checked directly, not via quorum)
@@ -215,13 +206,7 @@ func TestClusterHintedHandoffReplaysOnRestart(t *testing.T) {
 	checked := 0
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		owned := false
-		for _, r := range c.place(key).replicas {
-			if r == n {
-				owned = true
-			}
-		}
-		if !owned {
+		if !c.replicaFor(key, "node2") {
 			continue
 		}
 		checked++
@@ -236,22 +221,20 @@ func TestClusterHintedHandoffReplaysOnRestart(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("node2 replicates none of the test keys (vnode spread broken?)")
 	}
-
-	// Consumed hints are gone from every node.
-	for _, name := range c.Nodes() {
-		h, _ := c.lookup(name)
-		if h.killed.Load() || h.down.Load() {
-			continue
+	// A heartbeat probe may run a catch-up of its own beside Restart's;
+	// either way the events report each repaired key once.
+	mu.Lock()
+	defer mu.Unlock()
+	reported := 0
+	for _, e := range catchUps {
+		var n int
+		if _, err := fmt.Sscanf(e.Detail, "%d keys", &n); err != nil || e.Node != "node2" {
+			t.Errorf("catch-up event %v, want one for node2 reporting N keys", e)
 		}
-		all, err := labKeys(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range all {
-			if strings.HasPrefix(k, hintMark) {
-				t.Errorf("leftover hint %q on %s", k, name)
-			}
-		}
+		reported += n
+	}
+	if reported != checked {
+		t.Errorf("catch-up events %v report %d keys, want %d", catchUps, reported, checked)
 	}
 }
 
@@ -452,8 +435,8 @@ func TestClusterJoinValidation(t *testing.T) {
 	if err := c.Join("bad name"); err == nil {
 		t.Error("whitespace node name must fail")
 	}
-	if err := c.Join("bad~name"); err == nil {
-		t.Error("'~' in node name must fail")
+	if err := c.Join("tilde~node"); err != nil {
+		t.Errorf("'~' in a node name must be accepted; Join = %v", err)
 	}
 	if err := c.Join("\x01bad"); err == nil {
 		t.Error("control byte in node name must fail: it could start like a version stamp")
@@ -466,7 +449,7 @@ func TestClusterReportListsNodesAndCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := c.Report()
-	for _, want := range []string{"node0", "node1", "node2", "cluster.puts", "cluster.hinted-writes", "p50"} {
+	for _, want := range []string{"node0", "node1", "node2", "cluster.puts", "antientropy.keys-repaired", "p50"} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report missing %q:\n%s", want, rep)
 		}
@@ -498,9 +481,9 @@ func TestClusterClosedOps(t *testing.T) {
 }
 
 // TestClusterBinaryProto runs the topology lifecycle — replicated
-// writes, a dead replica parking hints, restart replaying them (a
-// batched MGET sweep), and a join migrating arcs (batched MPUTs) —
-// over the binary inter-node pools. Servers negotiate per connection,
+// writes, a dead replica missing them, its catch-up on restart (a
+// Merkle walk with batched MGETs), and a join migrating arcs (batched
+// version-gated copies) — over the binary inter-node pools. Servers negotiate per connection,
 // so heartbeat probes (lab text PINGs) coexist with the binary request
 // pools on the same listeners.
 func TestClusterBinaryProto(t *testing.T) {
@@ -523,14 +506,11 @@ func TestClusterBinaryProto(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if hinted, _ := c.Counters().Get("cluster.hinted-writes"); hinted == 0 {
-		t.Fatal("no hints parked while node2 was dead")
-	}
 	if err := c.Restart("node2"); err != nil {
 		t.Fatal(err)
 	}
-	if replayed, _ := c.Counters().Get("cluster.hints-replayed"); replayed == 0 {
-		t.Error("restart replayed no hints over the binary protocol")
+	if repaired, _ := c.Counters().Get("antientropy.keys-repaired"); repaired == 0 {
+		t.Error("restart's catch-up repaired nothing over the binary protocol")
 	}
 
 	if err := c.Join("node4"); err != nil {
@@ -549,11 +529,11 @@ func TestClusterBinaryProto(t *testing.T) {
 
 // TestVerbCensus_NoBlindReplicaWrites records every verb the servers
 // serve across puts and deletes with a replica down, a restart with
-// hint replay, a Join, a Leave and an anti-entropy pass. Every replica
-// copy — quorum write, hint, migration copy, repair — must go through a
+// its catch-up, a Join, a Leave and an anti-entropy pass. Every replica
+// copy — quorum write, migration copy, repair — must go through a
 // version-checked verb: the cluster never sends a blind SET or MPUT.
-// And SCAN is the one way the cluster lists a node's keys: hint
-// discovery and migration page through it, and no KEYS is served.
+// And SCAN is the one way the cluster lists a node's keys: anti-entropy
+// and migration page through it, and no KEYS is served.
 func TestVerbCensus_NoBlindReplicaWrites(t *testing.T) {
 	var mu sync.Mutex
 	seen := make(map[string]int)
@@ -621,10 +601,11 @@ func TestVerbCensus_NoBlindReplicaWrites(t *testing.T) {
 	if listed != 0 || scans == 0 {
 		t.Errorf("cluster listed keys with %d KEYS and %d SCAN requests, want SCAN only: %s", listed, scans, census)
 	}
-	// The premise: hints, migration copies and repairs all happened.
-	if c.hintsReplayed.Load() == 0 || c.keysMigrated.Load() == 0 || !premise {
-		t.Fatalf("premise broken: replayed=%d migrated=%d census=%s",
-			c.hintsReplayed.Load(), c.keysMigrated.Load(), census)
+	// The premise: catch-up repairs, migration copies and repairs all
+	// happened.
+	if c.aeKeysRepaired.Load() == 0 || c.keysMigrated.Load() == 0 || !premise {
+		t.Fatalf("premise broken: repaired=%d migrated=%d census=%s",
+			c.aeKeysRepaired.Load(), c.keysMigrated.Load(), census)
 	}
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("census-%02d", i)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,8 +12,8 @@ import (
 
 // TestClusterKillMidLoadIntegration is the failure-path integration
 // test: a node dies in the middle of concurrent load, quorum traffic
-// keeps succeeding, the node restarts and catches up via hinted
-// handoff, and tearing the whole cluster down leaks no goroutines.
+// keeps succeeding, the node restarts and catches up from its peers,
+// and tearing the whole cluster down leaks no goroutines.
 func TestClusterKillMidLoadIntegration(t *testing.T) {
 	base := testutil.SettleGoroutines()
 
@@ -72,15 +73,12 @@ func TestClusterKillMidLoadIntegration(t *testing.T) {
 		}
 	}
 
-	// Restart: hinted writes must replay onto the recovered node.
+	// Restart: the recovered node catches up on what it missed.
 	if err := c.Restart("node3"); err != nil {
 		t.Fatal(err)
 	}
-	if hinted, _ := c.Counters().Get("cluster.hinted-writes"); hinted == 0 {
-		t.Error("mid-load kill produced no hinted writes")
-	}
-	if replayed, _ := c.Counters().Get("cluster.hints-replayed"); replayed == 0 {
-		t.Error("restart replayed no hints")
+	if repaired, _ := c.Counters().Get("antientropy.keys-repaired"); repaired == 0 {
+		t.Error("restart's catch-up repaired nothing")
 	}
 	// And the recovered node serves quorum traffic again.
 	for i := 0; i < keyRange; i++ {
@@ -115,5 +113,55 @@ func BenchmarkClusterPutGet(b *testing.B) {
 		if _, _, err := c.Get(k); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestClusterStrictQuorum_NoStaleReadAfterFallbackLoss: a write counts
+// only acks from its key's own replicas. Four durable nodes, N = 3,
+// W = R = 2, anti-entropy manual. With two of k's replicas dead, the
+// put of v2 reaches one replica; a copy parked anywhere else must not
+// make up the second ack. The node outside k's replica set then dies,
+// the two replicas come back, and the replica that took v2 dies. If
+// the put of v2 was acknowledged, the read that follows must return
+// it: it finished before the read began, and no disk was lost.
+func TestClusterStrictQuorum_NoStaleReadAfterFallbackLoss(t *testing.T) {
+	cfg := durableConfig(4)
+	cfg.Replicas = 3
+	cfg.WriteQuorum, cfg.ReadQuorum = 2, 2
+	c := startCluster(t, cfg)
+	const key = "k"
+	reps := replicasOf(c, key)
+	a, b, cc := reps[0], reps[1], reps[2]
+	var other string
+	for _, n := range c.Nodes() {
+		if n != a && n != b && n != cc {
+			other = n
+		}
+	}
+	step := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	step("put v1", c.Put(key, "v1"))
+	step("kill "+b, c.Kill(b))
+	step("kill "+cc, c.Kill(cc))
+	c.Probe()
+	errV2 := c.Put(key, "v2")
+	step("kill "+other, c.Kill(other))
+	c.Probe()
+	step("restart "+b, c.Restart(b))
+	step("restart "+cc, c.Restart(cc))
+	step("kill "+a, c.Kill(a))
+	c.Probe()
+	v, ok, err := c.Get(key)
+	step("get", err)
+	t.Logf("put v2 = %v; get = %q, %v", errV2, v, ok)
+	if errV2 == nil && (!ok || v != "v2") {
+		t.Fatalf("put v2 was acknowledged, then the read returned %q (found %v)", v, ok)
+	}
+	if errV2 != nil && !errors.Is(errV2, ErrNoQuorum) {
+		t.Fatalf("put v2 with one live replica = %v, want ErrNoQuorum", errV2)
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/sockets"
@@ -25,17 +24,13 @@ type answer struct {
 // so the healthy path starts no goroutine per replica. One timer (the
 // pool timeout, capped by the caller's deadline) and ctx bound the wait.
 // A replica leaves that path for the synchronous one, on a goroutine of
-// its own, when its first attempt fails or the timer fires first: a
-// write goes through writeReplica (retries, then a hinted handoff), a
-// read through the Pool's own retries. Either continues the same
-// request from attempt 2, so MaxAttempts still bounds the wire attempts
-// per replica copy. A write to a replica known down goes straight to
-// writeReplica's hint; a read skips that replica.
+// its own, when its first attempt fails or the timer fires first: the
+// Pool's own retries (call.Retry) continue the same request from
+// attempt 2, so MaxAttempts still bounds the wire attempts per replica.
+// A replica known down gets no request at all: it counts as a miss.
 type fanout struct {
-	c         *Cluster
-	ctx       context.Context
-	key, enc  string
-	fallbacks []*node // a write's hint holders
+	ctx context.Context
+	enc string
 
 	replicas []*node
 	firsts   []firstTry // by replica
@@ -60,10 +55,10 @@ type firstTry struct {
 
 // startFanout sends the round's first attempts and arms its timer. The
 // caller must stop the round when it is done with it.
-func (c *Cluster) startFanout(ctx context.Context, key, enc string, replicas, fallbacks []*node) *fanout {
+func (c *Cluster) startFanout(ctx context.Context, key, enc string, replicas []*node) *fanout {
 	n := len(replicas)
 	fo := &fanout{
-		c: c, ctx: ctx, key: key, enc: enc, fallbacks: fallbacks,
+		ctx: ctx, enc: enc,
 		replicas: replicas,
 		firsts:   make([]firstTry, n),
 		replies:  make(chan sockets.Reply, n),
@@ -77,10 +72,8 @@ func (c *Cluster) startFanout(ctx context.Context, key, enc string, replicas, fa
 	}
 	for i, r := range replicas {
 		switch {
-		case r.down.Load() && enc == "":
-			fo.pending-- // nothing to read on a replica known down
 		case r.down.Load():
-			fo.goSlow(i, sockets.Call{}, sockets.Reply{}, true)
+			fo.pending-- // a replica known down is a miss
 		case enc == "":
 			fo.firsts[i] = firstTry{r.client().GoGet(ctx, key, i, fo.replies), true}
 		default:
@@ -104,7 +97,7 @@ func (fo *fanout) next() (answer, error) {
 			fo.firsts[i].live = false
 			a := fo.decode(i, r)
 			if a.err != nil {
-				fo.goSlow(i, fo.firsts[i].call, r, false)
+				fo.goSlow(i, fo.firsts[i].call, r)
 				continue
 			}
 			fo.pending--
@@ -116,7 +109,7 @@ func (fo *fanout) next() (answer, error) {
 			for i, f := range fo.firsts {
 				if f.live {
 					fo.firsts[i].live = false
-					fo.goSlow(i, f.call, f.call.Expire(fo.timeout), false)
+					fo.goSlow(i, f.call, f.call.Expire(fo.timeout))
 				}
 			}
 		case <-fo.ctx.Done():
@@ -137,30 +130,14 @@ func (fo *fanout) decode(i int, r sockets.Reply) answer {
 }
 
 // goSlow finishes replica i on the synchronous path, on a goroutine:
-// call is its first attempt and first that attempt's Reply. A write to
-// a replica known down has neither and goes straight to a hint.
-func (fo *fanout) goSlow(i int, call sockets.Call, first sockets.Reply, down bool) {
+// call is its first attempt and first that attempt's Reply.
+func (fo *fanout) goSlow(i int, call sockets.Call, first sockets.Reply) {
 	if fo.slow == nil {
 		fo.slow = make(chan answer, len(fo.replicas))
 		fo.slowCtx, fo.cancelSlow = context.WithCancel(fo.ctx)
 	}
 	ctx, out := fo.slowCtx, fo.slow
-	go func() {
-		if fo.enc == "" {
-			out <- fo.decode(i, call.Retry(ctx, first))
-			return
-		}
-		var direct func() error
-		if !down {
-			direct = func() error { return fo.decode(i, call.Retry(ctx, first)).err }
-		}
-		target := fo.replicas[i]
-		a := answer{node: target}
-		if !fo.c.writeReplica(ctx, fo.key, fo.enc, target, fo.fallbacks, direct) {
-			a.err = fmt.Errorf("cluster: no copy of %q landed for %s", fo.key, target.name)
-		}
-		out <- a
-	}()
+	go func() { out <- fo.decode(i, call.Retry(ctx, first)) }()
 }
 
 // stop ends the round: first attempts still in flight are abandoned

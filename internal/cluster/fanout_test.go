@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -120,8 +121,8 @@ func TestFanout_FailConnFirstAttempt(t *testing.T) {
 		t.Fatalf("Get through a killed first attempt = %q, %v, %v", v, ok, err)
 	}
 	check("get")
-	if got, _ := c.Counters().Get("cluster.hinted-writes"); got != 0 {
-		t.Errorf("the retry landed the copy, yet %v hints were parked", got)
+	if got, _ := c.Counters().Get("cluster.quorum-failures"); got != 0 {
+		t.Errorf("the retry landed the copy, yet %v ops missed their quorum", got)
 	}
 }
 
@@ -129,15 +130,15 @@ func TestFanout_FailConnFirstAttempt(t *testing.T) {
 // PoolTimeout. With W = 2 the put returns at quorum, its stalled
 // attempt abandoned; with W = 3 the put needs the stalled replica, so
 // its first attempt expires on the fan-out's timer, the retry times out
-// too, and the copy is parked as a hint. The read returns at quorum
-// either way. No op leaves a future pending on the stalled replica's
+// too, and the put fails with ErrNoQuorum: only the key's own replicas
+// can ack. The read returns at quorum either way. No op leaves a future pending on the stalled replica's
 // pipe, and once the stall is over that replica holds the write.
 func TestFanout_StalledReplica(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		w    int
-		max  time.Duration // the put's budget
-		hint bool
+		name     string
+		w        int
+		max      time.Duration // the put's budget
+		noQuorum bool
 	}{
 		{"quorum-without-it", 2, 150 * time.Millisecond, false},
 		{"quorum-needs-it", 3, 3 * time.Second, true},
@@ -164,8 +165,8 @@ func TestFanout_StalledReplica(t *testing.T) {
 			slow.Store(target.name)
 
 			start := time.Now()
-			if err := c.Put(key, "v"); err != nil {
-				t.Fatalf("Put with a stalled replica = %v", err)
+			if err := c.Put(key, "v"); (err != nil) != tc.noQuorum || (err != nil && !errors.Is(err, ErrNoQuorum)) {
+				t.Fatalf("Put with a stalled replica = %v, want ErrNoQuorum %v", err, tc.noQuorum)
 			}
 			if d := time.Since(start); d > tc.max {
 				t.Errorf("Put took %v, want under %v", d, tc.max)
@@ -182,9 +183,6 @@ func TestFanout_StalledReplica(t *testing.T) {
 			}
 			if n := target.client().InFlight(); n != 0 {
 				t.Errorf("Get returned leaving %d futures pending on the stalled replica, want 0", n)
-			}
-			if hinted, _ := c.Counters().Get("cluster.hinted-writes"); (hinted > 0) != tc.hint {
-				t.Errorf("hinted writes = %v, want hinted %v", hinted, tc.hint)
 			}
 
 			time.Sleep(3 * stall) // every stalled request has been served

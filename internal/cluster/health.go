@@ -2,13 +2,10 @@ package cluster
 
 import (
 	"context"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/sockets"
-	"repro/internal/version"
 )
 
 // heartbeatLoop is the failure detector: every HeartbeatInterval it
@@ -20,27 +17,12 @@ func (c *Cluster) heartbeatLoop() {
 	defer c.hbWG.Done()
 	t := time.NewTicker(c.cfg.HeartbeatInterval)
 	defer t.Stop()
-	// The hint-TTL sweep rides the same loop on a slower ticker: often
-	// enough that an expired hint outlives its TTL by at most ~TTL/4,
-	// rare enough that the hint SCANs cost the steady state nothing.
-	var sweep <-chan time.Time
-	if c.cfg.HintTTL > 0 {
-		ivl := c.cfg.HintTTL / 4
-		if ivl < c.cfg.HeartbeatInterval {
-			ivl = c.cfg.HeartbeatInterval
-		}
-		st := time.NewTicker(ivl)
-		defer st.Stop()
-		sweep = st.C
-	}
 	for {
 		select {
 		case <-c.ctx.Done():
 			return
 		case <-t.C:
 			c.Probe()
-		case <-sweep:
-			c.sweepExpiredHints()
 		}
 	}
 }
@@ -62,10 +44,11 @@ func (c *Cluster) Probe() {
 }
 
 // probeNode pings one node and applies the state transition: silence
-// marks it down (writes start hinting, reads route around it); a
-// successful probe of a down node marks it up again and replays any
-// hinted handoffs parked for it. Reports whether the node answered. A
-// probe cut short by cluster shutdown changes no state.
+// marks it down (reads and writes route around it, and every write it
+// misses counts against its quorum); a successful probe of a down node
+// runs its catch-up and then marks it up again. Reports whether the
+// node answered. A probe cut short by cluster shutdown changes no
+// state.
 //
 // The verdict only applies if the node is still the incarnation the
 // probe started against: Kill and Restart bump the node epoch, and a
@@ -91,12 +74,16 @@ func (c *Cluster) probeNode(n *node) bool {
 		return false
 	}
 	if n.down.Load() {
-		// Replay before flipping up so a write racing the transition
-		// still hints (replay is version-conditional, so re-applying is
-		// harmless).
-		c.replayHints(c.ctx, n)
+		n.upMu.Lock()
+		defer n.upMu.Unlock()
+		if !n.down.Load() {
+			return true // a concurrent probe caught it up
+		}
+		// Catch up before flipping up, so the node does not serve reads
+		// from a store that missed the writes made while it was down.
+		c.catchUp(n)
 		if n.epoch.Load() != epoch {
-			return false // node churned during the replay sweep
+			return false // node churned during the catch-up
 		}
 		n.down.Store(false)
 		c.upEvents.Add(1)
@@ -118,96 +105,4 @@ func probeAddr(ctx context.Context, addr string, timeout time.Duration) error {
 	}
 	defer cl.Close()
 	return cl.PingCtx(ctx)
-}
-
-// replayHints scans the other members for hinted handoffs parked for
-// dest, applies every hint that is newer than what dest holds, and
-// deletes the consumed hints. Returns how many hints were applied. The
-// sweep aborts between (and inside) per-node scans once ctx is done.
-func (c *Cluster) replayHints(ctx context.Context, dest *node) int {
-	prefix := hintMark + dest.name + "~"
-	c.topoMu.RLock()
-	holders := make([]*node, 0, len(c.order))
-	for _, name := range c.order {
-		if n := c.nodes[name]; n != dest {
-			holders = append(holders, n)
-		}
-	}
-	c.topoMu.RUnlock()
-
-	applied, expired := 0, 0
-	for _, holder := range holders {
-		if ctx.Err() != nil {
-			break
-		}
-		if holder.down.Load() {
-			continue
-		}
-		c.scanHints(ctx, holder, prefix, func(hk string, h version.Header, raw string) bool {
-			if c.hintExpired(h) {
-				// Past the TTL: the sweep would have dropped it; finding it
-				// here first changes nothing.
-				expired++
-				return true
-			}
-			switch c.applyHint(ctx, dest, strings.TrimPrefix(hk, prefix), raw) {
-			case hintApplied:
-				applied++
-				return true
-			case hintStale:
-				// Older than what dest already holds: dead weight, delete
-				// without applying.
-				return true
-			}
-			// Transport failure (dest may have died again mid-replay): the
-			// hint still counts toward a past write's sloppy quorum, so it
-			// MUST survive for the next sweep — consuming it here would
-			// silently drop an acknowledged write.
-			return false
-		})
-	}
-	c.hintsExpired.Add(int64(expired))
-	c.hintsReplayed.Add(int64(applied))
-	if applied > 0 {
-		c.emit(EventHintReplay, dest.name, strconv.Itoa(applied)+" hints")
-	}
-	return applied
-}
-
-// hintOutcome classifies one hint's replay attempt.
-type hintOutcome int
-
-const (
-	hintApplied hintOutcome = iota // written to the home node
-	hintStale                      // home node already holds a version at least as new
-	hintFailed                     // transport failure: keep the hint
-)
-
-// applyHint replays one hinted value onto its home node with a single
-// version-conditional SETV: the node compares the hint's version vector
-// against what it stores, under its own shard lock, and applies only if
-// the hint wins. This replaces the seed's read-compare-write sequence,
-// which had two defects the vectors expose: it was a TOCTOU race (the
-// node could absorb a newer write between the GET and the SET), and its
-// integer comparison `cur >= hint` silently dropped hints whose history
-// was *concurrent* with the stored one — with vectors those compare
-// incomparable, the deterministic tiebreak picks the same winner on
-// every replica, and either way the outcome is counted
-// (hints.concurrent) instead of being misread as plain staleness.
-func (c *Cluster) applyHint(ctx context.Context, dest *node, key, raw string) hintOutcome {
-	code, err := dest.client().SetVCtx(ctx, key, raw)
-	if err != nil {
-		return hintFailed
-	}
-	switch code {
-	case sockets.SetVAppliedConcurrent:
-		c.hintsConcurrent.Add(1)
-		return hintApplied
-	case sockets.SetVStaleConcurrent:
-		c.hintsConcurrent.Add(1)
-		return hintStale
-	case sockets.SetVApplied:
-		return hintApplied
-	}
-	return hintStale
 }

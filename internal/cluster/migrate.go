@@ -45,14 +45,13 @@ type move struct {
 // Join adds a fresh node to the ring and migrates the keys whose
 // replica sets now include it — the ~K/n arc move, fanned out on the
 // sched pool. The name must be unique, non-empty, and free of
-// whitespace, '~' (it appears inside hint keys), and control bytes (so
-// no name can begin with the version stamp's magic byte — see
-// internal/version).
+// whitespace and control bytes (so no name can begin with the version
+// stamp's magic byte — see internal/version).
 func (c *Cluster) Join(name string) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	if name == "" || strings.ContainsAny(name, " ~") || strings.ContainsFunc(name, unicode.IsControl) {
+	if name == "" || strings.Contains(name, " ") || strings.ContainsFunc(name, unicode.IsControl) {
 		return fmt.Errorf("cluster: bad node name %q", name)
 	}
 	c.topoChange.Lock()
@@ -79,7 +78,7 @@ func (c *Cluster) Join(name string) error {
 	c.ring.AddNode(name) //nolint:errcheck // uniqueness checked above
 	c.nodes[name] = fresh
 	c.order = append(c.order, name)
-	c.prevRing, c.prevOrder, c.dirty = prev, prevOrder, make(map[string]struct{})
+	c.prevRing, c.dirty = prev, make(map[string]struct{})
 	byName := c.nodeSnapshotLocked()
 	c.topoMu.Unlock()
 
@@ -127,7 +126,7 @@ func (c *Cluster) Leave(name string) error {
 			break
 		}
 	}
-	c.prevRing, c.prevOrder, c.dirty = prev, prevOrder, make(map[string]struct{})
+	c.prevRing, c.dirty = prev, make(map[string]struct{})
 	byName := c.nodeSnapshotLocked() // includes the leaving node as a source
 	c.topoMu.Unlock()
 
@@ -168,8 +167,7 @@ func (c *Cluster) relocate(prev *db.DHT, prevOrder []string, byName map[string]*
 
 // findMoves pages the old ring's live nodes through SCAN and returns
 // every stored key whose replica set the change altered, adding the
-// ones whose owner (first replica) changed to c.moves. Parked hints sit
-// above the scanned range and never move.
+// ones whose owner (first replica) changed to c.moves.
 func (c *Cluster) findMoves(ctx context.Context, prev *db.DHT, prevOrder []string, byName map[string]*node) ([]move, error) {
 	var srcs []*node
 	for _, name := range prevOrder {
@@ -224,7 +222,7 @@ func (c *Cluster) cutover(byName map[string]*node, dropNode string) []move {
 	// double-write onto a destination, and the re-copy must never regress
 	// it to something older. A failed batch is repaired by anti-entropy.
 	c.copyMoves(c.ctx, late, byName)
-	c.prevRing, c.prevOrder, c.dirty = nil, nil, nil
+	c.prevRing, c.dirty = nil, nil
 	if dropNode != "" {
 		delete(c.nodes, dropNode)
 	}

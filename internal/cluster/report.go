@@ -10,8 +10,8 @@ import (
 )
 
 // Counters exports the cluster-wide counters as a metrics.CounterSet:
-// request totals, quorum failures, hinted-handoff traffic, failure-
-// detector transitions, migration volume, and the WAL group commit's
+// request totals, quorum failures, repair traffic, failure-detector
+// transitions, migration volume, and the WAL group commit's
 // appends and fsyncs (their ratio is records per fsync).
 func (c *Cluster) Counters() *metrics.CounterSet {
 	cs := &metrics.CounterSet{}
@@ -20,10 +20,6 @@ func (c *Cluster) Counters() *metrics.CounterSet {
 	cs.Add("cluster.dels", float64(c.dels.Load()))
 	cs.Add("cluster.quorum-failures", float64(c.quorumFailures.Load()))
 	cs.Add("cluster.ops-canceled", float64(c.opsCanceled.Load()))
-	cs.Add("cluster.hinted-writes", float64(c.hintedWrites.Load()))
-	cs.Add("cluster.hints-replayed", float64(c.hintsReplayed.Load()))
-	cs.Add("hints.expired", float64(c.hintsExpired.Load()))
-	cs.Add("hints.concurrent", float64(c.hintsConcurrent.Load()))
 	cs.Add("readrepair.writes", float64(c.readRepairs.Load()))
 	cs.Add("antientropy.syncs", float64(c.aeSyncs.Load()))
 	cs.Add("antientropy.ranges", float64(c.aeRanges.Load()))
@@ -99,8 +95,8 @@ func (c *Cluster) PoolCounters() *metrics.CounterSet {
 }
 
 // Report renders the cluster health table: one row per node (state,
-// server-side request/error counts, latency percentiles, stored keys —
-// replicas and parked hints included) followed by the cluster counters.
+// server-side request/error counts, latency percentiles, stored keys)
+// followed by the cluster counters.
 func (c *Cluster) Report() string {
 	nodes := c.nodeList()
 

@@ -101,8 +101,7 @@ func TestClusterDelTombstones(t *testing.T) {
 // TestClusterDelSurvivesReplicaOutage: a delete issued while one
 // replica is dead must not resurrect when that replica recovers with
 // its stale pre-delete copy — the tombstone's higher sequence wins the
-// quorum read, and hint replay carries the tombstone onto the
-// recovered node.
+// quorum read, and the node's catch-up carries the tombstone onto it.
 func TestClusterDelSurvivesReplicaOutage(t *testing.T) {
 	cfg := testConfig(4)
 	cfg.Replicas = 3
@@ -126,10 +125,10 @@ func TestClusterDelSurvivesReplicaOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// node1 is back; if a key it replicates had survived there as a live
-	// value newer than the replayed tombstone, this read would resurrect
-	// it. (node1 restarts empty in our process model, but the hint
-	// replay path must still deliver tombstones — this asserts the
-	// end-to-end outcome either way.)
+	// value newer than the copied tombstone, this read would resurrect
+	// it. (node1 restarts empty in our process model, but the catch-up
+	// must still deliver tombstones — this asserts the end-to-end
+	// outcome either way.)
 	for i := 0; i < keys; i++ {
 		if v, ok, err := c.Get(key(i)); err != nil || ok {
 			t.Fatalf("key %d resurrected after outage delete = (%q, %v, %v)", i, v, ok, err)
@@ -159,7 +158,7 @@ func TestClusterEventTap(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Probe()
-	if err := c.Put("k", "v2"); err != nil { // parks a hint for node2
+	if err := c.Put("k", "v2"); err != nil { // misses node2, if it replicates k
 		t.Fatal(err)
 	}
 	if err := c.Restart("node2"); err != nil {

@@ -99,8 +99,8 @@ func (c *Cluster) streamSync(ctx context.Context, a, b *node) (int, error) {
 
 // filterStream decodes one dump chunk and re-frames only what the
 // destination should ingest: Set payloads — MPut pairs flattened to
-// single Sets — for keys the destination actually replicates (parked
-// hints replicate nowhere), skipping anything without a version stamp (the receiver applies via SETV,
+// single Sets — for keys the destination actually replicates, skipping
+// anything without a version stamp (the receiver applies via SETV,
 // which needs one; unstamped bytes can't be resolved against what the
 // receiver may already hold). Raw Del/MDel records are dropped too:
 // cluster deletes are versioned tombstone Sets, so a bare delete frame

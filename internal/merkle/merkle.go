@@ -93,6 +93,12 @@ func (t *Tree) Apply(key, oldValue, newValue string, hadOld, hasNew bool) {
 	t.xor(BucketOf(key), delta)
 }
 
+// ApplyEntry folds one entry hash, as EntryHash computes it for key and
+// its stored value, into key's bucket. A Tree built this way from the
+// (key, entry hash) pairs a node's SCAN lists equals that node's own
+// digest, which is how a digest is checked against its store.
+func (t *Tree) ApplyEntry(key string, h uint64) { t.xor(BucketOf(key), h) }
+
 // RangeHash folds buckets [lo, hi) into one comparable digest. Each
 // bucket is mixed with its index before folding so a value "sliding"
 // from bucket i to bucket j inside the range still changes the hash.

@@ -34,8 +34,8 @@ func Verbs() []string {
 // MaxPending <= 0 shedding is disabled but the depth gauge still
 // tracks, so an unprotected node's queue growth stays observable.
 // PING is exempt at the call sites: shedding heartbeats would make an
-// overloaded node look dead, triggering hinted handoff and re-replication
-// — extra write load at exactly the wrong moment.
+// overloaded node look dead, failing the writes it misses and then
+// triggering its catch-up — extra load at exactly the wrong moment.
 func (s *Server) admit() bool {
 	if s.maxPending <= 0 {
 		s.notePeak(s.pending.Add(1))

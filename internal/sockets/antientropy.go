@@ -13,8 +13,8 @@ import (
 // The verb is a version-conditional set: the server decodes the stored
 // value's stamp, compares it to the incoming one, and applies the write
 // only if the incoming version wins the cluster's total order. The
-// split between plain and concurrent outcomes is what lets hint replay
-// count conflicting histories instead of silently dropping them.
+// split between plain and concurrent outcomes lets a caller tell
+// conflicting histories from plain staleness.
 const (
 	// SetVApplied: the incoming version strictly dominates what was
 	// stored (or nothing decodable was stored) — the write landed.
@@ -64,7 +64,7 @@ func setvOutcome(cur string, curOK bool, in version.Header) (apply bool, code ui
 
 // digestApply folds one store mutation into the anti-entropy digest.
 // Runs under the shard lock that ordered the mutation; excluded keys
-// (hints) never touch the digest.
+// never touch the digest.
 func (s *Server) digestApply(key, oldValue, newValue string, hadOld, hasNew bool) {
 	if s.syncExclude != "" && strings.HasPrefix(key, s.syncExclude) {
 		return
@@ -97,9 +97,8 @@ func (s *Server) applyTree(r *wire.Request) *wire.Response {
 // applyScan answers SCAN: every stored (key, entry hash) whose bucket
 // falls inside any requested span, sorted by key. A key's bucket is its
 // Merkle bucket, plus merkle.Buckets for a key kept out of the digest,
-// so those keys (the cluster's parked hints) list on their own and no
-// TREE-guided scan, whose spans all lie below merkle.Buckets, meets
-// them. Values never leave the node here — the cluster compares entry
+// so those keys list on their own and no TREE-guided scan, whose spans
+// all lie below merkle.Buckets, meets them. Values never leave the node here — the cluster compares entry
 // hashes and fetches only the keys it needs. Shards are read-locked one
 // at a time (point-in-time per stripe, like COUNT); anti-entropy
 // tolerates the skew — a transiently wrong hash just re-scans next

@@ -413,7 +413,7 @@ func (p *Pool) MGet(keys ...string) ([]string, []bool, error) {
 
 // MGetCtx fetches many keys, returning values and found flags parallel
 // to keys. The whole batch rides one MGET PDU per chunk — one syscall
-// amortized over the batch, the fan-in path cluster hint replay uses.
+// amortized over the batch, the fan-in path cluster anti-entropy uses.
 func (p *Pool) MGetCtx(ctx context.Context, keys ...string) ([]string, []bool, error) {
 	for _, k := range keys {
 		if err := validateKey(k); err != nil {

@@ -156,10 +156,9 @@ type ServerConfig struct {
 	WALScrubCorrupt func(error)
 	// SyncExcludePrefix, when non-empty, keeps keys with this prefix out
 	// of the anti-entropy Merkle digest, and SCAN files them in buckets
-	// [merkle.Buckets, 2·merkle.Buckets), above every span TREE covers.
-	// The cluster sets it to its hint-key prefix: parked hints are
-	// per-holder state by design, and folding them into the digest would
-	// make healthy replicas look permanently divergent.
+	// [merkle.Buckets, 2·merkle.Buckets), above every span TREE covers,
+	// so per-node state kept under the prefix never makes two replicas
+	// look divergent.
 	SyncExcludePrefix string
 }
 
@@ -240,7 +239,7 @@ type Server struct {
 
 	// digest is the anti-entropy Merkle digest, maintained incrementally
 	// under the same shard locks that order mutations; syncExclude keys
-	// (hints) stay out of it. Served by the TREE and SCAN verbs.
+	// stay out of it. Served by the TREE and SCAN verbs.
 	digest      merkle.Tree
 	syncExclude string
 }

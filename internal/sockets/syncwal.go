@@ -59,7 +59,7 @@ func (s *Server) syncWALDump(r *wire.Request) *wire.Response {
 // winners logged to this node's own WAL — so a stale stream record can
 // never clobber a newer local write, and re-applying a chunk (a retry
 // after a lost response) changes nothing. Everything else in the stream
-// (deletes, hint bookkeeping, unstamped values) is skipped: the
+// (deletes, unstamped values) is skipped: the
 // anti-entropy Merkle pass owns those.
 // All durability tickets are reserved first and waited at the end, so a
 // chunk's records share group-commit fsyncs instead of syncing one by

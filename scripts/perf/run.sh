@@ -112,8 +112,8 @@ for rep in $(seq 1 "$REPEATS"); do
 done
 
 echo "== anti-entropy convergence (divergence = a replica restarted empty) =="
-# Hints disabled, so Merkle sync is the only path that rebuilds the
-# node: the cell records how long SyncNow takes to reach a quiet pass
+# Merkle sync is the only path that rebuilds the node: the cell records
+# how long its restart catch-up plus SyncNow take to reach a quiet pass
 # over 10k diverged keys, and the run itself asserts the repair volume
 # equals the divergence exactly.
 AE_KEYS=10000
