@@ -2,12 +2,14 @@ package chaos
 
 import (
 	"flag"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/sockets"
 	"repro/internal/testutil"
@@ -206,5 +208,24 @@ func TestChaos_DFSScenarioReuse(t *testing.T) {
 	// primary, so a crash with no following traffic may go uncounted.
 	if crashes > 0 && (res.Failovers == 0 || res.Failovers > crashes) {
 		t.Errorf("failovers = %d, want 1..%d for the scripted crashes", res.Failovers, crashes)
+	}
+}
+
+// TestChaos_CorruptWALWritesFiller runs the corrupt-wal fault on a
+// durable cluster that no workload writes to: corruptWAL's own filler
+// puts must seal a segment on the victim within its 2 s bound.
+func TestChaos_CorruptWALWritesFiller(t *testing.T) {
+	c, err := cluster.New(cluster.Config{Nodes: 5, Durable: true, WALSegmentBytes: 2048, DrainTimeout: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	h := &harness{c: c, states: map[string]*nodeFaults{}}
+	file, err := h.corruptWAL("node3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dir, _ := c.WALDir("node3"); filepath.Dir(file) != dir {
+		t.Fatalf("corrupted %s, want a segment in %s", file, dir)
 	}
 }

@@ -11,10 +11,10 @@ import (
 // The checker validates a recorded history against the consistency
 // contract the cluster actually makes: a versioned register per key
 // under strict quorums (W+R > Replicas), with failed operations
-// indeterminate. Replicas order copies by per-key version vectors, not
-// a global sequence, but the checker needs only one consequence of
-// that scheme: the coordinator bumps each write's vector past every
-// vector it has seen for the key, so a write that provably finished
+// indeterminate. Replicas order copies by version vectors, not a
+// global sequence, but the checker needs only one consequence of that
+// scheme: the client stamps each write {writer: n} from one counter
+// that every write increments, so a write that provably finished
 // before another began carries a vector the later write DOMINATES —
 // real-time-ordered writes are totally ordered by dominance, and a
 // quorum read returns the winning version its quorum holds.
@@ -41,9 +41,9 @@ import (
 // to the versioned register: because values are unique and real-time-
 // ordered writes are version-ordered, per-read validation against the
 // write history is sound without state-space search. Writes whose
-// windows OVERLAP may get causally concurrent (incomparable) vectors;
-// the store resolves those with a deterministic tiebreak, and the
-// checker is agnostic to which side wins — the supersession rule only
+// windows OVERLAP are ordered by which drew its count first, not by
+// which finished first, and the checker is agnostic to which side
+// wins — the supersession rule only
 // fires on real-time order, where dominance is guaranteed, so either
 // resolution of a genuine race is a legal observation. One deliberate
 // weakening: reads are not chained to *other reads*, so a read that

@@ -653,15 +653,20 @@ func (h *harness) apply(f Fault) {
 // corruptWAL flips one byte in the middle of the node's lowest-sequence
 // sealed WAL segment and returns its path. It waits (bounded) for a
 // sealed segment to exist: the fault fires at a seed-chosen offset, and
-// enough workload writes must land on the victim first to rotate its
-// active segment at least once.
+// the victim's active segment must have rotated at least once. While
+// none has, it writes filler keys of its own — a prefix the checker
+// never reads, 1 KiB values, at most fillerPuts of them — so a slow
+// workload cannot leave the victim with nothing to corrupt.
 func (h *harness) corruptWAL(node string) (string, error) {
 	dir, err := h.c.WALDir(node)
 	if err != nil {
 		return "", err
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for {
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	filler := strings.Repeat("f", 1024)
+	for i := 0; ; i++ {
 		target, err := flipOldestSealed(dir)
 		if err != nil || target != "" {
 			return target, err
@@ -669,9 +674,19 @@ func (h *harness) corruptWAL(node string) (string, error) {
 		if time.Now().After(deadline) {
 			return "", fmt.Errorf("no sealed WAL segment appeared in %s to corrupt", dir)
 		}
+		if i < fillerPuts {
+			// Best effort: a filler key whose replicas miss the victim,
+			// or a put that fails, only costs the next one.
+			h.c.PutCtx(ctx, fmt.Sprintf("scrub-filler-%02d", i), filler) //nolint:errcheck // see above
+		}
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// fillerPuts caps corruptWAL's own writes: with 1 KiB values, two that
+// land on the victim seal a 2 KiB segment, and each filler key lands
+// there with probability Replicas/Nodes.
+const fillerPuts = 16
 
 // keepCorruption makes sure the killed node's log still holds the
 // injected damage before the restart that must refuse it. A snapshot

@@ -125,6 +125,17 @@ func (h *hotCache) shard(key string) *cacheShard {
 	return &h.shards[stripeOf(key, cacheShards)]
 }
 
+// stripeOf hashes key (FNV-1a) onto one of n stripes without
+// allocating.
+func stripeOf(key string, n uint32) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return h % n
+}
+
 // lookup serves a read from the cache when the key has a live lease.
 // hit=false means the caller must do the quorum read (and should call
 // observe with its outcome). Expired entries stay in place — observe

@@ -9,7 +9,7 @@ import (
 )
 
 // vclock builds a totally ordered test version: n writes by one
-// coordinator, so vclock(a) dominates vclock(b) exactly when a > b —
+// writer, so vclock(a) dominates vclock(b) exactly when a > b —
 // the same shape the old integer sequence guard was tested with.
 // vclock(0) is the zero version ("never existed").
 func vclock(n uint64) version.Header {

@@ -11,15 +11,15 @@
 // only the ~K/n keys whose arcs moved, fanned out in parallel on a
 // sched.Pool.
 //
-// Values carry a per-key version vector (internal/version) stamped by
-// the write's coordinator, so quorum reads resolve divergent replicas
-// causally — a replica that merely missed writes is Dominated, and only
-// genuinely concurrent histories fall back to the deterministic
-// wall-clock tiebreak. Reads that observe stale replicas repair them in
-// the background (read repair), and a Merkle-tree anti-entropy loop
-// (antientropy.go) lets replicas that diverged silently — a replica
-// that was down or unreachable for some writes — find and exchange
-// exactly the keys that differ.
+// Values carry a version vector (internal/version): the client stamps
+// each write {writer: n} from one counter, so quorum reads resolve
+// divergent replicas causally — a replica that merely missed this
+// client's writes is Dominated, and only writes from different clients
+// fall back to the deterministic wall-clock tiebreak. Reads that
+// observe stale replicas repair them in the background (read repair),
+// and a Merkle-tree anti-entropy loop (antientropy.go) lets replicas
+// that diverged silently — a replica that was down or unreachable for
+// some writes — find and exchange exactly the keys that differ.
 // The db.DHT supplies the ring geometry, and Moves() counts the stored
 // keys whose owner each topology change moved — the same count a
 // db.DHT holding those keys reports — certifying the minimal-movement
@@ -28,6 +28,8 @@ package cluster
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"os"
@@ -267,19 +269,20 @@ type Cluster struct {
 	// and to open and close the migration window. The ring is geometry
 	// only: it stores no keys, and a topology change finds the keys to
 	// move by paging the nodes through SCAN.
-	//
-	// keys maps each key this client wrote to the vector of its last
-	// stamp — the causal history this client has stamped onto the key so
-	// far. The next write bumps the coordinator's slot in that vector
-	// under the key's stripe lock, so writes from this client to one key
-	// always dominate their predecessors; concurrent (incomparable)
-	// vectors only arise across clients or from injected divergence.
 	topoMu sync.RWMutex
 	ring   *db.DHT
-	keys   keyTable
 	nodes  map[string]*node
 	order  []string     // join order, for stable iteration and reports
 	moves  atomic.Int64 // stored keys whose owner a topology change moved
+
+	// writer is this client's random name and stamps counts its writes:
+	// write n carries the one-entry vector {writer: n}, so each write
+	// dominates every earlier one from this client, on any key. The
+	// client keeps no per-key state; a stamp from another client, or
+	// from an earlier incarnation over the same durable logs, compares
+	// as Concurrent and the wall clock decides (last writer wins).
+	writer string
+	stamps atomic.Uint64
 
 	// Migration-window state, guarded by topoMu. While prevRing is
 	// non-nil a topology change is copying keys: quorum placement stays
@@ -404,11 +407,16 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	var name [6]byte
+	if _, err := rand.Read(name[:]); err != nil {
+		return nil, fmt.Errorf("cluster: writer name: %w", err)
+	}
 	c := &Cluster{
-		cfg:   cfg,
-		ring:  ring,
-		nodes: make(map[string]*node),
-		sched: sched.New(cfg.Workers),
+		cfg:    cfg,
+		ring:   ring,
+		nodes:  make(map[string]*node),
+		writer: base64.RawURLEncoding.EncodeToString(name[:]), // 8 bytes keeps a stamp header at 23 B
+		sched:  sched.New(cfg.Workers),
 	}
 	if cfg.HotKeyCache {
 		c.cache = newHotCache(cacheSize, cfg.CacheLease, cfg.CacheHotThreshold, cacheWindow)
@@ -660,16 +668,11 @@ func (c *Cluster) DelCtx(ctx context.Context, key string) error {
 }
 
 // writeQuorum is the shared quorum-write core under PutCtx and DelCtx:
-// it stamps the write with the key's next version vector, encodes the
-// value (or a tombstone), and fans out to the key's replicas until W
-// acks arrive. It returns the write's stamp.
-//
-// The vector is assigned while the shared topology lock that computed
-// placement is held: the key's last-seen vector is bumped in the
-// coordinator's slot (the first live replica — the node this client
-// writes on behalf of) and written back under the key's stripe lock,
-// so every write this client issues to a key causally dominates its
-// predecessors no matter how their network fan-outs interleave.
+// it stamps the write with this client's next vector {writer: n},
+// encodes the value (or a tombstone), and fans out to the key's
+// replicas until W acks arrive. It returns the write's stamp. The
+// counter alone orders this client's writes, however their network
+// fan-outs interleave and whichever replicas are up.
 func (c *Cluster) writeQuorum(ctx context.Context, op, key, value string, tombstone bool) (version.Header, error) {
 	var zero version.Header
 	if c.closed.Load() {
@@ -690,14 +693,6 @@ func (c *Cluster) writeQuorum(ctx context.Context, op, key, value string, tombst
 		c.quorumFailures.Add(1)
 		return zero, fmt.Errorf("%w: no replicas for %q", ErrNoQuorum, key)
 	}
-	coord := p.replicas[0].name
-	for _, r := range p.replicas {
-		if !r.down.Load() {
-			coord = r.name
-			break
-		}
-	}
-	vec := c.keys.bump(key, coord)
 	if c.prevRing != nil {
 		c.dirtyMu.Lock()
 		c.dirty[key] = struct{}{}
@@ -706,6 +701,7 @@ func (c *Cluster) writeQuorum(ctx context.Context, op, key, value string, tombst
 	c.inflight.Add(1)
 	c.topoMu.RUnlock()
 	defer c.inflight.Done()
+	vec := version.Single(c.writer, c.stamps.Add(1))
 	enc := version.EncodeVector(vec, time.Now().UnixNano(), tombstone, value)
 	ver, _, _ := version.ParseHeader(enc) // enc was just encoded: it parses
 

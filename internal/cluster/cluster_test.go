@@ -289,8 +289,8 @@ func TestClusterMovesMatchesDHT(t *testing.T) {
 }
 
 // TestJoinMovesKeysThisClientNeverWrote: stamped copies SETV'd straight
-// to their ring replicas never pass through this client's key table.
-// A Join still finds them on the nodes: afterwards the new node holds
+// to their ring replicas never pass through this client. A Join still
+// finds them on the nodes: afterwards the new node holds
 // every key the new ring gives it, and Moves() counts what a db.DHT
 // holding the same keys counts.
 func TestJoinMovesKeysThisClientNeverWrote(t *testing.T) {
@@ -309,7 +309,7 @@ func TestJoinMovesKeysThisClientNeverWrote(t *testing.T) {
 	want := make(map[string]string, keys)
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("foreign-%d", i)
-		want[key] = version.EncodeVector(version.Bump("", "elsewhere"), time.Now().UnixNano(), false, "v")
+		want[key] = version.EncodeVector(version.Single("elsewhere", 1), time.Now().UnixNano(), false, "v")
 		for _, name := range c.ring.NodesFor(key, c.cfg.Replicas) {
 			n, err := c.lookup(name)
 			if err != nil {

@@ -2,6 +2,7 @@ package version
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -96,6 +97,10 @@ func FuzzDecodeVersion(f *testing.F) {
 		"n0:3,n2:1@1754550000123456789 v value",
 		"n0:1@5 t",
 		"1754550000 h n0:1@5 v payload",
+		// Writer-slot stamps: an 8-byte client name with a one- and a
+		// three-byte counter.
+		EncodeVector(Single("AbCd-_x9", 1), 1754550000123456789, false, "value"),
+		EncodeVector(Single("AbCd-_x9", 1<<20), 1754550000123456789, true, ""),
 	} {
 		f.Add(s)
 	}
@@ -124,9 +129,17 @@ func FuzzDecodeVersion(f *testing.F) {
 		if h.Compare(h) != Equal || h.Newer(h) {
 			t.Fatalf("%q is not equal to itself", raw)
 		}
-		next, _, err := ParseHeader(EncodeVector(Bump(h.vec, "node1"), h.Clock, false, ""))
+		next, _, err := ParseHeader(Encode(dv.Next("node1", h.Clock), ""))
 		if err != nil || next.Compare(h) != Dominates {
-			t.Fatalf("Bump of %q does not dominate it (%v)", raw, err)
+			t.Fatalf("Next of %q does not dominate it (%v)", raw, err)
+		}
+		for w, n := range dv.VV {
+			if len(dv.VV) == 1 && n < math.MaxUint64 {
+				next, _, err := ParseHeader(EncodeVector(Single(w, n+1), h.Clock, false, ""))
+				if err != nil || next.Compare(h) != Dominates {
+					t.Fatalf("writer %q's next stamp does not dominate %q (%v)", w, raw, err)
+				}
+			}
 		}
 	})
 }
@@ -136,7 +149,7 @@ var benchSink int
 // BenchmarkVersion times the per-answer version work of a quorum read
 // and the per-write stamping, on a two-entry vector and a 256-byte
 // value: decode is the map form, parse and view-compare the in-place
-// view, next-encode the coordinator's bump plus the stored encoding.
+// view, next-encode a client's writer stamp plus the stored encoding.
 func BenchmarkVersion(b *testing.B) {
 	v := Version{VV: Vector{"node0": 41, "node2": 7}, Clock: 1754550000123456789}
 	value := strings.Repeat("x", 256)
@@ -169,7 +182,7 @@ func BenchmarkVersion(b *testing.B) {
 		h, _, _ := ParseHeader(older)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			benchSink += len(EncodeVector(Bump(h.vec, "node0"), v.Clock, false, value))
+			benchSink += len(EncodeVector(Single("AbCd-_x9", uint64(i)+1), h.Clock, false, value))
 		}
 	})
 }

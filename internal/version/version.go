@@ -1,17 +1,19 @@
-// Package version is the cluster's value-versioning unit: a per-key
-// version vector (node → counter) plus a wall-clock tiebreak, and the
+// Package version is the cluster's value-versioning unit: a version
+// vector (writer → counter) plus a wall-clock tiebreak, and the
 // stored-value encoding that carries it.
 //
-// The vector replaces the cluster-global LWW sequence: each write is
-// stamped by its coordinator with the key's last-seen vector bumped in
-// the coordinator's own slot, so causally ordered writes compare as
-// Dominates/Dominated and only genuinely concurrent writes (two
-// coordinators that never saw each other's stamps, e.g. across a
-// partition) compare as Concurrent. Concurrent versions are resolved
+// The cluster client stamps each write with a one-entry vector
+// {writer: n} (Single): writer is the client's random name and n a
+// counter that every one of its writes increments. A client's writes
+// therefore compare as Dominates/Dominated in the order it issued them,
+// on any key, and writes from two clients — or two incarnations of one
+// — compare as Concurrent. Concurrent versions are resolved
 // deterministically by Newer's total order — wall-clock
 // last-writer-wins, then a comparison of the canonical vector bytes so
 // two stamps assigned in the same nanosecond still order identically on
-// every replica.
+// every replica. Nothing merges vectors, so a stamp never grows past
+// one entry; multi-entry vectors stamped by earlier releases (one slot
+// per coordinating node) still parse and compare.
 //
 // A stored value is a binary stamp followed by the payload:
 //
@@ -89,11 +91,11 @@ var (
 	ErrMalformed = errors.New("version: malformed binary stamp")
 )
 
-// Vector is a per-key version vector: how many writes each coordinator
-// has stamped onto this key's causal history.
+// Vector is a version vector: for each writer, the count its stamp
+// carries.
 type Vector map[string]uint64
 
-// Version is one stamped write: the vector plus the coordinator's wall
+// Version is one stamped write: the vector plus the writer's wall
 // clock at assignment (unix nanoseconds), used only to break ties
 // between concurrent vectors.
 type Version struct {
@@ -105,9 +107,8 @@ type Version struct {
 // which every real version dominates.
 func (v Version) IsZero() bool { return len(v.VV) == 0 && v.Clock == 0 }
 
-// Next returns the successor version a coordinator assigns: v's vector
-// with node's slot bumped, stamped at clock. The receiver is not
-// mutated.
+// Next returns a successor version of v: v's vector with node's slot
+// bumped, stamped at clock. The receiver is not mutated.
 func (v Version) Next(node string, clock int64) Version {
 	nv := make(Vector, len(v.VV)+1)
 	for n, c := range v.VV {
@@ -326,41 +327,12 @@ func compareVectors(a, b string) Ordering {
 	return ordering(aAhead, bAhead)
 }
 
-// Bump returns the vector section vec with node's counter incremented,
-// inserted at 1 if vec has no entry for it: the vector a coordinator
-// stamps onto its next write. vec is "" (no write yet) or an earlier
-// Bump's result. The result is one allocation of exactly its length,
-// since the client's key table keeps it.
-func Bump(vec, node string) string {
-	count, has := uint64(0), false
-	for c := newCursor(vec); ; count++ {
-		name, _, ok := c.next()
-		if !ok {
-			break
-		}
-		has = has || name == node
-	}
-	if !has {
-		count++
-	}
+// Single returns the canonical vector section of the one-entry vector
+// {name: n}: the stamp of a client's n-th write. name must be non-empty
+// and n at least 1.
+func Single(name string, n uint64) string {
 	var buf [64]byte
-	b := binary.AppendUvarint(buf[:0], count)
-	inserted := false
-	for c := newCursor(vec); ; {
-		name, n, ok := c.next()
-		if !inserted && (!ok || node <= name) {
-			inserted = true
-			if ok && name == node {
-				b = appendEntry(b, name, n+1)
-				continue
-			}
-			b = appendEntry(b, node, 1)
-		}
-		if !ok {
-			return string(b)
-		}
-		b = appendEntry(b, name, n)
-	}
+	return string(appendEntry(append(buf[:0], 1), name, n))
 }
 
 func appendEntry(b []byte, name string, n uint64) []byte {
@@ -370,7 +342,7 @@ func appendEntry(b []byte, name string, n uint64) []byte {
 }
 
 // EncodeVector renders a stored value from its parts: the vector
-// section (from Bump), the clock, the kind, and the payload, which a
+// section (from Single), the clock, the kind, and the payload, which a
 // tombstone must leave empty. The value is one allocation.
 func EncodeVector(vec string, clock int64, tombstone bool, value string) string {
 	if vec == "" {
@@ -412,7 +384,7 @@ func appendVector(dst []byte, vv Vector) []byte {
 }
 
 // cursor walks the entries of a canonical vector section. It trusts
-// the section: ParseHeader validated it, or Bump built it.
+// the section: ParseHeader validated it, or Single built it.
 type cursor struct {
 	s   string
 	off int

@@ -51,8 +51,65 @@ func TestStampCanonical(t *testing.T) {
 			t.Fatalf("Encode() = %q, want %q", got, want)
 		}
 	}
-	if got := EncodeVector(Bump(Bump(Bump(Bump(Bump(Bump("", "c"), "b"), "c"), "a"), "c"), "b"), 7, false, "x"); got != want {
-		t.Fatalf("Bump chain encodes %q, want %q", got, want)
+	h, payload, err := ParseHeader(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := EncodeVector(h.vec, h.Clock, false, payload); got != want {
+		t.Fatalf("EncodeVector of the parsed header gives %q, want %q", got, want)
+	}
+}
+
+// TestSingleCanonical checks the one-entry section a client stamps
+// against the map form's encoding, across counters that take one to
+// four uvarint bytes.
+func TestSingleCanonical(t *testing.T) {
+	for _, n := range []uint64{1, 127, 128, 1<<14 - 1, 1 << 14, 1<<21 - 1, 1 << 21} {
+		want := Encode(Version{VV: Vector{"AbCd-_x9": n}, Clock: 7}, "x")
+		if got := EncodeVector(Single("AbCd-_x9", n), 7, false, "x"); got != want {
+			t.Fatalf("Single(%d) encodes %q, want %q", n, got, want)
+		}
+	}
+}
+
+// TestSingleHeaderSize guards the stamp's size: with an 8-byte writer
+// name and a counter below 2^21 (three uvarint bytes), the header is
+// 23 B, and a 256 B value stamped with it stays within Go's 288 B size
+// class.
+func TestSingleHeaderSize(t *testing.T) {
+	raw := EncodeVector(Single("AbCd-_x9", 1<<21-1), 1754550000123456789, false, strings.Repeat("v", 256))
+	if hdr := len(raw) - 256; hdr > 32 {
+		t.Fatalf("stamp header is %d B, want at most 32", hdr)
+	}
+}
+
+// TestSingleDominatesOlderStamps orders a client's stamps: a later
+// counter dominates an earlier one, and against a multi-entry
+// node-slot stamp of an earlier release, or another writer's stamp,
+// the result is Concurrent and the clock decides.
+func TestSingleDominatesOlderStamps(t *testing.T) {
+	hdr := func(vec string, clock int64) Header {
+		h, _, err := ParseHeader(EncodeVector(vec, clock, false, "x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	first, second := hdr(Single("w1", 1), 20), hdr(Single("w1", 2), 10)
+	if first.Compare(second) != Dominated || !second.Newer(first) {
+		t.Fatal("the writer's second stamp does not dominate its first, despite its older clock")
+	}
+	old, _, err := ParseHeader(Encode(Version{VV: Vector{"node0": 3, "node1": 1}, Clock: 15}, "x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []Header{first, second, hdr(Single("w2", 9), 15)} {
+		if o := h.Compare(old); o != Concurrent {
+			t.Fatalf("writer stamp against a node-slot stamp: %v, want concurrent", o)
+		}
+		if h.Newer(old) != (h.Clock > old.Clock || h.Clock == old.Clock && h.vec > old.vec) {
+			t.Fatalf("clock %d against %d: Newer does not follow the clock, then the bytes", h.Clock, old.Clock)
+		}
 	}
 }
 
@@ -221,7 +278,7 @@ func TestMerge(t *testing.T) {
 
 func TestNextDominates(t *testing.T) {
 	v := Version{}
-	vec := ""
+	var prev Header
 	for i, node := range []string{"n0", "n0", "n1", "n2", "n0"} {
 		nv := v.Next(node, int64(i+1))
 		if o := nv.Compare(v); o != Dominates {
@@ -230,12 +287,13 @@ func TestNextDominates(t *testing.T) {
 		if !Newer(nv, v) {
 			t.Fatalf("step %d: Next version not Newer than predecessor", i)
 		}
-		// Bump is Next on the encoded vector.
-		vec = Bump(vec, node)
-		if got, want := EncodeVector(vec, nv.Clock, false, ""), Encode(nv, ""); got != want {
-			t.Fatalf("step %d: Bump encodes %q, Next encodes %q", i, got, want)
+		// The encoded forms agree: the multi-entry stamp of Next
+		// dominates its predecessor's.
+		next, _, err := ParseHeader(Encode(nv, ""))
+		if err != nil || next.Compare(prev) != Dominates {
+			t.Fatalf("step %d: encoded Next does not dominate its predecessor (%v)", i, err)
 		}
-		v = nv
+		v, prev = nv, next
 	}
 	if v.VV["n0"] != 3 || v.VV["n1"] != 1 || v.VV["n2"] != 1 {
 		t.Fatalf("accumulated vector wrong: %v", v.VV)
