@@ -34,9 +34,10 @@ const Buckets = 4096
 const bucketShift = 32 - 12 // log2(Buckets) == 12
 
 // BucketOf returns the bucket whose arc contains key's ring position.
-func BucketOf(key string) int {
-	return int(db.RingPos(key) >> bucketShift)
-}
+func BucketOf(key string) int { return BucketAt(db.RingPos(key)) }
+
+// BucketAt returns the bucket whose arc contains ring position pos.
+func BucketAt(pos uint32) int { return int(pos >> bucketShift) }
 
 // EntryHash is the per-entry digest folded into a bucket: a 64-bit
 // FNV-1a over key, a zero separator, and the stored value, finished
@@ -83,6 +84,12 @@ func (t *Tree) xor(b int, delta uint64) {
 // (oldValue if hadOld) to (newValue if hasNew). Deletes pass
 // hasNew=false; first writes pass hadOld=false.
 func (t *Tree) Apply(key, oldValue, newValue string, hadOld, hasNew bool) {
+	t.ApplyAt(db.RingPos(key), key, oldValue, newValue, hadOld, hasNew)
+}
+
+// ApplyAt is Apply for a caller that already holds key's ring position
+// pos, so the key is hashed once for its store placement and its bucket.
+func (t *Tree) ApplyAt(pos uint32, key, oldValue, newValue string, hadOld, hasNew bool) {
 	var delta uint64
 	if hadOld {
 		delta ^= EntryHash(key, oldValue)
@@ -90,7 +97,7 @@ func (t *Tree) Apply(key, oldValue, newValue string, hadOld, hasNew bool) {
 	if hasNew {
 		delta ^= EntryHash(key, newValue)
 	}
-	t.xor(BucketOf(key), delta)
+	t.xor(BucketAt(pos), delta)
 }
 
 // ApplyEntry folds one entry hash, as EntryHash computes it for key and

@@ -1,5 +1,5 @@
 // White-box tests for the binary read loop's inline dispatch: they need
-// shardFor to hold a store stripe locked mid-request, and inlineVerb to
+// stripeOf to hold a store stripe locked mid-request, and inlineVerb to
 // see which verbs skip the goroutine, which the public surface
 // deliberately doesn't expose.
 package sockets
@@ -12,8 +12,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/db"
 	"repro/internal/sockets/wire"
 )
+
+// stripeOf is the store stripe holding key, and key's offset in it.
+func (s *Server) stripeOf(key string) (*stripe, uint32) { return s.store.locate(db.RingPos(key)) }
 
 // TestBinaryInlineDrainOnGracefulClose: a request on the inline fast
 // path (no PreHandle hook) must count as in flight — otherwise a
@@ -64,10 +68,10 @@ func TestBinaryInlineDrainOnGracefulClose(t *testing.T) {
 
 			// Hold the shard's write lock so the inline request blocks
 			// mid-handling.
-			sh := s.shardFor("k")
+			sh, at := s.stripeOf("k")
 			lock := sh.lock
 			lock.Lock()
-			sh.store["k"] = "v"
+			sh.set(at, "k", "v")
 			// One write: the handshake, SETVs on keys outside the wedged
 			// shard (durable case), then the wedged request, last.
 			buf := []byte{wire.Magic}
@@ -75,7 +79,7 @@ func TestBinaryInlineDrainOnGracefulClose(t *testing.T) {
 			if tc.durable {
 				for i := 0; id < 32; i++ {
 					key := fmt.Sprintf("other-%d", i)
-					if s.shardFor(key) == sh {
+					if other, _ := s.stripeOf(key); other == sh {
 						continue
 					}
 					id++
@@ -361,7 +365,8 @@ func servedOnReadLoop(t *testing.T, cfg ServerConfig, req *wire.Request, window 
 	}
 	defer conn.Close()
 
-	lock := s.shardFor(req.Key).lock
+	sh, _ := s.stripeOf(req.Key)
+	lock := sh.lock
 	lock.Lock()
 	locked := true
 	defer func() {

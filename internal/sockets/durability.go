@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"repro/internal/db"
 	"repro/internal/sockets/wire"
 	"repro/internal/wal"
 )
@@ -13,7 +14,7 @@ import (
 const defaultSnapshotEvery = 10000
 
 // openWAL wires the write-ahead log into a starting server: recovery
-// first (snapshot pairs straight into the shards, then the log tail
+// first (snapshot pairs loaded into the store, then the log tail
 // replayed as the plain writes it records), then the log is live and
 // every mutating request is appended — and fsynced, via the group
 // committer — before its response leaves the server. Runs before the
@@ -24,13 +25,10 @@ func (s *Server) openWAL(cfg ServerConfig) error {
 		SegmentBytes:  cfg.WALSegmentBytes,
 		ReplayWorkers: runtime.GOMAXPROCS(0),
 		OnSnapshot: func(snap *wal.Snapshot) error {
+			// Snapshot pairs load as the plain writes the log tail
+			// replays, which keeps the anti-entropy digest in step.
 			for _, kv := range snap.Pairs {
-				sh := s.shardFor(kv.Key)
-				sh.store[kv.Key] = kv.Value
-				// Snapshot pairs bypass applyMutation, so fold them into
-				// the anti-entropy digest here; the log tail replays
-				// through the live path and tracks itself.
-				s.digestApply(kv.Key, "", kv.Value, false, true)
+				s.replaySet(kv.Key, kv.Value)
 			}
 			return nil
 		},
@@ -44,9 +42,7 @@ func (s *Server) openWAL(cfg ServerConfig) error {
 	if s.walEvery <= 0 {
 		s.walEvery = defaultSnapshotEvery
 	}
-	for i := range s.shards {
-		s.recoveredKeys += len(s.shards[i].store)
-	}
+	s.recoveredKeys = s.store.len()
 	return nil
 }
 
@@ -118,15 +114,12 @@ func (s *Server) maybeSnapshot() {
 		if err != nil {
 			return // closed, crashed, or a latched I/O error: not our problem to report
 		}
-		snap := &wal.Snapshot{}
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.lock.RLock()
-			for k, v := range sh.store {
-				snap.Pairs = append(snap.Pairs, wal.KV{Key: k, Value: v})
-			}
-			sh.lock.RUnlock()
-		}
+		// The pairs are views into the store's cells: capturing copies
+		// no key or value.
+		snap := &wal.Snapshot{Pairs: make([]wal.KV, 0, s.store.len())}
+		s.store.each(func(k, v string) {
+			snap.Pairs = append(snap.Pairs, wal.KV{Key: k, Value: v})
+		})
 		s.wal.WriteSnapshot(tail, snap) //nolint:errcheck // next trigger retries; segments just stay around
 	}()
 }
@@ -190,20 +183,21 @@ func (s *Server) replay(rec *wal.Record) error {
 }
 
 func (s *Server) replaySet(key, value string) {
-	sh := s.shardFor(key)
-	sh.lock.Lock()
-	old, had := sh.store[key]
-	sh.store[key] = value
-	s.digestApply(key, old, value, had, true)
-	sh.lock.Unlock()
+	pos := db.RingPos(key)
+	sp, at := s.store.locate(pos)
+	sp.lock.Lock()
+	old, had := sp.get(at, key)
+	sp.set(at, key, value)
+	s.digestApply(pos, key, old, value, had, true)
+	sp.lock.Unlock()
 }
 
 func (s *Server) replayDel(key string) {
-	sh := s.shardFor(key)
-	sh.lock.Lock()
-	if old, ok := sh.store[key]; ok {
-		delete(sh.store, key)
-		s.digestApply(key, old, "", true, false)
+	pos := db.RingPos(key)
+	sp, at := s.store.locate(pos)
+	sp.lock.Lock()
+	if old, ok := sp.del(at, key); ok {
+		s.digestApply(pos, key, old, "", true, false)
 	}
-	sh.lock.Unlock()
+	sp.lock.Unlock()
 }

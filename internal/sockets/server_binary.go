@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/db"
 	"repro/internal/sockets/wire"
 	"repro/internal/version"
 	"repro/internal/wal"
@@ -239,10 +240,7 @@ func (s *Server) handleBinary(r *wire.Request) *wire.Response {
 	case wire.VerbScan:
 		return s.applyScan(r)
 	case wire.VerbGet:
-		sh := s.shardFor(r.Key)
-		sh.lock.RLock()
-		v, ok := sh.store[r.Key]
-		sh.lock.RUnlock()
+		v, ok := s.store.get(r.Key)
 		if !ok {
 			return &wire.Response{Tag: wire.RespNotFound, ID: r.ID}
 		}
@@ -255,10 +253,7 @@ func (s *Server) handleBinary(r *wire.Request) *wire.Response {
 			Values: make([][]byte, 0, len(r.Keys)),
 		}
 		for _, k := range r.Keys {
-			sh := s.shardFor(k)
-			sh.lock.RLock()
-			v, ok := sh.store[k]
-			sh.lock.RUnlock()
+			v, ok := s.store.get(k)
 			resp.Found = append(resp.Found, ok)
 			if ok {
 				resp.Values = append(resp.Values, readOnlyBytes(v))
@@ -268,14 +263,7 @@ func (s *Server) handleBinary(r *wire.Request) *wire.Response {
 		}
 		return resp
 	case wire.VerbCount:
-		n := uint64(0)
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.lock.RLock()
-			n += uint64(len(sh.store))
-			sh.lock.RUnlock()
-		}
-		return &wire.Response{Tag: wire.RespCount, ID: r.ID, N: n}
+		return &wire.Response{Tag: wire.RespCount, ID: r.ID, N: uint64(s.store.len())}
 	}
 	return &wire.Response{Tag: wire.RespErr, ID: r.ID, Err: "unknown verb " + wire.VerbName(r.Verb)}
 }
@@ -296,12 +284,10 @@ func (s *Server) handleBinary(r *wire.Request) *wire.Response {
 // never undoes a newer write. SET and DEL are the text protocol's blind
 // writes.
 //
-// Multi-key verbs lock every touched stripe at once, in ascending index
-// order (deadlock-free against each other; single-key verbs hold one
-// lock and nest nothing), rather than one stripe at a time: a per-key
-// locking walk would let another writer's record interleave between
-// this record's first and last key, breaking the log-order argument for
-// the earlier keys.
+// Multi-key verbs lock every touched stripe at once (store.lock), rather
+// than one stripe at a time: a per-key locking walk would let another
+// writer's record interleave between this record's first and last key,
+// breaking the log-order argument for the earlier keys.
 func (s *Server) applyMutation(r *wire.Request) (*wire.Response, *wal.Ticket) {
 	errResp := func(msg string) *wire.Response {
 		return &wire.Response{Tag: wire.RespErr, ID: r.ID, Err: msg}
@@ -313,15 +299,16 @@ func (s *Server) applyMutation(r *wire.Request) (*wire.Response, *wal.Ticket) {
 			return errResp(err.Error()), nil
 		}
 		v := string(r.Value)
-		sh := s.shardFor(r.Key)
-		sh.lock.Lock()
-		old, had := sh.store[r.Key]
-		sh.store[r.Key] = v
-		s.digestApply(r.Key, old, v, had, true)
+		pos := db.RingPos(r.Key)
+		sp, at := s.store.locate(pos)
+		sp.lock.Lock()
+		old, had := sp.get(at, r.Key)
+		sp.set(at, r.Key, v)
+		s.digestApply(pos, r.Key, old, v, had, true)
 		if s.wal != nil {
 			tick = s.wal.Begin(&wal.Record{Kind: wal.KindSet, Key: r.Key, Value: v})
 		}
-		sh.lock.Unlock()
+		sp.lock.Unlock()
 		return &wire.Response{Tag: wire.RespOK, ID: r.ID}, tick
 	case wire.VerbSetV:
 		if err := validateKey(r.Key); err != nil {
@@ -336,20 +323,21 @@ func (s *Server) applyMutation(r *wire.Request) (*wire.Response, *wal.Ticket) {
 			// compete against stamped values: reject, apply nothing.
 			return errResp("setv: " + err.Error()), nil
 		}
-		sh := s.shardFor(r.Key)
-		sh.lock.Lock()
-		cur, had := sh.store[r.Key]
+		pos := db.RingPos(r.Key)
+		sp, at := s.store.locate(pos)
+		sp.lock.Lock()
+		cur, had := sp.get(at, r.Key)
 		apply, code := setvOutcome(cur, had, in)
 		if apply {
-			sh.store[r.Key] = v
-			s.digestApply(r.Key, cur, v, had, true)
+			sp.set(at, r.Key, v)
+			s.digestApply(pos, r.Key, cur, v, had, true)
 			// Logged as a plain set, and only when something changed: a
 			// rejected SETV must not dirty the log.
 			if s.wal != nil {
 				tick = s.wal.Begin(&wal.Record{Kind: wal.KindSet, Key: r.Key, Value: v})
 			}
 		}
-		sh.lock.Unlock()
+		sp.lock.Unlock()
 		return &wire.Response{Tag: wire.RespCount, ID: r.ID, N: code}, tick
 	case wire.VerbDel:
 		if validateKey(r.Key) != nil {
@@ -359,22 +347,22 @@ func (s *Server) applyMutation(r *wire.Request) (*wire.Response, *wal.Ticket) {
 			// so nothing is logged.
 			return &wire.Response{Tag: wire.RespNotFound, ID: r.ID}, nil
 		}
-		sh := s.shardFor(r.Key)
-		sh.lock.Lock()
-		old, ok := sh.store[r.Key]
-		delete(sh.store, r.Key)
+		pos := db.RingPos(r.Key)
+		sp, at := s.store.locate(pos)
+		sp.lock.Lock()
+		old, ok := sp.del(at, r.Key)
 		resp := &wire.Response{Tag: wire.RespNotFound, ID: r.ID}
 		if ok {
-			s.digestApply(r.Key, old, "", true, false)
+			s.digestApply(pos, r.Key, old, "", true, false)
 			resp.Tag = wire.RespOK
 			if s.wal != nil {
 				tick = s.wal.Begin(&wal.Record{Kind: wal.KindDel, Key: r.Key})
 			}
 		}
-		sh.lock.Unlock()
+		sp.lock.Unlock()
 		return resp, tick
 	case wire.VerbMDel:
-		keys := make([]string, len(r.Pairs))
+		pos := make([]uint32, len(r.Pairs))
 		stamps := make([]version.Header, len(r.Pairs))
 		for i, kv := range r.Pairs {
 			if kv.Key == "" {
@@ -382,7 +370,7 @@ func (s *Server) applyMutation(r *wire.Request) (*wire.Response, *wal.Ticket) {
 				// as corruption. The wire decoder already refuses it.
 				return errResp("zero-length key"), nil
 			}
-			keys[i] = kv.Key
+			pos[i] = db.RingPos(kv.Key)
 			if len(kv.Value) == 0 {
 				continue // no stamp: delete whatever is stored
 			}
@@ -395,11 +383,11 @@ func (s *Server) applyMutation(r *wire.Request) (*wire.Response, *wal.Ticket) {
 			}
 			stamps[i] = h
 		}
-		unlock := s.lockShardSet(keys)
+		unlock := s.store.lock(pos)
 		var deleted []string
 		for i, kv := range r.Pairs {
-			st := s.shardFor(kv.Key).store
-			cur, ok := st[kv.Key]
+			sp, at := s.store.locate(pos[i])
+			cur, ok := sp.get(at, kv.Key)
 			if !ok {
 				continue
 			}
@@ -410,8 +398,8 @@ func (s *Server) applyMutation(r *wire.Request) (*wire.Response, *wal.Ticket) {
 					continue
 				}
 			}
-			delete(st, kv.Key)
-			s.digestApply(kv.Key, cur, "", true, false)
+			sp.del(at, kv.Key)
+			s.digestApply(pos[i], kv.Key, cur, "", true, false)
 			deleted = append(deleted, kv.Key)
 		}
 		if s.wal != nil && len(deleted) > 0 {
@@ -421,6 +409,7 @@ func (s *Server) applyMutation(r *wire.Request) (*wire.Response, *wal.Ticket) {
 		return &wire.Response{Tag: wire.RespCount, ID: r.ID, N: uint64(len(deleted))}, tick
 	case wire.VerbMPut:
 		keys := make([]string, len(r.Pairs))
+		pos := make([]uint32, len(r.Pairs))
 		vals := make([]string, len(r.Pairs))
 		stamps := make([]version.Header, len(r.Pairs))
 		for i, kv := range r.Pairs {
@@ -434,18 +423,18 @@ func (s *Server) applyMutation(r *wire.Request) (*wire.Response, *wal.Ticket) {
 				// before any pair of the batch is applied.
 				return errResp(fmt.Sprintf("mput: %q: %v", kv.Key, err)), nil
 			}
-			keys[i], vals[i], stamps[i] = kv.Key, v, h
+			keys[i], pos[i], vals[i], stamps[i] = kv.Key, db.RingPos(kv.Key), v, h
 		}
-		unlock := s.lockShardSet(keys)
+		unlock := s.store.lock(pos)
 		var applied []wal.KV
 		for i, k := range keys {
-			st := s.shardFor(k).store
-			cur, had := st[k]
+			sp, at := s.store.locate(pos[i])
+			cur, had := sp.get(at, k)
 			if apply, _ := setvOutcome(cur, had, stamps[i]); !apply {
 				continue
 			}
-			st[k] = vals[i]
-			s.digestApply(k, cur, vals[i], had, true)
+			sp.set(at, k, vals[i])
+			s.digestApply(pos[i], k, cur, vals[i], had, true)
 			applied = append(applied, wal.KV{Key: k, Value: vals[i]})
 		}
 		if s.wal != nil && len(applied) > 0 {

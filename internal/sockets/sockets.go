@@ -5,14 +5,14 @@
 // students build in C, over real loopback sockets.
 //
 // The server has grown from the lab's single-map toy into a hardened
-// serving layer: the store is sharded across N stripes each guarded by
-// its own readers-writer lock (keyed by the same FNV-1a hash as
-// mapreduce.Partition), Close drains in-flight requests before hard-
-// closing connections, and per-server counters plus a latency histogram
-// (metrics.Histogram) make throughput studies measurable. Pool adds the
-// production-shaped client the cluster uses: one pipelined binary-
-// protocol connection with per-request deadlines and bounded, jittered
-// retry.
+// serving layer: the store is cut into N stripes by ring arc, each
+// guarded by its own readers-writer lock and packed into ring-ordered
+// copy-on-write cells (store.go), Close drains in-flight requests
+// before hard-closing connections, and per-server counters plus a
+// latency histogram (metrics.Histogram) make throughput studies
+// measurable. Pool adds the production-shaped client the cluster uses:
+// one pipelined binary-protocol connection with per-request deadlines
+// and bounded, jittered retry.
 package sockets
 
 import (
@@ -21,7 +21,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"sort"
@@ -32,7 +31,6 @@ import (
 
 	"repro/internal/merkle"
 	"repro/internal/metrics"
-	"repro/internal/pthread"
 	"repro/internal/sockets/wire"
 	"repro/internal/wal"
 )
@@ -109,8 +107,11 @@ type Stats struct {
 type ServerConfig struct {
 	// Shards is the number of store stripes, each guarded by its own
 	// readers-writer lock so concurrent traffic on different keys does
-	// not serialize on one global lock. 1 reproduces the original
-	// single-lock server. Default 16.
+	// not serialize on one global lock. Stripe i holds the keys whose
+	// ring positions (db.RingPos) fall in the i-th of Shards equal arcs
+	// of the ring, so one ring hash per key picks its stripe, its cell
+	// and its Merkle bucket. 1 reproduces the original single-lock
+	// server. Default 16.
 	Shards int
 	// DrainTimeout bounds how long Close waits for in-flight requests
 	// before hard-closing their connections. Default 5s.
@@ -162,12 +163,6 @@ type ServerConfig struct {
 	SyncExcludePrefix string
 }
 
-// shard is one stripe of the store.
-type shard struct {
-	lock  *pthread.RWLock
-	store map[string]string
-}
-
 // connState tracks one accepted connection so Close can distinguish
 // idle connections (safe to cut immediately) from in-flight requests
 // (drained until DrainTimeout). inflight is a count, not a flag: a
@@ -193,9 +188,9 @@ func (cs *connState) addInflight(d int) (closing, idle bool) {
 
 // Server is the concurrent key-value server.
 type Server struct {
-	ln     net.Listener
-	shards []shard
-	drain  time.Duration
+	ln    net.Listener
+	store *store
+	drain time.Duration
 
 	conns    sync.WaitGroup
 	closed   atomic.Bool
@@ -267,7 +262,7 @@ func NewServerConfig(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	s := &Server{
 		ln:          ln,
-		shards:      make([]shard, cfg.Shards),
+		store:       newStore(cfg.Shards),
 		drain:       cfg.DrainTimeout,
 		active:      make(map[*connState]struct{}),
 		latency:     metrics.NewHistogram(),
@@ -278,9 +273,6 @@ func NewServerConfig(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	for _, v := range serverVerbs {
 		s.verbLat[v] = metrics.NewHistogram()
-	}
-	for i := range s.shards {
-		s.shards[i] = shard{lock: pthread.NewRWLock(pthread.PreferWriters), store: make(map[string]string)}
 	}
 	if cfg.WALDir != "" {
 		// Recovery runs to completion before the accept loop starts:
@@ -314,47 +306,6 @@ func (s *Server) Stats() Stats {
 // goes to the writer, so a client holding its reply always finds the
 // request counted here as well as in Stats.
 func (s *Server) Latency() *metrics.Histogram { return s.latency }
-
-// shardFor maps a key to its stripe with the same FNV-1a hash
-// mapreduce.Partition uses for reduce buckets.
-func (s *Server) shardFor(key string) *shard {
-	return &s.shards[s.shardIndex(key)]
-}
-
-// shardIndex is shardFor's stripe index.
-func (s *Server) shardIndex(key string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return h.Sum32() % uint32(len(s.shards))
-}
-
-// lockShardSet write-locks every stripe the keys hash to — each once,
-// in ascending index order, the global order that keeps concurrent
-// multi-key mutations deadlock-free against each other (single-key
-// paths hold one stripe and nest nothing) — and returns the matching
-// unlock. Multi-key mutations hold all their stripes across apply and
-// WAL enqueue so their log record cannot interleave with a competing
-// writer's on any of the touched keys; see applyMutation.
-func (s *Server) lockShardSet(keys []string) (unlock func()) {
-	hit := make([]bool, len(s.shards))
-	for _, k := range keys {
-		hit[s.shardIndex(k)] = true
-	}
-	idx := make([]int, 0, len(s.shards))
-	for i, b := range hit {
-		if b {
-			idx = append(idx, i)
-		}
-	}
-	for _, i := range idx {
-		s.shards[i].lock.Lock()
-	}
-	return func() {
-		for j := len(idx) - 1; j >= 0; j-- {
-			s.shards[idx[j]].lock.Unlock()
-		}
-	}
-}
 
 // Close stops accepting, drains in-flight requests for up to the
 // configured DrainTimeout, then hard-closes whatever remains. Idle
@@ -546,10 +497,7 @@ func (s *Server) handle(req string) string {
 		if len(parts) != 2 {
 			return "ERR usage: GET key"
 		}
-		sh := s.shardFor(parts[1])
-		sh.lock.RLock()
-		v, ok := sh.store[parts[1]]
-		sh.lock.RUnlock()
+		v, ok := s.store.get(parts[1])
 		if !ok {
 			return "NOTFOUND"
 		}
@@ -585,16 +533,7 @@ func (s *Server) handle(req string) string {
 		}
 		return fmt.Sprintf("DELETED %d", resp.N)
 	case "COUNT":
-		// Shards are read-locked one at a time, so the count is a
-		// point-in-time sum per stripe, not an atomic global snapshot.
-		n := 0
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.lock.RLock()
-			n += len(sh.store)
-			sh.lock.RUnlock()
-		}
-		return fmt.Sprintf("COUNT %d", n)
+		return fmt.Sprintf("COUNT %d", s.store.len())
 	case "KEYS":
 		keys := s.sortedKeys()
 		if len(keys) == 0 {
@@ -610,14 +549,7 @@ func (s *Server) handle(req string) string {
 // one stripe at a time (point-in-time per stripe, like COUNT).
 func (s *Server) sortedKeys() []string {
 	var keys []string
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.lock.RLock()
-		for k := range sh.store {
-			keys = append(keys, k)
-		}
-		sh.lock.RUnlock()
-	}
+	s.store.each(func(k, _ string) { keys = append(keys, k) })
 	sort.Strings(keys)
 	return keys
 }

@@ -299,8 +299,8 @@ func TestShardedStoreSpreadsKeys(t *testing.T) {
 		}
 	}
 	occupied, total := 0, 0
-	for i := range s.shards {
-		if n := len(s.shards[i].store); n > 0 {
+	for i := range s.store.stripes {
+		if n := s.store.stripes[i].n; n > 0 {
 			occupied++
 			total += n
 		}
@@ -309,7 +309,7 @@ func TestShardedStoreSpreadsKeys(t *testing.T) {
 		t.Errorf("shards hold %d keys, want 64", total)
 	}
 	if occupied < 2 {
-		t.Errorf("only %d of 8 shards occupied — FNV striping is broken", occupied)
+		t.Errorf("only %d of 8 shards occupied — ring-arc striping is broken", occupied)
 	}
 	// COUNT and KEYS must agree across stripes.
 	if n, err := c.Count(); err != nil || n != 64 {

@@ -244,8 +244,8 @@ func recordStripe(r *Record) int {
 	return 0
 }
 
-// stripeOf is FNV-1a over the key, mod replayStripes — the same
-// allocation-free hash the sockets store uses for shard routing.
+// stripeOf is FNV-1a over the key, mod replayStripes, computed without
+// allocating.
 func stripeOf(key string) int {
 	const (
 		offset32 = 2166136261

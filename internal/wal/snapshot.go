@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -33,40 +35,65 @@ type Snapshot struct {
 // loaded. tail is the first segment sequence NOT covered — replay
 // starts there.
 func writeSnapshotFile(dir string, tail uint64, snap *Snapshot) error {
-	buf := encodeSnapshot(tail, snap)
 	tmp := filepath.Join(dir, snapTmpName)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = writeSnapshot(f, tail, snap)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	return os.Rename(tmp, filepath.Join(dir, snapName))
 }
 
-// encodeSnapshot renders a snapshot file: magic, payload, CRC32C of
-// the payload.
-func encodeSnapshot(tail uint64, snap *Snapshot) []byte {
-	buf := append([]byte(snapMagic), binary.AppendUvarint(nil, tail)...)
-	buf = binary.AppendUvarint(buf, uint64(len(snap.Pairs)))
-	for _, kv := range snap.Pairs {
-		buf = appendString(buf, kv.Key)
-		buf = appendString(buf, kv.Value)
+// writeSnapshot streams a snapshot file to w: magic, payload, CRC32C of
+// the payload. The payload passes through a buffered writer whose
+// flushes feed the CRC on their way out, so no buffer ever holds the
+// whole file.
+func writeSnapshot(w io.Writer, tail uint64, snap *Snapshot) error {
+	if _, err := io.WriteString(w, snapMagic); err != nil {
+		return err
 	}
-	buf = append(buf, 0) // the legacy section: no entries
-	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[len(snapMagic):], castagnoli))
+	cw := &crcWriter{w: w}
+	bw := bufio.NewWriterSize(cw, 64<<10)
+	var n [binary.MaxVarintLen64]byte
+	// bufio.Writer latches its first error: the writes below need no
+	// checks, Flush reports it.
+	bw.Write(binary.AppendUvarint(n[:0], tail))
+	bw.Write(binary.AppendUvarint(n[:0], uint64(len(snap.Pairs))))
+	for _, kv := range snap.Pairs {
+		bw.Write(binary.AppendUvarint(n[:0], uint64(len(kv.Key))))
+		bw.WriteString(kv.Key)
+		bw.Write(binary.AppendUvarint(n[:0], uint64(len(kv.Value))))
+		bw.WriteString(kv.Value)
+	}
+	bw.WriteByte(0) // the legacy section: no entries
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	_, err := w.Write(binary.BigEndian.AppendUint32(n[:0], cw.crc))
+	return err
+}
+
+// crcWriter passes writes on to w, folding every byte written into a
+// running CRC32C.
+type crcWriter struct {
+	w   io.Writer
+	crc uint32
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
+	return n, err
 }
 
 // loadSnapshotFile reads the snapshot back. A missing file returns
